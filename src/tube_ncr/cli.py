@@ -424,6 +424,21 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # Every flag here is a long option or -h, so a token with a single
+        # leading '-' is a value: the polynomial "-3*x", not an unknown
+        # flag.  A long flag typed with one dash ("-max-degree") is left to
+        # argparse, which rejects it by name.  _parse_optional is private
+        # to argparse; None has meant "a positional" in CPython 3.10-3.13,
+        # while its other results changed shape in 3.12.7, so this returns
+        # only None or the base result.  Tested on CPython 3.11.
+        flag = "-" + arg_string.partition("=")[0]
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions
+                and flag not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _add_common(p: argparse.ArgumentParser, *, needs_n=False, default_n=None):
     if needs_n or default_n is not None:

@@ -22,6 +22,7 @@ Conventions fixed here, relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,9 +365,15 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        # Square-and-multiply: O(log n) products.
         result = self.ring.one()
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c) -> "Poly":
@@ -506,6 +513,44 @@ def monomials_upto(nvars: int, bound: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
+def rref_insert(reduced: list, pivots: dict, row: dict, field: Field) -> bool:
+    """Insert one row into a reduced row echelon system in place.
+
+    ``reduced`` and ``pivots`` are as returned by ``row_reduce``; the row
+    is cleared in every existing pivot column, normalised to a leading 1
+    and back-substituted into every earlier row.  Returns True when the
+    row was independent (and appended), False when it reduced to zero.
+    """
+    row = dict(row)
+    # A reduced pivot row is 1 in its own pivot column and 0 in every
+    # other, so clearing one pivot column never refills another.
+    for lead in [c for c in row if c in pivots]:
+        factor = row[lead]
+        for col, val in reduced[pivots[lead]].items():
+            s = field.sub(row.get(col, field.zero), field.mul(factor, val))
+            if s:
+                row[col] = s
+            else:
+                row.pop(col, None)
+    if not row:
+        return False
+    lead = min(row)
+    inv = field.inv(row[lead])
+    row = {c: field.mul(v, inv) for c, v in row.items()}
+    for other in reduced:
+        if lead in other:
+            factor = other[lead]
+            for col, val in row.items():
+                s = field.sub(other.get(col, field.zero), field.mul(factor, val))
+                if s:
+                    other[col] = s
+                else:
+                    other.pop(col, None)
+    pivots[lead] = len(reduced)
+    reduced.append(row)
+    return True
+
+
 def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
     """Reduced row echelon form of sparse rows (dicts col -> coefficient).
 
@@ -516,61 +561,117 @@ def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
     reduced: list[dict] = []
     pivots: dict[int, int] = {}
     for row in rows:
+        rref_insert(reduced, pivots, row, field)
+    return reduced, pivots
+
+
+def echelon(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
+    """Row echelon form of sparse rows, without back-substitution.
+
+    Same contract and the same pivots as ``row_reduce`` (rows in order,
+    the least column as pivot; the set of pivot columns of an echelon
+    form is fixed by the row space), at a fraction of the cost when only
+    the rank or the pivot columns are needed.  The rows span the same
+    space but are not reduced: over F_p each has leading coefficient 1;
+    over the rationals each is a primitive integer row (``int`` entries),
+    eliminated fraction-free.
+    """
+    if field.p is None:
+        return _echelon_rationals(rows)
+    return _echelon_prime(rows, field.p)
+
+
+def _echelon_prime(rows: list[dict], p: int) -> tuple[list[dict], dict]:
+    reduced: list[dict] = []
+    pivots: dict[int, int] = {}
+    for row in rows:
         row = dict(row)
         while row:
             lead = min(row)
-            if lead not in pivots:
+            ridx = pivots.get(lead)
+            if ridx is None:
                 break
-            pivot_row = reduced[pivots[lead]]
-            factor = field.div(row[lead], pivot_row[lead])
-            for col, val in pivot_row.items():
-                s = field.sub(row.get(col, field.zero), field.mul(factor, val))
+            factor = row[lead]
+            # Pivot rows lead with 1, so ``factor`` times it cancels the lead.
+            for col, val in reduced[ridx].items():
+                s = (row.get(col, 0) - factor * val) % p
                 if s:
                     row[col] = s
                 else:
-                    row.pop(col, None)
+                    del row[col]
         if not row:
             continue
         lead = min(row)
-        inv = field.inv(row[lead])
-        row = {c: field.mul(v, inv) for c, v in row.items()}
-        # Back-substitute into existing rows to get full RREF.
-        for other in reduced:
-            if lead in other:
-                factor = other[lead]
-                for col, val in row.items():
-                    s = field.sub(other.get(col, field.zero), field.mul(factor, val))
-                    if s:
-                        other[col] = s
-                    else:
-                        other.pop(col, None)
+        inv = pow(row[lead], p - 2, p)
+        if inv != 1:
+            row = {c: v * inv % p for c, v in row.items()}
         pivots[lead] = len(reduced)
         reduced.append(row)
     return reduced, pivots
 
 
+def _echelon_rationals(rows: list[dict]) -> tuple[list[dict], dict]:
+    reduced: list[dict] = []
+    pivots: dict[int, int] = {}
+    for row in rows:
+        # Clear denominators; a row and its nonzero multiples span alike.
+        den = math.lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        while row:
+            lead = min(row)
+            ridx = pivots.get(lead)
+            if ridx is None:
+                break
+            pivot_row = reduced[ridx]
+            # row <- a*row - b*pivot_row cancels the lead, in integers.
+            a, b = pivot_row[lead], row[lead]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for col, val in pivot_row.items():
+                s = row.get(col, 0) - b * val
+                if s:
+                    row[col] = s
+                else:
+                    del row[col]
+            if row:
+                content = math.gcd(*row.values())
+                if content != 1:
+                    row = {c: v // content for c, v in row.items()}
+        if not row:
+            continue
+        pivots[min(row)] = len(reduced)
+        reduced.append(row)
+    return reduced, pivots
+
+
 def matrix_rank(rows: list[dict], field: Field) -> int:
-    reduced, _ = row_reduce(rows, field)
-    return len(reduced)
+    return len(echelon(rows, field)[0])
 
 
 def kernel_basis(rows: list[dict], ncols: int, field: Field) -> list[dict]:
     """Basis of the right kernel of a sparse matrix, deterministic.
 
     Each basis vector is a dict col -> coefficient, normalised so its
-    free coordinate equals 1; vectors are ordered by free column index.
+    free coordinate equals 1; vectors are ordered by free column index,
+    and within a vector the pivot coordinates follow the pivot order.
     """
     reduced, pivots = row_reduce(rows, field)
+    # In reduced form every non-pivot entry of a row sits in a free
+    # column, so one pass over the rows collects each free column's
+    # pivot coordinates.
+    entries: dict[int, list] = {}
+    for pivot_col, ridx in pivots.items():
+        for col, val in reduced[ridx].items():
+            if col != pivot_col:
+                entries.setdefault(col, []).append((pivot_col, field.neg(val)))
     basis: list[dict] = []
     for free in range(ncols):
         if free in pivots:
             continue
         vec = {free: field.one}
-        for pivot_col, ridx in pivots.items():
-            row = reduced[ridx]
-            val = row.get(free, field.zero)
-            if val:
-                vec[pivot_col] = field.neg(val)
+        vec.update(entries.get(free, ()))
         basis.append(vec)
     return basis
 

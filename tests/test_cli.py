@@ -107,6 +107,38 @@ def test_wrong_scalar_count_reports_usage(capsys):
     assert "3 scalar polynomials" in capsys.readouterr().err
 
 
+def test_leading_minus_in_polynomial_is_a_value(capsys):
+    argv = ["cohom", "localization", "--max-degree", "2", "--len", "2",
+            "--polydeg", "4", "--f"]
+    assert main([*argv, "-3*x", "2*y"]) == EXIT_OK
+    negated = json.loads(capsys.readouterr().out)
+    assert main([*argv, "3*x", "2*y"]) == EXIT_OK
+    positive = json.loads(capsys.readouterr().out)
+    assert negated["rows"] == positive["rows"]
+    assert negated["f"] == ["-3*x", "2*y"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohom", "localization", "--f"],
+    ["cohom", "localization", "--bogus"],
+    ["algebra", "tube", "--n", "2", "-x"],
+    ["-x", "algebra", "tube", "--n", "2"],
+])
+def test_malformed_flags_still_exit_usage(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("typo", ["-max-degree", "-len", "-vars=x,y"])
+def test_single_dash_long_flag_after_polynomials_is_named(typo, capsys):
+    argv = ["cohom", "localization", "--f", "x", "y", typo, "3"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    assert typo in capsys.readouterr().err
+
+
 def test_inconclusive_localization_exits_two(capsys):
     code = main(["cohom", "localization", "--max-degree", "1",
                  "--len", "1", "--polydeg", "2", "--f", "x", "x",

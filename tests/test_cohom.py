@@ -471,3 +471,58 @@ def test_localization_inconclusive_counts_as_failure():
         r["contraction_status"] == "inconclusive_at_bound" for r in rep.rows
     )
     assert all(r["contraction_rank"] == r["localized_rank"] for r in rep.rows)
+
+
+def _rank_only_cases():
+    ring = xy_ring()
+    x, y = ring.gen("x"), ring.gen("y")
+    ring5 = xy_ring(F5)
+    x5, y5 = ring5.gen("x"), ring5.gen("y")
+    tube = tube_algebra(1, ring, (x, y))
+    return [
+        pytest.param(tube, tube_vertex(0), tube_vertex(1), 4, id="tube"),
+        pytest.param(conifold_presentation(), contraction_vertex(1),
+                     contraction_vertex(1), 4, id="contraction"),
+        pytest.param(contraction_quiver(2, ring, (x, x ** 2 + y ** 3, y)),
+                     contraction_vertex(1), contraction_vertex(2), 3,
+                     id="contraction-cusp"),
+        pytest.param(drinfeld_localize(tube, tube_vertex(0)),
+                     tube_vertex(1), tube_vertex(1), 6, id="localized"),
+        pytest.param(drinfeld_localize(tube_algebra(1, ring5, (x5 + y5, y5)),
+                                       tube_vertex(0)),
+                     tube_vertex(1), tube_vertex(1), 6, id="localized-f5"),
+    ]
+
+
+@pytest.mark.parametrize("pres,source,target,length", _rank_only_cases())
+def test_rank_only_agrees_with_generator_run(pres, source, target, length):
+    for m in range(3):
+        full = truncated_cohomology(
+            pres, source, target, m, length_bound=length, poly_bound=3
+        )
+        rank_only = truncated_cohomology(
+            pres, source, target, m, length_bound=length, poly_bound=3,
+            with_generators=False,
+        )
+        assert (rank_only.rank, rank_only.status) == (full.rank, full.status)
+        assert len(full.generators) == full.rank
+        assert rank_only.generators == []
+
+
+def test_reported_generators_are_cocycles():
+    # Here a row of the kernel system leads left of an earlier pivot and
+    # also meets that pivot's column; an elimination that only clears
+    # leading entries returned "(y^3 + x^2)*alpha*b1*beta*a1 + ...",
+    # whose differential is not zero.
+    ring = xy_ring(Field.prime(3))
+    x, y = ring.gen("x"), ring.gen("y")
+    pres = contraction_quiver(2, ring, (x, x ** 2 + y ** 3, y))
+    v = contraction_vertex(1)
+    rep = truncated_cohomology(pres, v, v, 2, length_bound=5, poly_bound=4)
+    words = (("alpha", "b1", "beta", "a1"), ("b1", "beta", "a1", "alpha"))
+    cocycles = [
+        pres.element([(y ** k, Path(w)) for w in words]) for k in range(4)
+    ]
+    assert rep.generators == [c.to_text() for c in cocycles]
+    for c in cocycles:
+        assert pres.differential_of(c).is_zero()

@@ -1,5 +1,6 @@
 """Tests for exact fields, polynomials, ring maps, and truncated solving."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,13 @@ from tube_ncr.exactalg import (
     PolyParseError,
     PolyRing,
     RingMap,
+    echelon,
+    kernel_basis,
     kernel_module_generators,
     matrix_rank,
     monomials_upto,
+    row_reduce,
+    solve_sparse,
     truncated_solve,
 )
 
@@ -53,6 +58,17 @@ def test_rational_scalar_parse_roundtrip():
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic
 # ---------------------------------------------------------------------------
+
+
+def test_power_is_square_and_multiply():
+    R = ring_qq("x")
+    start = time.perf_counter()
+    p = R.parse("x^1000000000")
+    assert time.perf_counter() - start < 2.0
+    assert p.terms == {(1000000000,): 1}
+    p = RXY.parse("x + 2*y")
+    assert p ** 5 == p * p * p * p * p
+    assert p ** 0 == RXY.one()
 
 
 def test_monomial_product():
@@ -295,3 +311,106 @@ def test_bound_below_data_degree_rejected():
 def test_monomials_upto_deglex_order():
     mons = monomials_upto(2, 2)
     assert mons == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+# ---------------------------------------------------------------------------
+# Sparse elimination
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sparse_matrices(draw, field):
+    """Rows as dicts col -> nonzero field element, often rank deficient."""
+    ncols = draw(st.integers(1, 7))
+    if field.p is None:
+        scalars = st.builds(
+            Fraction, st.integers(-6, 6), st.integers(1, 5)
+        ).filter(bool)
+    else:
+        scalars = st.integers(1, field.p - 1)
+    base = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), scalars, max_size=ncols),
+        max_size=5,
+    ))
+    # Insert combinations of the base rows so that dependencies occur.
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        if not base:
+            break
+        combo: dict = {}
+        for row in base:
+            c = draw(scalars)
+            for col, v in row.items():
+                combo[col] = field.add(combo.get(col, field.zero), field.mul(c, v))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    {col: v for col, v in combo.items() if v})
+    return rows, ncols
+
+
+def check_echelon_against_rref(rows, ncols, field):
+    reduced, rref_pivots = row_reduce(rows, field)
+    ech_rows, ech_pivots = echelon(rows, field)
+    assert len(ech_rows) == len(reduced) == matrix_rank(rows, field)
+    assert ech_pivots == rref_pivots
+    for col, ridx in ech_pivots.items():
+        assert min(ech_rows[ridx]) == col
+        if field.p is not None:
+            assert ech_rows[ridx][col] == 1
+    # The echelon rows span the row space of the input.
+    assert len(row_reduce(rows + ech_rows, field)[0]) == len(reduced)
+    kernel = kernel_basis(rows, ncols, field)
+    assert len(kernel) == ncols - len(ech_rows)
+    for vec in kernel:
+        for row in rows:
+            dot = field.zero
+            for col, v in row.items():
+                dot = field.add(dot, field.mul(v, vec.get(col, field.zero)))
+            assert not dot
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(QQ))
+def test_echelon_matches_rref_over_rationals(data):
+    rows, ncols = data
+    check_echelon_against_rref(rows, ncols, QQ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(QQ))
+def test_echelon_rank_matches_sympy_over_rationals(data):
+    sympy = pytest.importorskip("sympy")
+    rows, ncols = data
+    dense = sympy.Matrix(
+        [[sympy.Rational(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    ) if rows else sympy.zeros(0, ncols)
+    assert len(echelon(rows, QQ)[0]) == dense.rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 7, 32003]).flatmap(
+    lambda p: sparse_matrices(Field.prime(p)).map(lambda d: (p, d))
+))
+def test_echelon_matches_rref_over_prime_fields(case):
+    p, (rows, ncols) = case
+    check_echelon_against_rref(rows, ncols, Field.prime(p))
+
+
+def test_kernel_basis_vectors_and_key_order_are_fixed():
+    # Free coordinate first, then pivot coordinates in pivot order (1, 0).
+    F = Field.prime(7)
+    rows = [{1: 2, 2: 5, 3: 1}, {0: 1, 2: 3, 4: 1}, {0: 2, 2: 6, 4: 2}]
+    assert [list(v.items()) for v in kernel_basis(rows, 5, F)] == [
+        [(2, 1), (1, 1), (0, 4)],
+        [(3, 1), (1, 3)],
+        [(4, 1), (0, 6)],
+    ]
+
+
+def test_later_pivot_left_of_an_earlier_one_is_fully_reduced():
+    # The second row leads left of the first pivot and also meets it.
+    F = Field.prime(7)
+    rows = [{1: 1, 2: 1}, {0: 1, 1: 1}]
+    reduced, pivots = row_reduce(rows, F)
+    assert reduced == [{1: 1, 2: 1}, {0: 1, 2: 6}]
+    assert kernel_basis(rows, 3, F) == [{2: 1, 1: 6, 0: 1}]
+    assert solve_sparse([{1: 1}, {0: 1, 1: 1}], [1, 0], F) == [6, 1]
