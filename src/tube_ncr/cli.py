@@ -4,7 +4,8 @@ Every command prints one deterministic report (JSON by default, sorted
 keys, two-space indent, trailing newline) to stdout or ``--output``.
 Exit codes follow the verification verdict: 0 when every requested
 check passes conclusively, 2 when something is inconclusive at the
-chosen bounds, 1 on an actual failure, 64 on malformed input.
+chosen bounds, 1 on an actual failure, 64 on malformed input, 70 when an
+internal consistency check fails (a bug, not bad input).
 
 Polynomials on the command line use a small grammar with no
 parentheses::
@@ -34,7 +35,7 @@ from .cohom import (
     sphere_complex,
     truncated_cohomology,
 )
-from .exactalg import Field, Poly, PolyParseError, PolyRing
+from .exactalg import Field, InternalError, Poly, PolyParseError, PolyRing
 from .quivalg import (
     contraction_quiver,
     contraction_vertex,
@@ -57,12 +58,21 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class CommandError(ValueError):
     """Malformed input discovered after argument parsing."""
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type of the truncation bounds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 @dataclass
@@ -495,28 +505,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = toric_cmds.add_parser("sections", help="weight-space basis for one character")
     _add_common(p, needs_n=True)
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--degree-bound", type=int, default=None)
+    p.add_argument("--degree-bound", type=nonnegative_int, default=None)
     p = toric_cmds.add_parser("wedge", help="top wedge nonvanishing on stable points")
     _add_common(p, needs_n=True)
     p = toric_cmds.add_parser("end", help="path algebra vs graded ring comparison")
     _add_common(p, needs_n=True)
-    p.add_argument("--bound", type=int, default=None, help="word length bound")
+    p.add_argument("--bound", type=nonnegative_int, default=None,
+                   help="word length bound")
     p = toric_cmds.add_parser("base-change", help="substitution compatibility")
     _add_common(p, needs_n=True)
     _add_polys(p, required=True)
-    p.add_argument("--bound", type=int, default=None, help="word length bound")
+    p.add_argument("--bound", type=nonnegative_int, default=None,
+                   help="word length bound")
 
     cohom = groups.add_parser("cohom", help="bounded cohomology computations")
     cohom_cmds = cohom.add_subparsers(dest="command", required=True)
     p = cohom_cmds.add_parser("sphere", help="six-term free complex over k[t0, t1]")
     _add_common(p)
-    p.add_argument("--polydeg", type=int, default=8)
+    p.add_argument("--polydeg", type=nonnegative_int, default=8)
     p = cohom_cmds.add_parser("contraction-h0",
                               help="H^0 generators and relations")
     _add_common(p, needs_n=True)
     _add_polys(p, required=True)
-    p.add_argument("--len", dest="length", type=int, default=6)
-    p.add_argument("--polydeg", type=int, default=8)
+    p.add_argument("--len", dest="length", type=nonnegative_int, default=6)
+    p.add_argument("--polydeg", type=nonnegative_int, default=8)
     p = cohom_cmds.add_parser("truncated", help="bounded morphism cohomology rank")
     _add_common(p, needs_n=True)
     _add_polys(p)
@@ -525,21 +537,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0, help="report degree -m")
     p.add_argument("--source", default=None)
     p.add_argument("--target", default=None)
-    p.add_argument("--len", dest="length", type=int, default=8)
-    p.add_argument("--polydeg", type=int, default=8)
+    p.add_argument("--len", dest="length", type=nonnegative_int, default=8)
+    p.add_argument("--polydeg", type=nonnegative_int, default=8)
     p = cohom_cmds.add_parser("localization",
                               help="contraction vs localised tube ranks")
     _add_common(p)
     _add_polys(p)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--len", dest="length", type=int, default=4)
-    p.add_argument("--polydeg", type=int, default=4)
+    p.add_argument("--max-degree", type=nonnegative_int, default=4)
+    p.add_argument("--len", dest="length", type=nonnegative_int, default=4)
+    p.add_argument("--polydeg", type=nonnegative_int, default=4)
 
     verify = groups.add_parser("verify", help="fixed verification suites")
     verify_cmds = verify.add_subparsers(dest="command", required=True)
     p = verify_cmds.add_parser("all", help="run the whole manifest")
     _add_common(p, default_n=2)
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=nonnegative_int, default=8)
 
     return root
 
@@ -644,6 +656,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CommandError, PolyParseError, ValueError) as exc:
         sys.stderr.write(f"tube-ncr: error: {exc}\n")
         return EXIT_USAGE
+    except InternalError as exc:
+        sys.stderr.write(f"tube-ncr: internal error: {exc}\n")
+        return EXIT_INTERNAL
     emit(report, cfg)
     return code
 

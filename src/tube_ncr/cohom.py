@@ -557,6 +557,12 @@ def truncated_cohomology(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
+    for vertex in (source, target):
+        if vertex not in pres.quiver.vertices:
+            raise ValueError(
+                f"unknown vertex {vertex!r}; vertices are "
+                + ", ".join(pres.quiver.vertices)
+            )
     if stability_step < 1:
         raise ValueError("stability_step must be positive")
     slack = (

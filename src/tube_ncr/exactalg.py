@@ -513,6 +513,10 @@ def monomials_upto(nvars: int, bound: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
+class InternalError(RuntimeError):
+    """An invariant of the exact algebra failed: a bug, not bad input."""
+
+
 def rref_insert(reduced: list, pivots: dict, row: dict, field: Field) -> bool:
     """Insert one row into a reduced row echelon system in place.
 
@@ -520,6 +524,8 @@ def rref_insert(reduced: list, pivots: dict, row: dict, field: Field) -> bool:
     is cleared in every existing pivot column, normalised to a leading 1
     and back-substituted into every earlier row.  Returns True when the
     row was independent (and appended), False when it reduced to zero.
+    Meant for a few rows added to a finished system; ``row_reduce`` is
+    the bulk path.
     """
     row = dict(row)
     # A reduced pivot row is 1 in its own pivot column and 0 in every
@@ -557,12 +563,69 @@ def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
     Returns (reduced nonzero rows, pivots) where pivots maps a pivot
     column to its row index in the returned list.  Deterministic: rows
     are processed in order, pivots chosen as the least column index.
+
+    One ``echelon`` pass, then one back-substitution sweep over the pivot
+    rows in decreasing pivot column.  A row is cleared only in the pivot
+    columns it holds, each against a row the sweep has already reduced:
+    that row is zero in every other pivot column, so clearing one pivot
+    column never refills another.  The reduced form is unique and
+    ``echelon`` finds the same pivots in the same order, so the output
+    equals that of inserting the rows one by one with ``rref_insert``.
     """
-    reduced: list[dict] = []
-    pivots: dict[int, int] = {}
-    for row in rows:
-        rref_insert(reduced, pivots, row, field)
+    reduced, pivots = echelon(rows, field)
+    if field.p is None:
+        return _back_substitute_rationals(reduced, pivots), pivots
+    _back_substitute_prime(reduced, pivots, field.p)
     return reduced, pivots
+
+
+def _back_substitute_prime(reduced: list[dict], pivots: dict, p: int) -> None:
+    # Echelon rows over F_p lead with 1, so each is already normalised.
+    for lead in sorted(pivots, reverse=True):
+        row = reduced[pivots[lead]]
+        for col in [c for c in row if c != lead and c in pivots]:
+            factor = row[col]
+            for c, val in reduced[pivots[col]].items():
+                s = (row.get(c, 0) - factor * val) % p
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+
+
+def _back_substitute_rationals(reduced: list[dict], pivots: dict) -> list[dict]:
+    # Echelon rows over the rationals are integer rows; they are
+    # reduced fraction-free and divided by their leads once at the end.
+    for lead in sorted(pivots, reverse=True):
+        ridx = pivots[lead]
+        row = reduced[ridx]
+        targets = [c for c in row if c != lead and c in pivots]
+        if not targets:
+            continue
+        for col in targets:
+            pivot_row = reduced[pivots[col]]
+            # row <- a*row - b*pivot_row cancels the entry in ``col``.
+            a, b = pivot_row[col], row[col]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, val in pivot_row.items():
+                s = row.get(c, 0) - b * val
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+        content = math.gcd(*row.values())
+        if content != 1:
+            row = {c: v // content for c, v in row.items()}
+        reduced[ridx] = row
+    out = []
+    for lead, ridx in pivots.items():
+        row = reduced[ridx]
+        den = row[lead]
+        out.append({c: Fraction(v, den) for c, v in row.items()})
+    return out
 
 
 def echelon(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
@@ -573,7 +636,7 @@ def echelon(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
     form is fixed by the row space), at a fraction of the cost when only
     the rank or the pivot columns are needed.  The rows span the same
     space but are not reduced: over F_p each has leading coefficient 1;
-    over the rationals each is a primitive integer row (``int`` entries),
+    over the rationals each is an integer row (``int`` entries),
     eliminated fraction-free.
     """
     if field.p is None:
@@ -602,7 +665,7 @@ def _echelon_prime(rows: list[dict], p: int) -> tuple[list[dict], dict]:
         if not row:
             continue
         lead = min(row)
-        inv = pow(row[lead], p - 2, p)
+        inv = pow(row[lead], -1, p)
         if inv != 1:
             row = {c: v * inv % p for c, v in row.items()}
         pivots[lead] = len(reduced)
@@ -615,8 +678,15 @@ def _echelon_rationals(rows: list[dict]) -> tuple[list[dict], dict]:
     pivots: dict[int, int] = {}
     for row in rows:
         # Clear denominators; a row and its nonzero multiples span alike.
-        den = math.lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        # One as_integer_ratio() call per entry: numerator and denominator
+        # are Python-level properties of Fraction.  Most rows are integral.
+        ints, den = {}, 1
+        for c, v in row.items():
+            n, d = v.as_integer_ratio()
+            ints[c] = n
+            if d != 1:
+                den = math.lcm(den, d)
+        row = ints if den == 1 else {c: int(v * den) for c, v in row.items()}
         while row:
             lead = min(row)
             ridx = pivots.get(lead)
@@ -700,6 +770,13 @@ def solve_sparse(
     # free variables pinned to zero, x_pivot is the rhs entry itself.
     for pivot_col, ridx in pivots.items():
         solution[pivot_col] = reduced[ridx].get(sentinel, field.zero)
+    # Certify on the rows as given, so a solver fault cannot be reported
+    # as a witness.
+    p = field.p
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        residual = sum([v * solution[c] for c, v in row.items()]) - b
+        if residual if p is None else residual % p:
+            raise InternalError(f"solve_sparse: solution fails equation {i}")
     return solution
 
 
@@ -723,14 +800,6 @@ class TruncatedSolveResult:
         if self.witness is not None:
             out["witness"] = [p.to_json() for p in self.witness]
         return out
-
-
-def _linearize_columns(ring: PolyRing, ncols: int, bound: int):
-    """Unknown layout: one field unknown per (column, monomial <= bound)."""
-    mons = monomials_upto(ring.nvars, bound)
-    unknowns = [(j, m) for j in range(ncols) for m in mons]
-    index = {key: i for i, key in enumerate(unknowns)}
-    return mons, unknowns, index
 
 
 def truncated_solve(
@@ -775,44 +844,46 @@ def truncated_solve(
             f"degree_bound {degree_bound} below max degree {max_deg} in the data"
         )
 
-    mons, unknowns, index = _linearize_columns(ring, ncols, degree_bound)
+    # One field unknown per (column j, monomial mons[k] <= bound), at
+    # index j * nmons + k; one equation per (row i, monomial), numbered in
+    # order of first use.  Each cell is written once: the unknown fixes
+    # (j, m), and with the equation (i, exp + m) that fixes the term exp.
+    mons = monomials_upto(ring.nvars, degree_bound)
+    nmons = len(mons)
     eq_index: dict[tuple, int] = {}
     eq_rows: list[dict] = []
-
-    def eq_row(key: tuple) -> dict:
-        if key not in eq_index:
-            eq_index[key] = len(eq_rows)
-            eq_rows.append({})
-        return eq_rows[eq_index[key]]
-
+    shifted: dict[tuple, list] = {}  # exp -> [exp + m for m in mons]
     for i in range(nrows):
         for j in range(ncols):
-            p = A[i][j]
-            if p.is_zero():
-                continue
-            for m in mons:
-                col = index[(j, m)]
-                for exp, coef in p.terms.items():
-                    prod = tuple(a + b for a, b in zip(exp, m))
-                    row = eq_row((i, prod))
-                    s = field.add(row.get(col, field.zero), coef)
-                    if s:
-                        row[col] = s
+            terms = []
+            for exp, coef in A[i][j].terms.items():
+                prods = shifted.get(exp)
+                if prods is None:
+                    prods = shifted[exp] = [
+                        tuple([a + b for a, b in zip(exp, m)]) for m in mons
+                    ]
+                terms.append((prods, coef))
+            for k in range(nmons):
+                col = j * nmons + k
+                for prods, coef in terms:
+                    key = (i, prods[k])
+                    ridx = eq_index.get(key)
+                    if ridx is None:
+                        eq_index[key] = len(eq_rows)
+                        eq_rows.append({col: coef})
                     else:
-                        row.pop(col, None)
+                        eq_rows[ridx][col] = coef
 
     if mode == "kernel":
-        vecs = kernel_basis(eq_rows, len(unknowns), field)
-        out = []
-        for vec in vecs:
-            polys = []
-            for j in range(ncols):
-                terms = {}
-                for (jj, m), i in index.items():
-                    if jj == j and i in vec:
-                        terms[m] = vec[i]
-                polys.append(Poly(ring, terms))
-            out.append(polys)
+        vecs = kernel_basis(eq_rows, ncols * nmons, field)
+        out = [
+            [
+                Poly(ring, {m: vec[c] for c, m in enumerate(mons, j * nmons)
+                            if c in vec})
+                for j in range(ncols)
+            ]
+            for vec in vecs
+        ]
         return TruncatedSolveResult("kernel", degree_bound, "ok", vectors=out)
 
     # membership
@@ -832,14 +903,11 @@ def truncated_solve(
         return TruncatedSolveResult(
             "membership", degree_bound, "inconclusive_at_bound"
         )
-    witness = []
-    for j in range(ncols):
-        terms = {}
-        for m in mons:
-            i = index[(j, m)]
-            if i < len(solution) and solution[i]:
-                terms[m] = solution[i]
-        witness.append(Poly(ring, terms))
+    witness = [
+        Poly(ring, {m: solution[c] for c, m in enumerate(mons, j * nmons)
+                    if c < len(solution) and solution[c]})
+        for j in range(ncols)
+    ]
     return TruncatedSolveResult("membership", degree_bound, "member", witness=witness)
 
 

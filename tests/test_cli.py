@@ -12,6 +12,7 @@ import pytest
 from tube_ncr.cli import (
     EXIT_FAILURE,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     CommandError,
@@ -21,6 +22,7 @@ from tube_ncr.cli import (
     parse_field,
     parse_polynomials,
 )
+from tube_ncr import exactalg
 from tube_ncr.exactalg import Field
 
 REPO = Path(__file__).resolve().parent.parent
@@ -137,6 +139,46 @@ def test_single_dash_long_flag_after_polynomials_is_named(typo, capsys):
         main(argv)
     assert err.value.code == EXIT_USAGE
     assert typo in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, vertex", [
+    (["cohom", "truncated", "--n", "1", "--f", "x", "y", "--source", "nope"],
+     "nope"),
+    (["cohom", "truncated", "--quiver", "tube", "--n", "1", "--source", "L9"],
+     "L9"),
+])
+def test_unknown_vertex_exits_usage(argv, vertex, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert f"unknown vertex '{vertex}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["cohom", "truncated", "--n", "1", "--f", "x", "y", "--len", "-3"], "--len"),
+    (["cohom", "sphere", "--polydeg", "-1"], "--polydeg"),
+    (["cohom", "localization", "--max-degree", "-1"], "--max-degree"),
+])
+def test_negative_bound_exits_usage(argv, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    assert f"argument {flag}: must be >= 0, got -" in capsys.readouterr().err
+
+
+def test_failed_internal_check_is_not_reported_as_usage(monkeypatch, capsys):
+    honest = exactalg.row_reduce
+
+    def corrupted(rows, field):
+        reduced, pivots = honest(rows, field)
+        for row in reduced:
+            for col in row:
+                row[col] = field.add(row[col], field.one)
+        return reduced, pivots
+
+    monkeypatch.setattr(exactalg, "row_reduce", corrupted)
+    code = main(["cohom", "contraction-h0", "--n", "2", "--f", "x", "x^2+y^3",
+                 "y", "--len", "3", "--polydeg", "4", "--field", "f5"])
+    assert code == EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_inconclusive_localization_exits_two(capsys):

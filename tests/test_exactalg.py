@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tube_ncr import exactalg
 from tube_ncr.exactalg import (
     Field,
+    InternalError,
     Poly,
     PolyParseError,
     PolyRing,
@@ -19,6 +21,7 @@ from tube_ncr.exactalg import (
     matrix_rank,
     monomials_upto,
     row_reduce,
+    rref_insert,
     solve_sparse,
     truncated_solve,
 )
@@ -347,17 +350,39 @@ def sparse_matrices(draw, field):
     return rows, ncols
 
 
+def rref_oracle(rows, field):
+    """Reduced row echelon form by inserting the rows one at a time."""
+    reduced, pivots = [], {}
+    for row in rows:
+        rref_insert(reduced, pivots, row, field)
+    return reduced, pivots
+
+
+def oracle_solution(rows, rhs, field):
+    """solve_sparse's contract, read off the oracle's reduced form."""
+    sentinel = max((max(r) for r in rows if r), default=0) + 1
+    augmented = [{**row, sentinel: b} if b else dict(row)
+                 for row, b in zip(rows, rhs)]
+    reduced, pivots = rref_oracle(augmented, field)
+    if sentinel in pivots:
+        return None
+    solution = [field.zero] * sentinel
+    for col, ridx in pivots.items():
+        solution[col] = reduced[ridx].get(sentinel, field.zero)
+    return solution
+
+
 def check_echelon_against_rref(rows, ncols, field):
-    reduced, rref_pivots = row_reduce(rows, field)
+    reduced, rref_pivots = rref_oracle(rows, field)
     ech_rows, ech_pivots = echelon(rows, field)
     assert len(ech_rows) == len(reduced) == matrix_rank(rows, field)
-    assert ech_pivots == rref_pivots
+    assert list(ech_pivots.items()) == list(rref_pivots.items())
     for col, ridx in ech_pivots.items():
         assert min(ech_rows[ridx]) == col
         if field.p is not None:
             assert ech_rows[ridx][col] == 1
     # The echelon rows span the row space of the input.
-    assert len(row_reduce(rows + ech_rows, field)[0]) == len(reduced)
+    assert len(rref_oracle(rows + ech_rows, field)[0]) == len(reduced)
     kernel = kernel_basis(rows, ncols, field)
     assert len(kernel) == ncols - len(ech_rows)
     for vec in kernel:
@@ -366,6 +391,91 @@ def check_echelon_against_rref(rows, ncols, field):
             for col, v in row.items():
                 dot = field.add(dot, field.mul(v, vec.get(col, field.zero)))
             assert not dot
+
+
+def check_row_reduce_against_oracle(rows, field):
+    reduced, pivots = row_reduce(rows, field)
+    expected, expected_pivots = rref_oracle(rows, field)
+    assert reduced == expected
+    assert list(pivots.items()) == list(expected_pivots.items())
+    if field.p is None:
+        assert all(type(v) is Fraction for row in reduced for v in row.values())
+
+
+def check_solve_against_oracle(rows, rhs, field):
+    expected = oracle_solution(rows, rhs, field)
+    assert solve_sparse(rows, rhs, field) == expected
+
+
+@st.composite
+def systems(draw, field):
+    """A sparse matrix with a right-hand side, consistent about half the time."""
+    rows, ncols = draw(sparse_matrices(field))
+    if field.p is None:
+        scalars = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    else:
+        scalars = st.integers(0, field.p - 1)
+    if draw(st.booleans()):
+        x = draw(st.lists(scalars, min_size=ncols, max_size=ncols))
+        rhs = []
+        for row in rows:
+            b = field.zero
+            for col, v in row.items():
+                b = field.add(b, field.mul(v, x[col]))
+            rhs.append(b)
+    else:
+        rhs = draw(st.lists(scalars, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+PRIMES = st.sampled_from([2, 3, 7, 32003])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(QQ))
+def test_row_reduce_matches_oracle_over_rationals(data):
+    check_row_reduce_against_oracle(data[0], QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRIMES.flatmap(
+    lambda p: sparse_matrices(Field.prime(p)).map(lambda d: (p, d))
+))
+def test_row_reduce_matches_oracle_over_prime_fields(case):
+    p, (rows, _) = case
+    check_row_reduce_against_oracle(rows, Field.prime(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(QQ))
+def test_solve_sparse_matches_oracle_over_rationals(system):
+    check_solve_against_oracle(*system, QQ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PRIMES.flatmap(
+    lambda p: systems(Field.prime(p)).map(lambda s: (p, s))
+))
+def test_solve_sparse_matches_oracle_over_prime_fields(case):
+    p, system = case
+    check_solve_against_oracle(*system, Field.prime(p))
+
+
+def test_solve_sparse_rejects_a_corrupted_reduction(monkeypatch):
+    F = Field.prime(7)
+    rows, rhs = [{0: 1, 1: 1}, {1: 1}], [3, 1]
+    assert solve_sparse(rows, rhs, F) == [2, 1]
+    honest = exactalg.row_reduce
+
+    def corrupted(rows, field):
+        reduced, pivots = honest(rows, field)
+        reduced[0] = {**reduced[0], 2: (reduced[0][2] + 1) % 7}
+        return reduced, pivots
+
+    monkeypatch.setattr(exactalg, "row_reduce", corrupted)
+    with pytest.raises(InternalError, match="equation") as info:
+        solve_sparse(rows, rhs, F)
+    assert not isinstance(info.value, ValueError)
 
 
 @settings(max_examples=150, deadline=None)
@@ -387,7 +497,7 @@ def test_echelon_rank_matches_sympy_over_rationals(data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3, 7, 32003]).flatmap(
+@given(PRIMES.flatmap(
     lambda p: sparse_matrices(Field.prime(p)).map(lambda d: (p, d))
 ))
 def test_echelon_matches_rref_over_prime_fields(case):
