@@ -265,30 +265,10 @@ def generate_presentation(
             entry["rules"].extend([(x.name, y.name), (y.name, x.name)])
         provenance[idx] = entry
 
-    # Same extra grading as the algebraic constructors: variable i weighs
-    # 2*e_i, a quadrilateral's two chords split its scalar's weight, a
-    # bigon chord carries its differential's full weight.
-    arrow_weights: Optional[dict] = {}
-    var_weights = [
-        tuple(2 if v == w else 0 for v in range(nvars)) for w in range(nvars)
-    ]
-    for idx, face in enumerate(surface.faces):
-        if face.mark is None:
-            arrow_weights = None
-            break
-        unit = tuple(1 if v == face.mark else 0 for v in range(nvars))
-        if face.sides() == 2:
-            arrow_weights[face.cycle[1]] = tuple(2 * e for e in unit)
-        else:
-            arrow_weights[face.cycle[1]] = unit
-            arrow_weights[face.cycle[3]] = unit
-
     pres = Presentation(
         Quiver(tuple(surface.arc_names), tuple(arrows)),
         ring,
         rules,
         differential,
-        grading_weights=arrow_weights,
-        variable_weights=var_weights if arrow_weights is not None else None,
     )
     return GeneratedPresentation(pres, provenance)

@@ -424,10 +424,12 @@ def _bounded_rank(
     pairs by the exact differential.  The image comes from words up to
     ``image_slack`` letters longer at the same coefficient bound; the
     dimension of image-inside-window is rank(d U) minus the rank of what
-    sticks out of the window.  Both matrices decompose into blocks when
-    the presentation carries an extra multigrading, and the coefficient
-    of a basis term never interacts with the word, so each word's
-    differential is computed once and shifted across monomials.
+    sticks out of the window.  Both matrices decompose into blocks by
+    the presentation's inferred grading (``Presentation.grade``), and the
+    coefficient of a basis term never interacts with the word, so each
+    word's differential is computed once and shifted across monomials.
+    Generators are listed in window order, word-major as the window is
+    enumerated, whatever the blocks.
     """
     ring = pres.ring
     field = ring.field
@@ -436,31 +438,27 @@ def _bounded_rank(
         pres, source, target, length_bound + image_slack, -(m + 1)
     )
     mons = sorted(monomials_upto(ring.nvars, poly_bound), key=deglex_key)
-    graded = pres.grading_weights is not None
 
     # Grades add over (word, monomial), so compute each half once.
     zero_exp = (0,) * ring.nvars
-    if graded:
-        mon_grades = {e: pres.term_grading(lazy(source), e) for e in mons}
+    mon_grades = [pres.grade(lazy(source), e) for e in mons]
 
     def fill_blocks(words: list) -> dict:
         blocks: dict[tuple, list] = {}
         for w in words:
-            if graded:
-                gw = pres.term_grading(w, zero_exp)
-                for e in mons:
-                    g = tuple(a + b for a, b in zip(gw, mon_grades[e]))
-                    blocks.setdefault(g, []).append((w, e))
-            else:
-                for e in mons:
-                    blocks.setdefault((), []).append((w, e))
+            gw = pres.grade(w, zero_exp)
+            for e, ge in zip(mons, mon_grades):
+                g = tuple(a + b for a, b in zip(gw, ge))
+                blocks.setdefault(g, []).append((w, e))
         return blocks
 
     v_blocks = fill_blocks(words_v)
     u_blocks = fill_blocks(words_u)
 
     rank = 0
-    generators: list[str] = []
+    # (window position of the free column, text) per generator; the free
+    # column is a kernel vector's largest index.
+    generators: list[tuple] = []
     for g in sorted(v_blocks):
         cols = v_blocks[g]
         ncols = len(cols)
@@ -530,9 +528,12 @@ def _bounded_rank(
                     elt = AlgebraElement(
                         pres, {w: p for w, p in terms.items() if not p.is_zero()}
                     )
-                    generators.append(elt.to_text())
+                    w, e = cols[max(vec)]
+                    generators.append(
+                        ((_path_key(w), deglex_key(e)), elt.to_text())
+                    )
                     found += 1
-    return rank, generators
+    return rank, [text for _, text in sorted(generators)]
 
 
 def truncated_cohomology(

@@ -2,9 +2,8 @@
 
 Everything downstream runs on the primitives in this module: fields (the
 rationals, or a prime field F_p with p < 2**31), multivariate polynomial
-rings over such a field, ring homomorphisms given by images of the
-variables, and an exact linear solver over polynomial entries truncated
-at an explicit degree bound.
+rings over such a field, sparse exact elimination, and an exact linear
+solver over polynomial entries truncated at an explicit degree bound.
 
 Conventions fixed here, relied on everywhere else:
 
@@ -439,47 +438,6 @@ class Poly:
         return f"Poly({self.to_text()})"
 
 
-class RingMap:
-    """A ring homomorphism source -> target given by variable images."""
-
-    __slots__ = ("source", "target", "images")
-
-    def __init__(self, source: PolyRing, target: PolyRing, images: Sequence[Poly]):
-        if len(images) != source.nvars:
-            raise ValueError(
-                f"need {source.nvars} images, got {len(images)}"
-            )
-        for img in images:
-            if img.ring != target:
-                raise ValueError("image not in the target ring")
-        if source.field != target.field:
-            # Same-characteristic coefficient transport only; anything
-            # fancier is out of scope.
-            raise ValueError("source and target fields differ")
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-
-    @classmethod
-    def identity(cls, ring: PolyRing) -> "RingMap":
-        return cls(ring, ring, ring.gens())
-
-    def __call__(self, p: Poly) -> Poly:
-        return self.apply(p)
-
-    def apply(self, p: Poly) -> Poly:
-        if p.ring != self.source:
-            raise ValueError("polynomial not in the source ring")
-        result = self.target.zero()
-        for exp, coef in p.terms.items():
-            term = self.target.const(coef)
-            for img, e in zip(self.images, exp):
-                for _ in range(e):
-                    term = term * img
-            result = result + term
-        return result
-
-
 # ---------------------------------------------------------------------------
 # Monomial enumeration
 # ---------------------------------------------------------------------------
@@ -909,47 +867,3 @@ def truncated_solve(
         for j in range(ncols)
     ]
     return TruncatedSolveResult("membership", degree_bound, "member", witness=witness)
-
-
-def kernel_module_generators(
-    A: Sequence[Sequence[Poly]], degree_bound: int
-) -> list[list[Poly]]:
-    """Module generators of the bounded kernel.
-
-    The field-basis of the truncated kernel contains every monomial
-    multiple of a low-degree syzygy; this filters to vectors that are
-    not bounded-coefficient combinations of the vectors kept so far.
-    For the shipped examples (two-entry rows) this recovers the single
-    generating syzygy, e.g. ``(y, -x)`` for the row ``(x, y)``.
-    """
-    result = truncated_solve(A, "kernel", degree_bound=degree_bound)
-    vectors = sorted(
-        result.vectors,
-        key=lambda v: sorted(
-            (deglex_key(e) for p in v for e in p.terms), reverse=False
-        ),
-    )
-    ring = A[0][0].ring
-    field = ring.field
-
-    def monic(vec: list[Poly]) -> list[Poly]:
-        for p in vec:
-            if not p.is_zero():
-                lead = p.sorted_terms()[0][1]
-                inv = field.inv(lead)
-                return [q.scale(inv) for q in vec]
-        return vec
-
-    kept: list[list[Poly]] = []
-    for v in vectors:
-        if all(p.is_zero() for p in v):
-            continue
-        if kept:
-            # Is v = sum_k c_k * kept_k with bounded coefficient degree?
-            matrix = [[kept[k][i] for k in range(len(kept))] for i in range(len(v))]
-            check = truncated_solve(matrix, "membership", target=v,
-                                    degree_bound=degree_bound)
-            if check.status == "member":
-                continue
-        kept.append(monic(v))
-    return kept

@@ -24,10 +24,14 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactalg import Poly, PolyRing
+from .exactalg import Field, Poly, PolyRing, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -178,12 +182,11 @@ class Presentation:
     order) to its right side, given as ``(coef Poly, Path)`` pairs.
     ``differential`` maps an arrow name to a list of such pairs.
 
-    ``grading_weights`` optionally declares an extra multigrading: a
-    vector per arrow plus one per ring variable.  When every rule and
-    differential entry is homogeneous for it, truncated cohomology can
-    decompose its linear algebra into much smaller blocks.  The
-    constructor validates the declaration and silently drops it when it
-    fails, so a wrong declaration can never change any answer.
+    ``grade`` gives each basis term (word, monomial) its value in the
+    finest grading for which every rule and differential entry is
+    homogeneous.  It is computed from the rules and the differential
+    themselves, so truncated cohomology can split its linear algebra
+    into blocks for any presentation, however it was built.
     """
 
     def __init__(
@@ -193,8 +196,6 @@ class Presentation:
         rules: dict,
         differential: Optional[dict] = None,
         require_confluent: bool = True,
-        grading_weights: Optional[dict] = None,
-        variable_weights: Optional[list] = None,
     ):
         self.quiver = quiver
         self.ring = ring
@@ -210,12 +211,6 @@ class Presentation:
                 f"{[w for w, _, _ in self.confluence.unresolved]}"
             )
         self._validate_differential()
-        self.grading_weights = None
-        self.variable_weights = None
-        if grading_weights is not None and variable_weights is not None:
-            if self._grading_is_homogeneous(grading_weights, variable_weights):
-                self.grading_weights = dict(grading_weights)
-                self.variable_weights = list(variable_weights)
 
     # -- structural helpers -------------------------------------------------
 
@@ -336,57 +331,48 @@ class Presentation:
                         f"{left.to_text()} vs {right.to_text()}"
                     )
 
-    def _grading_is_homogeneous(self, arrow_weights: dict, var_weights: list) -> bool:
-        dim = len(var_weights[0]) if var_weights else 0
+    @cached_property
+    def _grading(self) -> tuple:
+        """Arrow index and integer functionals of the finest grading.
 
-        def poly_weight(p: Poly) -> Optional[tuple]:
-            weights = set()
-            for exp in p.terms:
-                w = tuple(
-                    sum(e * vw[d] for e, vw in zip(exp, var_weights))
-                    for d in range(dim)
-                )
-                weights.add(w)
-            if len(weights) > 1:
-                return None
-            return weights.pop() if weights else (0,) * dim
-
-        def word_weight(path: Path) -> tuple:
-            return tuple(
-                sum(arrow_weights[a][d] for a in path.arrows) for d in range(dim)
-            )
-
-        def term_weight(coef: Poly, path: Path) -> Optional[tuple]:
-            pw = poly_weight(coef)
-            if pw is None:
-                return None
-            ww = word_weight(path)
-            return tuple(a + b for a, b in zip(pw, ww))
-
-        for a in self.quiver.arrows:
-            if a.name not in arrow_weights:
-                return False
-        for lhs, rhs in self.rules.items():
-            lw = word_weight(Path(lhs, None))
+        Symbols are the arrows in quiver order, then the ring variables.
+        Each right-side term (coefficient monomial, path) of a rule or of
+        an arrow's differential says that its symbol counts equal those
+        of the left side; the grading is the symbol lattice modulo the
+        rational span of these relations, read through a basis of the
+        functionals that vanish on them.  Ignoring torsion can only
+        merge blocks, so no answer depends on it.
+        """
+        index = {a.name: i for i, a in enumerate(self.quiver.arrows)}
+        nsymbols = len(index) + self.ring.nvars
+        sides = list(self.rules.items())
+        sides += [((name,), image) for name, image in self.differential.items()]
+        relations = []
+        for lhs, rhs in sides:
             for coef, path in rhs:
-                tw = term_weight(coef, path)
-                if tw is None or tw != lw:
-                    return False
-        for name, image in self.differential.items():
-            aw = tuple(arrow_weights[name])
-            for coef, path in image:
-                tw = term_weight(coef, path)
-                if tw is None or tw != aw:
-                    return False
-        return True
+                for exp in coef.terms:
+                    row = Counter(index[a] for a in lhs)
+                    row.subtract(index[a] for a in path.arrows)
+                    for v, e in enumerate(exp, len(index)):
+                        row[v] -= e
+                    relations.append({c: Fraction(x) for c, x in row.items() if x})
+        functionals = []
+        for vec in kernel_basis(relations, nsymbols, Field.rationals()):
+            scale = math.lcm(*(x.denominator for x in vec.values()))
+            functionals.append(
+                tuple(int(vec.get(c, 0) * scale) for c in range(nsymbols))
+            )
+        return index, functionals
 
-    def term_grading(self, path: Path, exp: tuple) -> tuple:
-        """Extra-grading value of a basis term (word, monomial)."""
-        dim = len(self.variable_weights[0]) if self.variable_weights else 0
+    def grade(self, path: Path, exp: tuple) -> tuple:
+        """Grade of the basis term (word, monomial); () when the
+        presentation admits no grading."""
+        index, functionals = self._grading
+        arrows = [index[a] for a in path.arrows]
+        n = len(index)
         return tuple(
-            sum(self.grading_weights[a][d] for a in path.arrows)
-            + sum(e * vw[d] for e, vw in zip(exp, self.variable_weights))
-            for d in range(dim)
+            sum(f[i] for i in arrows) + sum(e * x for e, x in zip(exp, f[n:]))
+            for f in functionals
         )
 
     # -- rewriting -----------------------------------------------------------
@@ -663,36 +649,7 @@ def tube_algebra(
         rules[(f"a{i}", f"b{i}")] = [(f[i], lazy(tube_vertex((i + 1) % m)))]
         rules[(f"b{i}", f"a{i}")] = [(f[i], lazy(tube_vertex(i)))]
 
-    arrow_weights, var_weights = _monomial_grading(ring, f, "a", "b")
-    return Presentation(
-        Quiver(vertices, arrows),
-        ring,
-        rules,
-        grading_weights=arrow_weights,
-        variable_weights=var_weights,
-    )
-
-
-def _monomial_grading(ring, f, aprefix, bprefix):
-    """Extra multigrading for rules x_i y_i -> f_i when every f_i is a
-    monomial: variable v gets twice its unit vector and the two arrows of
-    pair i split the weight of f_i evenly.  Returns (None, None) when
-    some f_i is not a monomial (the grading would not be homogeneous)."""
-    for p in f:
-        if len(p.terms) != 1:
-            return None, None
-    dim = ring.nvars
-    var_weights = []
-    for v in range(dim):
-        w = [0] * dim
-        w[v] = 2
-        var_weights.append(tuple(w))
-    arrow_weights = {}
-    for i, p in enumerate(f):
-        exp = next(iter(p.terms))
-        arrow_weights[f"{aprefix}{i}"] = exp
-        arrow_weights[f"{bprefix}{i}"] = exp
-    return arrow_weights, var_weights
+    return Presentation(Quiver(vertices, arrows), ring, rules)
 
 
 def winding_element(pres: Presentation, n: int, letter: str) -> AlgebraElement:
@@ -774,36 +731,7 @@ def contraction_quiver(
         "beta": [(f[n], lazy(contraction_vertex(n)))],
     }
 
-    # Extra multigrading: variable v weighs 2*e_v, each degree-0 arrow of
-    # pair i weighs exp(f_i), and the end loops carry the full weight of
-    # their differential image.  Only available when every f_i is a
-    # monomial; otherwise nothing is homogeneous and we skip it.
-    arrow_weights: Optional[dict] = {}
-    var_weights = None
-    if all(len(p.terms) == 1 for p in f):
-        dim = ring.nvars
-        var_weights = []
-        for v in range(dim):
-            w = [0] * dim
-            w[v] = 2
-            var_weights.append(tuple(w))
-        for i in range(1, n):
-            exp = next(iter(f[i].terms))
-            arrow_weights[f"a{i}"] = exp
-            arrow_weights[f"b{i}"] = exp
-        arrow_weights["alpha"] = tuple(2 * e for e in next(iter(f[0].terms)))
-        arrow_weights["beta"] = tuple(2 * e for e in next(iter(f[n].terms)))
-    else:
-        arrow_weights = None
-
-    return Presentation(
-        Quiver(vertices, arrows),
-        ring,
-        rules,
-        differential,
-        grading_weights=arrow_weights,
-        variable_weights=var_weights,
-    )
+    return Presentation(Quiver(vertices, arrows), ring, rules, differential)
 
 
 def drinfeld_localize(pres: Presentation, vertex: str) -> Presentation:
@@ -820,19 +748,11 @@ def drinfeld_localize(pres: Presentation, vertex: str) -> Presentation:
     arrows = list(pres.quiver.arrows) + [Arrow("eps", vertex, vertex, -1)]
     differential = {name: list(img) for name, img in pres.differential.items()}
     differential["eps"] = [(pres.ring.one(), lazy(vertex))]
-    grading_weights = None
-    variable_weights = None
-    if pres.grading_weights is not None:
-        grading_weights = dict(pres.grading_weights)
-        grading_weights["eps"] = (0,) * len(pres.variable_weights[0])
-        variable_weights = list(pres.variable_weights)
     return Presentation(
         Quiver(pres.quiver.vertices, arrows),
         pres.ring,
         dict(pres.rules),
         differential,
-        grading_weights=grading_weights,
-        variable_weights=variable_weights,
     )
 
 
@@ -873,18 +793,7 @@ def relabel_presentation(
         tuple(a(x) for x in lhs): pairs(rhs) for lhs, rhs in pres.rules.items()
     }
     diff = {a(name): pairs(img) for name, img in pres.differential.items()}
-    grading = None
-    if pres.grading_weights is not None:
-        grading = {a(name): w for name, w in pres.grading_weights.items()}
-    return Presentation(
-        quiver,
-        pres.ring,
-        rules,
-        diff,
-        require_confluent=False,
-        grading_weights=grading,
-        variable_weights=pres.variable_weights,
-    )
+    return Presentation(quiver, pres.ring, rules, diff, require_confluent=False)
 
 
 def same_presentation(p: Presentation, q: Presentation) -> bool:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .exactalg import Field, Poly, PolyRing, monomials_upto
+from .exactalg import Field, InternalError, Poly, PolyRing, monomials_upto
 from .quivalg import Presentation, tube_algebra, tube_vertex
 
 
@@ -169,13 +169,19 @@ def invariant_certificate(m: WeightMonomial, n: int) -> dict:
     if any(weight(m, n)):
         raise ValueError(f"{m.to_text()} is not an invariant monomial")
     g = {m.c[i] - m.d[i] for i in range(n + 1)}
-    assert len(g) == 1
+    if len(g) != 1:
+        raise InternalError(
+            f"{m.to_text()} has weight 0 but x-y profile {sorted(g)}"
+        )
     level = g.pop()
     texp = tuple(min(ci, di) for ci, di in zip(m.c, m.d))
     r = max(level, 0)
     s = max(-level, 0)
     rebuilt = t_monomial(texp) * u_power(n, r) * v_power(n, s)
-    assert rebuilt == m
+    if rebuilt != m:
+        raise InternalError(
+            f"certificate of {m.to_text()} rebuilds {rebuilt.to_text()}"
+        )
     return {"t_exponents": texp, "u_power": r, "v_power": s}
 
 
@@ -276,8 +282,8 @@ def section_basis(i: int, n: int, degree_bound: int) -> SectionBasis:
     # exchange relations: (t_i...t_n) sigma = u tau, (t_0...t_{i-1}) tau = v sigma
     t_high = t_monomial(tuple(1 if k >= i else 0 for k in range(n + 1)))
     t_low = t_monomial(tuple(1 if k < i else 0 for k in range(n + 1)))
-    assert t_high * sigma == u_power(n) * tau
-    assert t_low * tau == v_power(n) * sigma
+    if t_high * sigma != u_power(n) * tau or t_low * tau != v_power(n) * sigma:
+        raise InternalError(f"exchange relations fail for chi_{i}, n = {n}")
     relations = [
         f"({t_high.to_text()})*sigma = u*tau",
         f"({t_low.to_text()})*tau = v*sigma",
@@ -490,9 +496,17 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
                         if len(w1.arrows) + len(w2.arrows) > bound:
                             continue
                         product = tube.normal_form(w2.arrows + w1.arrows)
-                        [(nf_path, coef)] = list(product.terms.items())
-                        [(texp, scalar)] = coef.terms.items()
-                        assert scalar == ring.field.one
+                        terms = [
+                            (path, texp, scalar)
+                            for path, coef in product.terms.items()
+                            for texp, scalar in coef.terms.items()
+                        ]
+                        if len(terms) != 1 or terms[0][2] != ring.field.one:
+                            raise InternalError(
+                                f"normal form of {w2.arrows + w1.arrows} is "
+                                f"{product.to_text()}, not one monic term"
+                            )
+                        [(nf_path, texp, _)] = terms
                         lhs = word_image(w2.arrows, n) * word_image(w1.arrows, n)
                         rhs = t_monomial(texp) * word_image(nf_path.arrows, n)
                         report.products_checked += 1

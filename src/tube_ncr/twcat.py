@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .exactalg import Field, Poly, PolyRing
+from .exactalg import Field, InternalError, Poly, PolyRing
 from .quivalg import Presentation
 
 
@@ -306,7 +306,10 @@ def presentation_window_table(
         )
         pairs = []
         for ipath, coef in image.terms.items():
-            assert len(ipath.arrows) <= length_bound
+            if len(ipath.arrows) > length_bound:
+                raise InternalError(
+                    f"d({name}) leaves the length-{length_bound} window"
+                )
             pairs.append((coef, name_of[ipath]))
         if pairs:
             mu1[name] = pairs

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface: exit codes, golden
 reports, determinism, and the config round trip."""
 
+import ast
 import json
 import os
 import subprocess
@@ -231,6 +232,30 @@ def test_golden_report(argv, golden, expected_code, tmp_path):
     assert produced == (GOLDEN / golden).read_bytes()
 
 
+def test_golden_report_under_python_optimize(tmp_path):
+    # python -O strips assert statements; the checks must not depend on them.
+    out = tmp_path / "out.json"
+    argv = ["verify", "all", "--n", "2", "--field", "q", "--bound", "8"]
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "tube_ncr.cli", *argv, "--output", str(out)],
+        capture_output=True,
+        env=_src_env(),
+        check=False,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert out.read_bytes() == (GOLDEN / "verify_all_n2.json").read_bytes()
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((REPO / "src" / "tube_ncr").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_reports_are_deterministic(tmp_path):
     argv = ["verify", "all", "--n", "2", "--field", "q", "--bound", "8"]
     _, first = run_to_file(argv, tmp_path, "a.json")
@@ -282,16 +307,20 @@ def test_arc_compare_both_surfaces(capsys):
         assert json.loads(capsys.readouterr().out)["matches"] is True
 
 
-def test_module_entry_point_runs():
+def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src"), env.get("PYTHONPATH", "")]
     )
+    return env
+
+
+def test_module_entry_point_runs():
     runs = [
         subprocess.run(
             [sys.executable, "-m", "tube_ncr.cli", "algebra", "tube", "--n", "0"],
             capture_output=True,
-            env=env,
+            env=_src_env(),
             check=False,
         )
         for _ in range(2)

@@ -526,3 +526,66 @@ def test_reported_generators_are_cocycles():
     assert rep.generators == [c.to_text() for c in cocycles]
     for c in cocycles:
         assert pres.differential_of(c).is_zero()
+
+
+# -- blocked against unblocked ---------------------------------------------------
+
+
+def assert_blocks_change_nothing(pres, source, target, m, length, poly_bound):
+    """The inferred grading's blocks against one single block: the same
+    rank, status and generator list."""
+    blocked = truncated_cohomology(pres, source, target, m, length, poly_bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Presentation, "grade", lambda self, path, exp: ())
+        single = truncated_cohomology(pres, source, target, m, length, poly_bound)
+    assert (blocked.rank, blocked.status, blocked.generators) == (
+        single.rank, single.status, single.generators
+    )
+
+
+@st.composite
+def small_scalars(draw, ring):
+    """A nonempty sum of at most two terms of degree <= 3."""
+    exps = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+            lambda e: sum(e) <= 3
+        ),
+        min_size=1, max_size=2, unique=True,
+    ))
+    out = ring.zero()
+    for exp in exps:
+        out = out + ring.monomial(exp, draw(st.integers(1, 2)))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_blocked_and_unblocked_runs_agree(data):
+    field = data.draw(st.sampled_from([QQ, Field.prime(3)]))
+    ring = xy_ring(field)
+    n = data.draw(st.integers(1, 2))
+    f = [data.draw(small_scalars(ring)) for _ in range(n + 1)]
+    pres = contraction_quiver(n, ring, f)
+    source = contraction_vertex(data.draw(st.integers(1, n)))
+    target = contraction_vertex(data.draw(st.integers(1, n)))
+    m = data.draw(st.integers(0, 2))
+    length = data.draw(st.integers(1, 4))
+    poly_bound = data.draw(st.integers(0, 3))
+    assert_blocks_change_nothing(pres, source, target, m, length, poly_bound)
+
+
+def test_blocked_and_unblocked_runs_agree_on_frozen_cases():
+    ring = xy_ring(Field.prime(3))
+    x, y = ring.gen("x"), ring.gen("y")
+    cusp = contraction_quiver(2, ring, (x, x ** 2 + y ** 3, y))
+    v = contraction_vertex(1)
+    assert_blocks_change_nothing(cusp, v, v, 2, 5, 4)
+
+    # In block-key order these would start b1, y*b1, ...; reports list
+    # them in window order.
+    ring = xy_ring()
+    tube = tube_algebra(1, ring, (ring.gen("x"), ring.gen("y")))
+    assert_blocks_change_nothing(tube, tube_vertex(0), tube_vertex(1), 0, 5, 4)
+    rep = truncated_cohomology(tube, tube_vertex(0), tube_vertex(1), 0, 5, 4)
+    assert rep.rank == len(rep.generators) == 90
+    assert rep.generators[:3] == ["a0", "y*a0", "x*a0"]

@@ -1,4 +1,4 @@
-"""Tests for exact fields, polynomials, ring maps, and truncated solving."""
+"""Tests for exact fields, polynomials, elimination, and truncated solving."""
 
 import time
 from fractions import Fraction
@@ -14,10 +14,8 @@ from tube_ncr.exactalg import (
     Poly,
     PolyParseError,
     PolyRing,
-    RingMap,
     echelon,
     kernel_basis,
-    kernel_module_generators,
     matrix_rank,
     monomials_upto,
     row_reduce,
@@ -160,40 +158,6 @@ def test_poly_ring_axioms(p, q, r):
 
 
 # ---------------------------------------------------------------------------
-# Ring maps
-# ---------------------------------------------------------------------------
-
-
-def test_substitute_conifold_defining_equation():
-    R = ring_qq("t0", "t1")
-    S = ring_qq("x", "y")
-    m = RingMap(R, S, [S.gen("x"), S.gen("y")])
-    assert m(R.parse("t0*t1")) == S.parse("x*y")
-
-
-def test_substitute_identity():
-    R = ring_qq("t0", "t1")
-    p = R.parse("t0^2 - 3*t1")
-    assert RingMap.identity(R)(p) == p
-
-
-def test_substitute_collapses_to_single_variable():
-    R = ring_qq("t0", "t1", "t2")
-    S = ring_qq("t")
-    m = RingMap(R, S, [S.gen("t")] * 3)
-    assert m(R.parse("t0*t1*t2")) == S.parse("t^3")
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_polys(RXY), small_polys(RXY))
-def test_substitution_is_a_ring_homomorphism(p, q):
-    S = ring_qq("u", "v")
-    m = RingMap(RXY, S, [S.parse("u + v"), S.parse("u*v")])
-    assert m(p * q) == m(p) * m(q)
-    assert m(p + q) == m(p) + m(q)
-
-
-# ---------------------------------------------------------------------------
 # Truncated solving
 # ---------------------------------------------------------------------------
 
@@ -246,10 +210,6 @@ def test_kernel_of_xy_row_matches_oracle_and_frozen_value():
     # Independent oracle agreement on the bounded-kernel dimension:
     # solutions are (y*h, -x*h) with deg h <= 2, i.e. 6 dimensions.
     assert len(result.vectors) == sympy_kernel_oracle(["x", "y"], ("x", "y"), 3) == 6
-    # Module generators collapse to the single syzygy (y, -x).
-    gens = kernel_module_generators([[x, y]], 3)
-    assert len(gens) == 1
-    assert gens[0][0] == y and gens[0][1] == -x
 
 
 def test_kernel_of_t1_t0_row():
@@ -261,9 +221,6 @@ def test_kernel_of_t1_t0_row():
     assert len(result.vectors) == sympy_kernel_oracle(
         ["t1", "t0"], ("t0", "t1"), 4
     ) == 10
-    gens = kernel_module_generators([[t1, t0]], 4)
-    assert len(gens) == 1
-    assert gens[0][0] == t0 and gens[0][1] == -t1
 
 
 def test_membership_with_witness():

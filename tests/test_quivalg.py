@@ -5,7 +5,8 @@ import itertools
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from tube_ncr.exactalg import Field, PolyRing
+from tube_ncr.arcmodel import annulus, disc, generate_presentation
+from tube_ncr.exactalg import Field, PolyRing, monomials_upto
 from tube_ncr.quivalg import (
     AlgebraElement,
     Arrow,
@@ -16,6 +17,7 @@ from tube_ncr.quivalg import (
     drinfeld_localize,
     graded_basis,
     lazy,
+    relabel_presentation,
     tube_algebra,
     tube_rank_closed_form,
     tube_vertex,
@@ -342,19 +344,83 @@ def test_localized_word_differential_telescopes():
     )
 
 
-def test_tube_grading_declared_and_validated():
-    pres, _ = tube(2)
-    assert pres.grading_weights is not None
-    assert pres.grading_weights["a0"] == (1, 0, 0)
-    assert pres.variable_weights[0] == (2, 0, 0)
-    assert pres.term_grading(Path(("a0",), None), (1, 0, 0)) == (3, 0, 0)
+def grading_rank(pres):
+    return len(pres.grade(lazy(pres.quiver.vertices[0]), (0,) * pres.ring.nvars))
 
 
-def test_non_monomial_scalars_drop_grading():
+def test_grading_rank_is_inferred():
     ring = PolyRing(QQ, ("x", "y"))
-    f = [ring.parse(t) for t in ("x", "x^2+y^3", "y")]
-    pres = contraction_quiver(2, ring, f)
-    assert pres.grading_weights is None
+    x, y = ring.gens()
+    for f, contraction, localized in (((x, y), 2, 4), ((x ** 2 + y ** 3, y), 1, 3)):
+        assert grading_rank(contraction_quiver(1, ring, f)) == contraction
+        loc = drinfeld_localize(tube_algebra(1, ring, f), tube_vertex(0))
+        assert grading_rank(loc) == localized
+
+
+def test_grading_is_homogeneous_for_rules_and_differential():
+    # Every rule and differential term has the grade of its left side,
+    # including the non-monomial scalar x^2 + y^3.
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.gens()
+    pres = drinfeld_localize(
+        tube_algebra(1, ring, (x ** 2 + y ** 3, y)), tube_vertex(0)
+    )
+    zero = (0, 0)
+    sides = list(pres.rules.items())
+    sides += [((name,), image) for name, image in pres.differential.items()]
+    for lhs, rhs in sides:
+        for coef, path in rhs:
+            for exp in coef.terms:
+                assert pres.grade(path, exp) == pres.grade(Path(lhs), zero)
+    assert pres.grade(Path(("eps",)), zero) == pres.grade(lazy("L0"), zero)
+
+
+def test_no_free_direction_gives_one_block():
+    ring = PolyRing(QQ, ())
+    pres = contraction_quiver(1, ring, (ring.one(), ring.one()))
+    assert pres.grade(Path(("alpha", "beta")), ()) == ()
+
+
+def window_terms(pres, length, degree):
+    terms = []
+    for v in pres.quiver.vertices:
+        for w in pres.irreducible_words(v, None, length):
+            terms += [(w, e) for e in monomials_upto(pres.ring.nvars, degree)]
+    return terms
+
+
+def blocks(pres, terms):
+    """The partition of ``terms`` into grades, as sorted index lists."""
+    by_grade = {}
+    for i, (path, exp) in enumerate(terms):
+        by_grade.setdefault(pres.grade(path, exp), []).append(i)
+    return sorted(by_grade.values())
+
+
+def test_relabelled_and_generated_presentations_keep_their_blocks():
+    pres, _ = tube(2)
+    terms = window_terms(pres, 4, 2)
+    assert len(blocks(pres, terms)) > 1
+    vmap = {"L0": "P", "L1": "Q", "L2": "R"}
+    amap = {"a0": "c", "b2": "d"}
+    moved = relabel_presentation(pres, vmap, amap)
+    moved_terms = [
+        (Path(tuple(amap.get(a, a) for a in w.arrows), vmap.get(w.vertex)), e)
+        for w, e in terms
+    ]
+    assert blocks(moved, moved_terms) == blocks(pres, terms)
+    assert blocks(generate_presentation(annulus(2)).presentation, terms) == (
+        blocks(pres, terms)
+    )
+
+    ring = PolyRing(QQ, ("t0", "t1", "t2"))
+    expected = contraction_quiver(2, ring, list(ring.gens()))
+    terms = window_terms(expected, 4, 2)
+    generated = generate_presentation(disc(2)).presentation
+    generated_terms = [
+        (Path(w.arrows, w.vertex and f"L{w.vertex}"), e) for w, e in terms
+    ]
+    assert blocks(generated, generated_terms) == blocks(expected, terms)
 
 
 def test_base_change_collapse():

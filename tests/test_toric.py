@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tube_ncr.exactalg import Field, PolyRing
-from tube_ncr.quivalg import tube_algebra
+from tube_ncr import toric
+from tube_ncr.cli import EXIT_INTERNAL, main
+from tube_ncr.exactalg import Field, InternalError, PolyRing
+from tube_ncr.quivalg import Presentation, tube_algebra
 from tube_ncr.toric import (
     WeightMonomial,
     base_change_end,
@@ -16,6 +18,7 @@ from tube_ncr.toric import (
     end_algebra,
     invariant_certificate,
     monomials_of_weight,
+    one_monomial,
     section_basis,
     sigma_window,
     t_monomial,
@@ -298,3 +301,28 @@ def test_default_bound_contains_double_winds():
     for n in (1, 2, 3, 4):
         assert default_degree_bound(n) >= 2 * (n + 1) + 4
         assert u_power(n, 2).total_degree() <= default_degree_bound(n)
+
+
+def test_broken_invariant_is_an_internal_error(monkeypatch, capsys):
+    # With u^r miscomputed the invariant certificates no longer rebuild
+    # their monomials: a bug, not bad input, so it raises InternalError
+    # (CLI exit 70), under python -O too.
+    monkeypatch.setattr(toric, "u_power", lambda n, r=1: one_monomial(n))
+    with pytest.raises(InternalError, match="rebuilds"):
+        section_basis(1, 2, 4)
+    assert main(["toric", "sections", "--n", "2", "--index", "1"]) == EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_broken_normal_form_is_an_internal_error(monkeypatch):
+    # A product of two tube words normalises to one monomial term with
+    # scalar 1; anything else is a rewriting bug, not malformed input.
+    honest = Presentation.normal_form
+
+    def doubled(self, word, coef=None):
+        element = honest(self, word, coef)
+        return element + element
+
+    monkeypatch.setattr(Presentation, "normal_form", doubled)
+    with pytest.raises(InternalError, match="not one monic term"):
+        end_algebra(1)
