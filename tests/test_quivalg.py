@@ -423,6 +423,38 @@ def test_relabelled_and_generated_presentations_keep_their_blocks():
     assert blocks(generated, generated_terms) == blocks(expected, terms)
 
 
+def test_tube_grading_declared_and_validated():
+    # The tube weights once declared by hand (a_i and b_i weigh e_i, t_i
+    # weighs 2 e_i) are homogeneous for the rules, so they must be a
+    # function of the inferred grade: no inferred block mixes two of them.
+    pres, _ = tube(2)
+
+    def declared(path, exp):
+        weight = [2 * e for e in exp]
+        for arrow in path.arrows:
+            weight[int(arrow[1:])] += 1
+        return tuple(weight)
+
+    assert declared(Path(("a0",), None), (1, 0, 0)) == (3, 0, 0)
+    seen = {}
+    for path, exp in window_terms(pres, 4, 2):
+        weight = declared(path, exp)
+        assert seen.setdefault(pres.grade(path, exp), weight) == weight
+    assert len(set(seen.values())) > 1
+
+
+def test_non_monomial_scalars_drop_grading():
+    # x^2 + y^3 puts x^2 and y^3 in one grade, so that scalar loses a
+    # grading direction that the monomial x*y keeps.
+    ring = PolyRing(QQ, ("x", "y"))
+    pres = contraction_quiver(2, ring, [ring.parse(t) for t in ("x", "x^2+y^3", "y")])
+    monomial = contraction_quiver(2, ring, [ring.parse(t) for t in ("x", "x*y", "y")])
+    assert (grading_rank(pres), grading_rank(monomial)) == (2, 3)
+    e = lazy(pres.quiver.vertices[0])
+    assert pres.grade(e, (2, 0)) == pres.grade(e, (0, 3))
+    assert monomial.grade(e, (2, 0)) != monomial.grade(e, (0, 3))
+
+
 def test_base_change_collapse():
     # All scalars equal to one variable t: the full cycle is t^(n+1).
     ring = PolyRing(QQ, ("t",))
