@@ -27,17 +27,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactalg import (
+    Echelon,
     Field,
+    InternalError,
     Poly,
     PolyRing,
     TruncatedSolveResult,
     deglex_key,
-    echelon,
     kernel_basis,
+    linear_rows,
     matrix_rank,
     monomials_upto,
     row_reduce,
-    rref_insert,
     truncated_solve,
 )
 from .quivalg import (
@@ -203,26 +204,19 @@ class FreeComplex:
         """(kernel dim, rank) of the differential leaving layer (i, d)."""
         if (i, d) in cache:
             return cache[(i, d)]
-        field = self.ring.field
         gens = self.generators.get(i, [])
         mons = _monomials_of_degree(self.ring.nvars, d)
         cols = [(g, m) for g in gens for m in mons]
         if not cols:
             cache[(i, d)] = (0, 0)
             return (0, 0)
-        eq_rows: dict[tuple, dict] = {}
-        for j, (g, m) in enumerate(cols):
-            for tgt, p in self.differential.get(g, {}).items():
-                for exp, coef in p.terms.items():
-                    prod = tuple(a + b for a, b in zip(exp, m))
-                    row = eq_rows.setdefault((tgt, prod), {})
-                    s = field.add(row.get(j, field.zero), coef)
-                    if s:
-                        row[j] = s
-                    else:
-                        row.pop(j, None)
-        rows = [eq_rows[k] for k in sorted(eq_rows)]
-        rank = matrix_rank(rows, field)
+        rows = linear_rows(
+            cols,
+            lambda g: [(tgt, exp, coef)
+                       for tgt, p in self.differential.get(g, {}).items()
+                       for exp, coef in p.terms.items()],
+        )
+        rank = matrix_rank(list(rows.values()), self.ring.field)
         out = (len(cols) - rank, rank)
         cache[(i, d)] = out
         return out
@@ -428,8 +422,18 @@ def _bounded_rank(
     the presentation's inferred grading (``Presentation.grade``), and the
     coefficient of a basis term never interacts with the word, so each
     word's differential is computed once and shifted across monomials.
-    Generators are listed in window order, word-major as the window is
-    enumerated, whatever the blocks.
+
+    The image side is one ``Echelon`` in column orientation: a column per
+    element of U, a row per target coordinate, and the rows outside the
+    window inserted first.  After those rows the pivot count is the
+    outside rank; at the end the pivot columns below len(U) count
+    rank(d U).  For generators each kernel vector is one more column,
+    on the window's rows.  It is a pivot column exactly when it is
+    independent of the image inside the window and of the kernel vectors
+    before it, so the pivots past len(U) pick the generators.  Each is
+    checked to be closed before it is reported, and generators are
+    listed in window order, word-major as the window is enumerated,
+    whatever the blocks.
     """
     ring = pres.ring
     field = ring.field
@@ -452,6 +456,9 @@ def _bounded_rank(
                 blocks.setdefault(g, []).append((w, e))
         return blocks
 
+    def word_image(w: Path) -> list:
+        return _word_differential(pres, w)
+
     v_blocks = fill_blocks(words_v)
     u_blocks = fill_blocks(words_u)
 
@@ -462,14 +469,7 @@ def _bounded_rank(
     for g in sorted(v_blocks):
         cols = v_blocks[g]
         ncols = len(cols)
-        v_index = {key: j for j, key in enumerate(cols)}
-
-        eq_rows: dict[tuple, dict] = {}
-        for j, (w, e) in enumerate(cols):
-            for path, exp, scal in _word_differential(pres, w):
-                shifted = tuple(a + b for a, b in zip(exp, e))
-                eq_rows.setdefault((_path_key(path), shifted), {})[j] = scal
-        d_rows = [eq_rows[k] for k in sorted(eq_rows)]
+        d_rows = list(linear_rows(cols, word_image).values())
         if with_generators:
             kernel = kernel_basis(d_rows, ncols, field)
             dim_kernel = len(kernel)
@@ -481,58 +481,50 @@ def _bounded_rank(
             # measure the rank-only path.
             dim_kernel = ncols - len(row_reduce(d_rows, field)[0])
 
-        # Image rows are indexed with the coordinates outside the window
-        # first: one reduction then reads off both the total rank and the
-        # rank of the outside projection as the pivot count below the cut.
-        raw_rows = []
-        outside_index: dict[tuple, int] = {}
-        for (w, e) in u_blocks.get(g, []):
-            row = {}
-            for path, exp, scal in _word_differential(pres, w):
-                shifted = tuple(a + b for a, b in zip(exp, e))
-                j = v_index.get((path, shifted))
-                if j is None:
-                    oj = outside_index.setdefault(
-                        (path, shifted), len(outside_index)
-                    )
-                    row[(0, oj)] = scal
-                else:
-                    row[(1, j)] = scal
-            if row:
-                raw_rows.append(row)
-        cut = len(outside_index)
-        img_rows = [
-            {(c if side == 0 else cut + c): s for (side, c), s in row.items()}
-            for row in raw_rows
-        ]
-        # Only the generator search needs the reduced form; ranks and
-        # pivot columns are the same in any echelon form.
-        reduce = row_reduce if with_generators else echelon
-        reduced, pivots = reduce(img_rows, field)
-        rank_outside = sum(1 for c in pivots if c < cut)
-        dim_image = len(reduced) - rank_outside
+        u_cols = u_blocks.get(g, [])
+        n_u = len(u_cols)
+        image = linear_rows(u_cols, word_image)
+        if with_generators:
+            # Column n_u + i holds kernel[i] on the window's rows.
+            for k, vec in enumerate(kernel, n_u):
+                for j, scal in vec.items():
+                    image.setdefault(cols[j], {})[k] = scal
+        window = set(cols)
+        ech = Echelon(field)
+        inside = []
+        for key, row in image.items():
+            if key in window:
+                inside.append(row)
+            else:
+                ech.insert(row)
+        rank_outside = len(ech.rows)
+        for row in inside:
+            ech.insert(row)
+        dim_image = sum(1 for c in ech.pivots if c < n_u) - rank_outside
         block_rank = dim_kernel - dim_image
         rank += block_rank
 
-        if with_generators and block_rank > 0:
-            found = 0
-            for vec in kernel:
-                if found == block_rank:
-                    break
-                shifted_vec = {cut + j: scal for j, scal in vec.items()}
-                if rref_insert(reduced, pivots, shifted_vec, field):
-                    terms: dict[Path, Poly] = {}
-                    for j, scal in sorted(vec.items()):
-                        w, e = cols[j]
-                        terms[w] = terms.get(w, ring.zero()) + Poly(ring, {e: scal})
-                    elt = AlgebraElement(
-                        pres, {w: p for w, p in terms.items() if not p.is_zero()}
-                    )
-                    w, e = cols[max(vec)]
-                    generators.append(
-                        ((_path_key(w), deglex_key(e)), elt.to_text())
-                    )
-                    found += 1
+        if not with_generators:
+            continue
+        found = [kernel[c - n_u] for c in ech.pivots if c >= n_u]
+        for vec in found:
+            terms: dict[Path, Poly] = {}
+            for j, scal in sorted(vec.items()):
+                w, e = cols[j]
+                terms[w] = terms.get(w, ring.zero()) + Poly(ring, {e: scal})
+            elt = AlgebraElement(
+                pres, {w: p for w, p in terms.items() if not p.is_zero()}
+            )
+            if not pres.differential_of(elt).is_zero():
+                raise InternalError(
+                    f"truncated cohomology: generator {elt.to_text()} is not closed"
+                )
+            w, e = cols[max(vec)]
+            generators.append(((_path_key(w), deglex_key(e)), elt.to_text()))
+        if len(found) != block_rank:
+            raise InternalError(
+                f"truncated cohomology: {len(found)} generators for rank {block_rank}"
+            )
     return rank, [text for _, text in sorted(generators)]
 
 

@@ -475,46 +475,6 @@ class InternalError(RuntimeError):
     """An invariant of the exact algebra failed: a bug, not bad input."""
 
 
-def rref_insert(reduced: list, pivots: dict, row: dict, field: Field) -> bool:
-    """Insert one row into a reduced row echelon system in place.
-
-    ``reduced`` and ``pivots`` are as returned by ``row_reduce``; the row
-    is cleared in every existing pivot column, normalised to a leading 1
-    and back-substituted into every earlier row.  Returns True when the
-    row was independent (and appended), False when it reduced to zero.
-    Meant for a few rows added to a finished system; ``row_reduce`` is
-    the bulk path.
-    """
-    row = dict(row)
-    # A reduced pivot row is 1 in its own pivot column and 0 in every
-    # other, so clearing one pivot column never refills another.
-    for lead in [c for c in row if c in pivots]:
-        factor = row[lead]
-        for col, val in reduced[pivots[lead]].items():
-            s = field.sub(row.get(col, field.zero), field.mul(factor, val))
-            if s:
-                row[col] = s
-            else:
-                row.pop(col, None)
-    if not row:
-        return False
-    lead = min(row)
-    inv = field.inv(row[lead])
-    row = {c: field.mul(v, inv) for c, v in row.items()}
-    for other in reduced:
-        if lead in other:
-            factor = other[lead]
-            for col, val in row.items():
-                s = field.sub(other.get(col, field.zero), field.mul(factor, val))
-                if s:
-                    other[col] = s
-                else:
-                    other.pop(col, None)
-    pivots[lead] = len(reduced)
-    reduced.append(row)
-    return True
-
-
 def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
     """Reduced row echelon form of sparse rows (dicts col -> coefficient).
 
@@ -528,7 +488,7 @@ def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
     that row is zero in every other pivot column, so clearing one pivot
     column never refills another.  The reduced form is unique and
     ``echelon`` finds the same pivots in the same order, so the output
-    equals that of inserting the rows one by one with ``rref_insert``.
+    equals that of inserting the rows one by one into a reduced form.
     """
     reduced, pivots = echelon(rows, field)
     if field.p is None:
@@ -586,92 +546,101 @@ def _back_substitute_rationals(reduced: list[dict], pivots: dict) -> list[dict]:
     return out
 
 
+class Echelon:
+    """A row echelon form grown one row at a time.
+
+    ``rows`` span the rows inserted so far and ``pivots`` maps each pivot
+    column, the least column of its row, to the row's index in ``rows``.
+    Over F_p each row leads with 1; over the rationals each is an integer
+    row (``int`` entries), eliminated fraction-free.  The pivot columns of
+    an echelon form are fixed by the row space: column c is a pivot
+    exactly when it is independent of the columns left of it.
+    """
+
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, field: Field):
+        self.p = field.p
+        self.rows: list[dict] = []
+        self.pivots: dict[int, int] = {}
+
+    def insert(self, row: dict) -> bool:
+        """Reduce a copy of ``row`` against the pivot rows and append what
+        is left; True when the row was independent of the rows so far."""
+        p, reduced, pivots = self.p, self.rows, self.pivots
+        if p is None:
+            # Clear denominators; a row and its nonzero multiples span
+            # alike.  One as_integer_ratio() call per entry: numerator and
+            # denominator are Python-level properties of Fraction.  Most
+            # rows are integral.
+            ints, den = {}, 1
+            for c, v in row.items():
+                n, d = v.as_integer_ratio()
+                ints[c] = n
+                if d != 1:
+                    den = math.lcm(den, d)
+            row = ints if den == 1 else {c: int(v * den) for c, v in row.items()}
+            while row:
+                lead = min(row)
+                ridx = pivots.get(lead)
+                if ridx is None:
+                    break
+                pivot_row = reduced[ridx]
+                # row <- a*row - b*pivot_row cancels the lead, in integers.
+                a, b = pivot_row[lead], row[lead]
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    row = {c: a * v for c, v in row.items()}
+                for col, val in pivot_row.items():
+                    s = row.get(col, 0) - b * val
+                    if s:
+                        row[col] = s
+                    else:
+                        del row[col]
+                if row:
+                    content = math.gcd(*row.values())
+                    if content != 1:
+                        row = {c: v // content for c, v in row.items()}
+            if not row:
+                return False
+        else:
+            row = dict(row)
+            while row:
+                lead = min(row)
+                ridx = pivots.get(lead)
+                if ridx is None:
+                    break
+                factor = row[lead]
+                # Pivot rows lead with 1, so ``factor`` times it cancels the lead.
+                for col, val in reduced[ridx].items():
+                    s = (row.get(col, 0) - factor * val) % p
+                    if s:
+                        row[col] = s
+                    else:
+                        del row[col]
+            if not row:
+                return False
+            inv = pow(row[lead], -1, p)
+            if inv != 1:
+                row = {c: v * inv % p for c, v in row.items()}
+        pivots[lead] = len(reduced)
+        reduced.append(row)
+        return True
+
+
 def echelon(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
     """Row echelon form of sparse rows, without back-substitution.
 
     Same contract and the same pivots as ``row_reduce`` (rows in order,
-    the least column as pivot; the set of pivot columns of an echelon
-    form is fixed by the row space), at a fraction of the cost when only
-    the rank or the pivot columns are needed.  The rows span the same
-    space but are not reduced: over F_p each has leading coefficient 1;
-    over the rationals each is an integer row (``int`` entries),
-    eliminated fraction-free.
+    the least column as pivot), at a fraction of the cost when only the
+    rank or the pivot columns are needed.  The rows span the same space
+    but are not reduced; see ``Echelon`` for their form.
     """
-    if field.p is None:
-        return _echelon_rationals(rows)
-    return _echelon_prime(rows, field.p)
-
-
-def _echelon_prime(rows: list[dict], p: int) -> tuple[list[dict], dict]:
-    reduced: list[dict] = []
-    pivots: dict[int, int] = {}
+    ech = Echelon(field)
     for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            ridx = pivots.get(lead)
-            if ridx is None:
-                break
-            factor = row[lead]
-            # Pivot rows lead with 1, so ``factor`` times it cancels the lead.
-            for col, val in reduced[ridx].items():
-                s = (row.get(col, 0) - factor * val) % p
-                if s:
-                    row[col] = s
-                else:
-                    del row[col]
-        if not row:
-            continue
-        lead = min(row)
-        inv = pow(row[lead], -1, p)
-        if inv != 1:
-            row = {c: v * inv % p for c, v in row.items()}
-        pivots[lead] = len(reduced)
-        reduced.append(row)
-    return reduced, pivots
-
-
-def _echelon_rationals(rows: list[dict]) -> tuple[list[dict], dict]:
-    reduced: list[dict] = []
-    pivots: dict[int, int] = {}
-    for row in rows:
-        # Clear denominators; a row and its nonzero multiples span alike.
-        # One as_integer_ratio() call per entry: numerator and denominator
-        # are Python-level properties of Fraction.  Most rows are integral.
-        ints, den = {}, 1
-        for c, v in row.items():
-            n, d = v.as_integer_ratio()
-            ints[c] = n
-            if d != 1:
-                den = math.lcm(den, d)
-        row = ints if den == 1 else {c: int(v * den) for c, v in row.items()}
-        while row:
-            lead = min(row)
-            ridx = pivots.get(lead)
-            if ridx is None:
-                break
-            pivot_row = reduced[ridx]
-            # row <- a*row - b*pivot_row cancels the lead, in integers.
-            a, b = pivot_row[lead], row[lead]
-            g = math.gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                row = {c: a * v for c, v in row.items()}
-            for col, val in pivot_row.items():
-                s = row.get(col, 0) - b * val
-                if s:
-                    row[col] = s
-                else:
-                    del row[col]
-            if row:
-                content = math.gcd(*row.values())
-                if content != 1:
-                    row = {c: v // content for c, v in row.items()}
-        if not row:
-            continue
-        pivots[min(row)] = len(reduced)
-        reduced.append(row)
-    return reduced, pivots
+        ech.insert(row)
+    return ech.rows, ech.pivots
 
 
 def matrix_rank(rows: list[dict], field: Field) -> int:
@@ -714,12 +683,9 @@ def solve_sparse(
     so it never becomes a pivot unless the system is inconsistent.
     """
     sentinel = max((max(r) for r in rows if r), default=0) + 1
-    augmented = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b:
-            r[sentinel] = b
-        augmented.append(r)
+    # The elimination copies every row it keeps, so a row without a rhs
+    # entry goes in as given.
+    augmented = [{**row, sentinel: b} if b else row for row, b in zip(rows, rhs)]
     reduced, pivots = row_reduce(augmented, field)
     if sentinel in pivots:
         return None  # some row reduced to 0 = nonzero
@@ -741,6 +707,41 @@ def solve_sparse(
 # ---------------------------------------------------------------------------
 # Truncated solving over polynomial matrices
 # ---------------------------------------------------------------------------
+
+
+def linear_rows(columns: Sequence[tuple], image_of) -> dict:
+    """Field equations of a polynomial map on a monomial-shifted basis.
+
+    ``columns`` lists pairs ``(g, m)``, a generator times the monomial
+    with exponent ``m``; ``image_of(g)`` returns the image of ``g`` as
+    ``(coordinate, exp, coef)`` terms, each ``(coordinate, exp)`` at most
+    once.  The result maps each target ``(coordinate, exp + m)`` to its
+    row, a dict column index -> coefficient, in order of first use.
+    Within a column every term hits its own target, so each cell is
+    written once.  ``image_of`` is called once per run of columns with
+    the same generator, and each ``exp + m`` is formed once per call.
+    """
+    rows: dict[tuple, dict] = {}
+    shifts: dict[tuple, dict] = {}  # m -> {exp: exp + m}
+    last, image = object(), ()
+    for j, (g, m) in enumerate(columns):
+        if g != last:
+            last, image = g, image_of(g)
+        shift = shifts.get(m)
+        if shift is None:
+            shift = shifts[m] = {}
+        for coord, exp, coef in image:
+            target = shift.get(exp)
+            if target is None:
+                target = shift[exp] = tuple([a + b for a, b in zip(exp, m)])
+            key = (coord, target)
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {j: coef}
+            else:
+                row[j] = coef
+    return rows
+
 
 
 @dataclass
@@ -803,37 +804,17 @@ def truncated_solve(
         )
 
     # One field unknown per (column j, monomial mons[k] <= bound), at
-    # index j * nmons + k; one equation per (row i, monomial), numbered in
-    # order of first use.  Each cell is written once: the unknown fixes
-    # (j, m), and with the equation (i, exp + m) that fixes the term exp.
+    # index j * nmons + k; one equation per (row i, monomial).
     mons = monomials_upto(ring.nvars, degree_bound)
     nmons = len(mons)
-    eq_index: dict[tuple, int] = {}
-    eq_rows: list[dict] = []
-    shifted: dict[tuple, list] = {}  # exp -> [exp + m for m in mons]
-    for i in range(nrows):
-        for j in range(ncols):
-            terms = []
-            for exp, coef in A[i][j].terms.items():
-                prods = shifted.get(exp)
-                if prods is None:
-                    prods = shifted[exp] = [
-                        tuple([a + b for a, b in zip(exp, m)]) for m in mons
-                    ]
-                terms.append((prods, coef))
-            for k in range(nmons):
-                col = j * nmons + k
-                for prods, coef in terms:
-                    key = (i, prods[k])
-                    ridx = eq_index.get(key)
-                    if ridx is None:
-                        eq_index[key] = len(eq_rows)
-                        eq_rows.append({col: coef})
-                    else:
-                        eq_rows[ridx][col] = coef
+    eqs = linear_rows(
+        [(j, m) for j in range(ncols) for m in mons],
+        lambda j: [(i, exp, coef) for i in range(nrows)
+                   for exp, coef in A[i][j].terms.items()],
+    )
 
     if mode == "kernel":
-        vecs = kernel_basis(eq_rows, ncols * nmons, field)
+        vecs = kernel_basis(list(eqs.values()), ncols * nmons, field)
         out = [
             [
                 Poly(ring, {m: vec[c] for c, m in enumerate(mons, j * nmons)
@@ -845,18 +826,12 @@ def truncated_solve(
         return TruncatedSolveResult("kernel", degree_bound, "ok", vectors=out)
 
     # membership
-    rhs_map: dict[int, object] = {}
+    # A target term no column reaches is an equation 0 = coef.
     for i in range(nrows):
-        for exp, coef in target[i].terms.items():
-            key = (i, exp)
-            row_idx = eq_index.get(key)
-            if row_idx is None:
-                eq_index[key] = len(eq_rows)
-                eq_rows.append({})
-                row_idx = eq_index[key]
-            rhs_map[row_idx] = coef
-    rhs = [rhs_map.get(i, field.zero) for i in range(len(eq_rows))]
-    solution = solve_sparse(eq_rows, rhs, field)
+        for exp in target[i].terms:
+            eqs.setdefault((i, exp), {})
+    rhs = [target[i].terms.get(exp, field.zero) for i, exp in eqs]
+    solution = solve_sparse(list(eqs.values()), rhs, field)
     if solution is None:
         return TruncatedSolveResult(
             "membership", degree_bound, "inconclusive_at_bound"

@@ -953,61 +953,3 @@ def verify_halftwist(n: int) -> HalfTwistReport:
         report.wrappings[wrapping] = entry
         report.ok = report.ok and entry["ok"]
     return report
-
-
-# ---------------------------------------------------------------------------
-# Object-level braid data
-# ---------------------------------------------------------------------------
-
-
-def braid_object_images(n: int) -> dict:
-    """Object-level images of the half-twist generators: the i-th
-    generator fixes every arc except its own, which becomes the
-    two-term complex on its neighbours.  Keys are (generator index,
-    arc index), both mod n+1."""
-    m = n + 1
-    out = {}
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                out[(i, j)] = {"kind": "arc", "arc": f"L{j}"}
-            else:
-                prev = (i - 1) % m
-                nxt = (i + 1) % m
-                out[(i, j)] = {
-                    "kind": "two_term",
-                    "slots": [(f"L{nxt}", 0), (f"L{prev}", 0), (f"L{i}", -1)],
-                    "connection": {"(2,0)": f"b{i}", "(2,1)": f"a{prev}"},
-                }
-    return out
-
-
-def rotate_label(n: int, label: str) -> str:
-    """The cyclic relabelling: arc, arrow, and variable indices all
-    advance by one mod n+1."""
-    m = n + 1
-    head = label.rstrip("0123456789")
-    idx = label[len(head):]
-    if head not in ("L", "a", "b", "t") or not idx:
-        raise ValueError(f"cannot rotate label {label!r}")
-    return f"{head}{(int(idx) + 1) % m}"
-
-
-def rotate_image(n: int, image: dict) -> dict:
-    """Apply the cyclic relabelling to a braid object image."""
-    if image["kind"] == "arc":
-        return {"kind": "arc", "arc": rotate_label(n, image["arc"])}
-    return {
-        "kind": "two_term",
-        "slots": [(rotate_label(n, obj), s) for obj, s in image["slots"]],
-        "connection": {
-            pos: rotate_label(n, name)
-            for pos, name in image["connection"].items()
-        },
-    }
-
-
-def global_twist_object_image(n: int, j: int) -> str:
-    """The full rotation acts trivially on objects; the twisting is
-    carried by the wrapping data, not the underlying arcs."""
-    return f"L{j % (n + 1)}"

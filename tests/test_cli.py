@@ -2,6 +2,7 @@
 reports, determinism, and the config round trip."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -23,7 +24,7 @@ from tube_ncr.cli import (
     parse_field,
     parse_polynomials,
 )
-from tube_ncr import exactalg
+from tube_ncr import cohom, exactalg
 from tube_ncr.exactalg import Field
 
 REPO = Path(__file__).resolve().parent.parent
@@ -182,6 +183,37 @@ def test_failed_internal_check_is_not_reported_as_usage(monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_unclosed_generator_exits_internal(monkeypatch, capsys):
+    honest = cohom.kernel_basis
+
+    def corrupted(rows, ncols, field):
+        # Doubling the free coordinate adds that basis element to each
+        # vector; here no such element is closed.
+        return [{**vec, max(vec): field.add(vec[max(vec)], field.one)}
+                for vec in honest(rows, ncols, field)]
+
+    monkeypatch.setattr(cohom, "kernel_basis", corrupted)
+    code = main(["cohom", "truncated", "--n", "1", "--f", "x", "y",
+                 "--m", "2", "--len", "4", "--polydeg", "4"])
+    assert code == EXIT_INTERNAL
+    assert "is not closed" in capsys.readouterr().err
+
+
+def test_tube_generator_list_is_frozen(tmp_path):
+    # The 90 generators and their order as the reduced-form search
+    # listed them; the pivot-column search must give the same list.
+    argv = ["cohom", "truncated", "--quiver", "tube", "--n", "1", "--f", "x",
+            "y", "--source", "L0", "--target", "L1", "--m", "0", "--len", "5",
+            "--polydeg", "4"]
+    code, produced = run_to_file(argv, tmp_path)
+    assert code == EXIT_INCONCLUSIVE
+    generators = json.loads(produced)["generators"]
+    assert len(generators) == 90
+    assert hashlib.sha256("\n".join(generators).encode()).hexdigest() == (
+        "48e4d2e539978d8fc34de07133cb8f1355a75e8b6986476a9c9a67acbab1154d"
+    )
+
+
 def test_inconclusive_localization_exits_two(capsys):
     code = main(["cohom", "localization", "--max-degree", "1",
                  "--len", "1", "--polydeg", "2", "--f", "x", "x",
@@ -254,6 +286,45 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Functions that linearise or eliminate run on the per-field inner loops,
+# never on Field.add/sub/mul/neg/inv/div per entry.
+LOOP_FUNCTIONS = {
+    "exactalg.py": {"Echelon", "echelon", "row_reduce", "_back_substitute_prime",
+                    "_back_substitute_rationals", "linear_rows",
+                    "truncated_solve"},
+    "cohom.py": {"FreeComplex._layer", "_bounded_rank"},
+}
+FIELD_OPS = {"add", "sub", "mul", "neg", "inv", "div"}
+
+
+def _named_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_elimination_and_linearisation_make_no_field_calls():
+    found, seen = [], set()
+    for filename, names in LOOP_FUNCTIONS.items():
+        tree = ast.parse((REPO / "src" / "tube_ncr" / filename).read_text())
+        for name, definition in _named_definitions(tree):
+            if name not in names:
+                continue
+            seen.add(name)
+            for node in ast.walk(definition):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in FIELD_OPS
+                        and ast.unparse(node.func.value).endswith("field")):
+                    found.append(f"{filename}:{node.lineno} in {name}")
+    assert found == []
+    assert seen == set().union(*LOOP_FUNCTIONS.values())
 
 
 def test_reports_are_deterministic(tmp_path):

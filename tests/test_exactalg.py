@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tube_ncr import exactalg
 from tube_ncr.exactalg import (
+    Echelon,
     Field,
     InternalError,
     Poly,
@@ -16,10 +17,10 @@ from tube_ncr.exactalg import (
     PolyRing,
     echelon,
     kernel_basis,
+    linear_rows,
     matrix_rank,
     monomials_upto,
     row_reduce,
-    rref_insert,
     solve_sparse,
     truncated_solve,
 )
@@ -307,6 +308,44 @@ def sparse_matrices(draw, field):
     return rows, ncols
 
 
+def rref_insert(reduced, pivots, row, field):
+    """Insert one row into a reduced row echelon system in place.
+
+    The plain loop through ``Field`` arithmetic: the row is cleared in
+    every existing pivot column, normalised to a leading 1 and
+    back-substituted into every earlier row.  Returns True when the row
+    was independent (and appended), False when it reduced to zero.
+    """
+    row = dict(row)
+    # A reduced pivot row is 1 in its own pivot column and 0 in every
+    # other, so clearing one pivot column never refills another.
+    for lead in [c for c in row if c in pivots]:
+        factor = row[lead]
+        for col, val in reduced[pivots[lead]].items():
+            s = field.sub(row.get(col, field.zero), field.mul(factor, val))
+            if s:
+                row[col] = s
+            else:
+                row.pop(col, None)
+    if not row:
+        return False
+    lead = min(row)
+    inv = field.inv(row[lead])
+    row = {c: field.mul(v, inv) for c, v in row.items()}
+    for other in reduced:
+        if lead in other:
+            factor = other[lead]
+            for col, val in row.items():
+                s = field.sub(other.get(col, field.zero), field.mul(factor, val))
+                if s:
+                    other[col] = s
+                else:
+                    other.pop(col, None)
+    pivots[lead] = len(reduced)
+    reduced.append(row)
+    return True
+
+
 def rref_oracle(rows, field):
     """Reduced row echelon form by inserting the rows one at a time."""
     reduced, pivots = [], {}
@@ -460,6 +499,89 @@ def test_echelon_rank_matches_sympy_over_rationals(data):
 def test_echelon_matches_rref_over_prime_fields(case):
     p, (rows, ncols) = case
     check_echelon_against_rref(rows, ncols, Field.prime(p))
+
+
+def check_echelon_inserts_against_oracle(rows, field):
+    ech = Echelon(field)
+    reduced, pivots = [], {}
+    for row in rows:
+        before = dict(row)
+        grew = rref_insert(reduced, pivots, row, field)
+        assert ech.insert(row) is grew
+        assert row == before
+        assert len(ech.rows) == len(reduced)
+    assert list(ech.pivots.items()) == list(pivots.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(QQ))
+def test_echelon_insert_verdicts_match_oracle_over_rationals(data):
+    rows, _ = data
+    check_echelon_inserts_against_oracle(rows, QQ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRIMES.flatmap(
+    lambda p: sparse_matrices(Field.prime(p)).map(lambda d: (p, d))
+))
+def test_echelon_insert_verdicts_match_oracle_over_prime_fields(case):
+    p, (rows, _) = case
+    check_echelon_inserts_against_oracle(rows, Field.prime(p))
+
+
+def test_echelon_insert_clears_fractions():
+    ech = Echelon(QQ)
+    assert ech.insert({1: Fraction(1, 2), 3: Fraction(2, 3)})
+    assert ech.insert({0: Fraction(5, 4), 1: Fraction(-1, 6)})
+    # 2 * second + 4 * first
+    assert not ech.insert({0: Fraction(5, 2), 1: Fraction(5, 3), 3: Fraction(8, 3)})
+    assert ech.rows == [{1: 3, 3: 4}, {0: 15, 1: -2}]
+    assert ech.pivots == {1: 0, 0: 1}
+
+
+@st.composite
+def polynomial_maps(draw):
+    """A small polynomial matrix over F_7 in two variables, as columns
+    (generator, monomial shift) and the image of each generator."""
+    F7 = Field.prime(7)
+    ring = PolyRing(F7, ("x", "y"))
+    ngens, ncoords = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    entries = {
+        (g, i): Poly(ring, {e: c for e, c in draw(st.dictionaries(
+            exps, st.integers(1, 6), max_size=3)).items()})
+        for g in range(ngens) for i in range(ncoords)
+    }
+    shifts = draw(st.lists(exps, min_size=1, max_size=4, unique=True))
+    columns = [(g, m) for g in range(ngens) for m in shifts]
+    if draw(st.booleans()):
+        columns = draw(st.permutations(columns))
+    return ring, ncoords, entries, columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_maps())
+def test_linear_rows_match_a_dense_expansion(data):
+    ring, ncoords, entries, columns = data
+    calls = []
+
+    def image_of(g):
+        calls.append(g)
+        return [(i, exp, coef) for i in range(ncoords)
+                for exp, coef in entries[(g, i)].terms.items()]
+
+    rows = linear_rows(columns, image_of)
+    # Dense reference: column j is the product entries[(g, i)] * x^m.
+    expected: dict = {}
+    for j, (g, m) in enumerate(columns):
+        for i in range(ncoords):
+            product = entries[(g, i)] * ring.monomial(m)
+            for exp, coef in product.terms.items():
+                expected.setdefault((i, exp), {})[j] = coef
+    assert rows == expected
+    runs = [g for j, (g, _) in enumerate(columns)
+            if j == 0 or columns[j - 1][0] != g]
+    assert calls == runs
 
 
 def test_kernel_basis_vectors_and_key_order_are_fixed():

@@ -13,14 +13,11 @@ from tube_ncr.twcat import (
     TwComplex,
     TwMorphism,
     ainf_check,
-    braid_object_images,
-    global_twist_object_image,
     halftwist_complexes,
     halftwist_tables,
     matrix_mu,
     mu_tw,
     presentation_window_table,
-    rotate_image,
     verify_halftwist,
 )
 
@@ -311,49 +308,3 @@ def test_mu_tw_squares_to_zero_on_random_morphisms():
         f = _random_endomorphism(table, two_term, rng)
         ddf = mu_tw(1, [mu_tw(1, [f])])
         assert ddf.is_zero(), ddf.to_text()
-
-
-# -- object-level braid data ---------------------------------------------------
-
-
-def test_braid_object_images_fix_other_arcs():
-    images = braid_object_images(3)
-    assert images[(1, 2)] == {"kind": "arc", "arc": "L2"}
-    twisted = images[(1, 1)]
-    assert twisted["kind"] == "two_term"
-    assert twisted["slots"] == [("L2", 0), ("L0", 0), ("L1", -1)]
-    assert twisted["connection"] == {"(2,0)": "b1", "(2,1)": "a0"}
-
-
-def test_braid_image_matches_verified_complex():
-    # the generator at index 0 sends its arc to the complex the
-    # half-twist verification builds
-    images = braid_object_images(3)
-    twisted = images[(0, 0)]
-    assert twisted["slots"] == [("L1", 0), ("L3", 0), ("L0", -1)]
-    assert twisted["connection"] == {"(2,0)": "b0", "(2,1)": "a3"}
-
-
-def test_rotation_advances_generator_index():
-    n = 3
-    images = braid_object_images(n)
-    assert rotate_image(n, images[(0, 0)]) == images[(1, 1)]
-    assert rotate_image(n, images[(2, 1)]) == images[(3, 2)]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_rotation_has_order_n_plus_one(n):
-    images = braid_object_images(n)
-    for key, image in images.items():
-        rotated = image
-        for _ in range(n + 1):
-            rotated = rotate_image(n, rotated)
-        assert rotated == image
-
-
-def test_global_twist_fixes_objects():
-    assert [global_twist_object_image(2, j) for j in range(3)] == [
-        "L0",
-        "L1",
-        "L2",
-    ]
