@@ -4,7 +4,8 @@ Every command prints one deterministic report (JSON by default, sorted
 keys, two-space indent, trailing newline) to stdout or ``--output``.
 Exit codes follow the verification verdict: 0 when every requested
 check passes conclusively, 2 when something is inconclusive at the
-chosen bounds, 1 on an actual failure, 64 on malformed input, 70 when an
+chosen bounds or a ``verify all`` check does not support the given n,
+1 on an actual failure, 64 on malformed input, 70 when an
 internal consistency check fails (a bug, not bad input).
 
 Polynomials on the command line use a small grammar with no
@@ -52,7 +53,7 @@ from .toric import (
     section_basis,
     wedge_nonvanishing,
 )
-from .twcat import verify_halftwist
+from .twcat import HALFTWIST_MIN_N, HALFTWIST_UNSUPPORTED, verify_halftwist
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -144,19 +145,21 @@ def generic_tube_ring(field: Field, n: int) -> PolyRing:
     return PolyRing(field, tuple(f"t{i}" for i in range(n + 1)))
 
 
+def tube_from_config(cfg: RunConfig, field: Field):
+    """The tube algebra on the scalars --f, or on the generic t0..tn."""
+    if cfg.f is None:
+        return tube_algebra(cfg.n, generic_tube_ring(field, cfg.n))
+    ring, f = parse_polynomials(field, cfg.f, cfg.variables)
+    return tube_algebra(cfg.n, ring, tuple(f))
+
+
 # ---------------------------------------------------------------------------
 # Commands.  Each returns (report dict, exit code).
 # ---------------------------------------------------------------------------
 
 
 def cmd_algebra_tube(cfg: RunConfig):
-    field = parse_field(cfg.field)
-    if cfg.f is None:
-        pres = tube_algebra(cfg.n, generic_tube_ring(field, cfg.n))
-    else:
-        ring, f = parse_polynomials(field, cfg.f, cfg.variables)
-        pres = tube_algebra(cfg.n, ring, tuple(f))
-    return pres.to_json(), EXIT_OK
+    return tube_from_config(cfg, parse_field(cfg.field)).to_json(), EXIT_OK
 
 
 def cmd_algebra_contraction(cfg: RunConfig):
@@ -169,12 +172,7 @@ def cmd_algebra_contraction(cfg: RunConfig):
 
 
 def cmd_algebra_localize(cfg: RunConfig):
-    field = parse_field(cfg.field)
-    if cfg.f is None:
-        pres = tube_algebra(cfg.n, generic_tube_ring(field, cfg.n))
-    else:
-        ring, f = parse_polynomials(field, cfg.f, cfg.variables)
-        pres = tube_algebra(cfg.n, ring, tuple(f))
+    pres = tube_from_config(cfg, parse_field(cfg.field))
     vertex = cfg.options.get("vertex") or tube_vertex(0)
     return drinfeld_localize(pres, vertex).to_json(), EXIT_OK
 
@@ -264,12 +262,7 @@ def cmd_cohom_truncated(cfg: RunConfig):
         pres = contraction_quiver(cfg.n, ring, f)
         default_vertex = contraction_vertex(1)
     else:
-        if cfg.f is None:
-            ring, f = generic_tube_ring(field, cfg.n), None
-            pres = tube_algebra(cfg.n, ring)
-        else:
-            ring, f = parse_polynomials(field, cfg.f, cfg.variables)
-            pres = tube_algebra(cfg.n, ring, tuple(f))
+        pres = tube_from_config(cfg, field)
         if kind == "localized":
             pres = drinfeld_localize(pres, tube_vertex(0))
             default_vertex = tube_vertex(1 if cfg.n >= 1 else 0)
@@ -350,6 +343,8 @@ def _verify_manifest(cfg: RunConfig) -> list:
         return {"ok": ann["matches"] and dsc["matches"], "annulus": ann, "disc": dsc}
 
     def halftwist():
+        if n < HALFTWIST_MIN_N:
+            return {"ok": False, "unsupported": HALFTWIST_UNSUPPORTED}
         rep = verify_halftwist(n)
         return {"ok": rep.ok, "n": n}
 
@@ -408,7 +403,7 @@ def cmd_verify_all(cfg: RunConfig):
         result = runner()
         entries.append({"name": name, **result})
         if not result["ok"]:
-            if result.get("inconclusive"):
+            if result.get("inconclusive") or "unsupported" in result:
                 worst = max(worst, EXIT_INCONCLUSIVE)
             else:
                 worst = EXIT_FAILURE

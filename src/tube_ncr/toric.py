@@ -378,13 +378,6 @@ def word_image(word, n: int) -> WeightMonomial:
     return image
 
 
-def cyclic_shift_monomial(m: WeightMonomial) -> WeightMonomial:
-    """x_i -> x_{i+1}, y_i -> y_{i+1} cyclically."""
-    return WeightMonomial(
-        m.c[-1:] + m.c[:-1], m.d[-1:] + m.d[:-1]
-    )
-
-
 @dataclass
 class EndComparisonReport:
     n: int
@@ -420,6 +413,21 @@ def _tube_words(pres: Presentation, n: int, bound: int) -> dict:
                 tube_vertex(i), tube_vertex(j), bound
             )
     return words
+
+
+def _composable_pairs(words: dict, n: int, bound: int):
+    """Pairs (w1, w2) of non-lazy words, w1 from L_i to L_j and w2 from
+    L_j to L_k, of combined length <= bound, in (i, j, k) order."""
+    for i in range(n + 1):
+        for j in range(n + 1):
+            for k in range(n + 1):
+                for w1 in words[(i, j)]:
+                    if w1.is_lazy:
+                        continue
+                    for w2 in words[(j, k)]:
+                        if w2.is_lazy or len(w1.arrows) + len(w2.arrows) > bound:
+                            continue
+                        yield w1, w2
 
 
 def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonReport:
@@ -484,44 +492,31 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
                 degrees[m.total_degree()] = degrees.get(m.total_degree(), 0) + 1
             report.rank_table[(i, j)] = degrees
     # multiplicativity on composable pairs of words
-    for i in range(n + 1):
-        for j in range(n + 1):
-            for k in range(n + 1):
-                for w1 in words[(i, j)]:
-                    if w1.is_lazy:
-                        continue
-                    for w2 in words[(j, k)]:
-                        if w2.is_lazy:
-                            continue
-                        if len(w1.arrows) + len(w2.arrows) > bound:
-                            continue
-                        product = tube.normal_form(w2.arrows + w1.arrows)
-                        terms = [
-                            (path, texp, scalar)
-                            for path, coef in product.terms.items()
-                            for texp, scalar in coef.terms.items()
-                        ]
-                        if len(terms) != 1 or terms[0][2] != ring.field.one:
-                            raise InternalError(
-                                f"normal form of {w2.arrows + w1.arrows} is "
-                                f"{product.to_text()}, not one monic term"
-                            )
-                        [(nf_path, texp, _)] = terms
-                        lhs = word_image(w2.arrows, n) * word_image(w1.arrows, n)
-                        rhs = t_monomial(texp) * word_image(nf_path.arrows, n)
-                        report.products_checked += 1
-                        if lhs != rhs:
-                            report.mismatches.append(
-                                {
-                                    "kind": "not_multiplicative",
-                                    "pair": [
-                                        "*".join(w2.arrows),
-                                        "*".join(w1.arrows),
-                                    ],
-                                    "lhs": lhs.to_text(),
-                                    "rhs": rhs.to_text(),
-                                }
-                            )
+    for w1, w2 in _composable_pairs(words, n, bound):
+        product = tube.normal_form(w2.arrows + w1.arrows)
+        terms = [
+            (path, texp, scalar)
+            for path, coef in product.terms.items()
+            for texp, scalar in coef.terms.items()
+        ]
+        if len(terms) != 1 or terms[0][2] != ring.field.one:
+            raise InternalError(
+                f"normal form of {w2.arrows + w1.arrows} is "
+                f"{product.to_text()}, not one monic term"
+            )
+        [(nf_path, texp, _)] = terms
+        lhs = word_image(w2.arrows, n) * word_image(w1.arrows, n)
+        rhs = t_monomial(texp) * word_image(nf_path.arrows, n)
+        report.products_checked += 1
+        if lhs != rhs:
+            report.mismatches.append(
+                {
+                    "kind": "not_multiplicative",
+                    "pair": ["*".join(w2.arrows), "*".join(w1.arrows)],
+                    "lhs": lhs.to_text(),
+                    "rhs": rhs.to_text(),
+                }
+            )
     report.ok = not report.mismatches
     return report
 
@@ -564,48 +559,30 @@ def base_change_end(
         n, bound, True, [p.to_text() for p in f]
     )
     words = _tube_words(generic, n, bound)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            for k in range(n + 1):
-                for w1 in words[(i, j)]:
-                    if w1.is_lazy:
-                        continue
-                    for w2 in words[(j, k)]:
-                        if w2.is_lazy:
-                            continue
-                        if len(w1.arrows) + len(w2.arrows) > bound:
-                            continue
-                        # t-exponents predicted by the monomial product
-                        lhs = word_image(w2.arrows, n) * word_image(w1.arrows, n)
-                        texp = tuple(
-                            min(ci, di) for ci, di in zip(lhs.c, lhs.d)
-                        )
-                        expected_word = lhs.quotient_by(t_monomial(texp))
-                        predicted = ring.one()
-                        for fi, e in zip(f, texp):
-                            predicted = predicted * fi**e
-                        actual = specialised.normal_form(w2.arrows + w1.arrows)
-                        report.products_checked += 1
-                        if predicted.is_zero():
-                            good = actual.is_zero()
-                        elif len(actual.terms) != 1:
-                            good = False
-                        else:
-                            [(path, coef)] = list(actual.terms.items())
-                            good = (
-                                coef == predicted
-                                and word_image(path.arrows, n) == expected_word
-                            )
-                        if not good:
-                            report.mismatches.append(
-                                {
-                                    "pair": [
-                                        "*".join(w2.arrows),
-                                        "*".join(w1.arrows),
-                                    ],
-                                    "predicted": predicted.to_text(),
-                                    "actual": actual.to_text(),
-                                }
-                            )
+    for w1, w2 in _composable_pairs(words, n, bound):
+        # t-exponents predicted by the monomial product
+        lhs = word_image(w2.arrows, n) * word_image(w1.arrows, n)
+        texp = tuple(min(ci, di) for ci, di in zip(lhs.c, lhs.d))
+        expected_word = lhs.quotient_by(t_monomial(texp))
+        predicted = ring.one()
+        for fi, e in zip(f, texp):
+            predicted = predicted * fi**e
+        actual = specialised.normal_form(w2.arrows + w1.arrows)
+        report.products_checked += 1
+        if predicted.is_zero():
+            good = actual.is_zero()
+        elif len(actual.terms) != 1:
+            good = False
+        else:
+            [(path, coef)] = list(actual.terms.items())
+            good = coef == predicted and word_image(path.arrows, n) == expected_word
+        if not good:
+            report.mismatches.append(
+                {
+                    "pair": ["*".join(w2.arrows), "*".join(w1.arrows)],
+                    "predicted": predicted.to_text(),
+                    "actual": actual.to_text(),
+                }
+            )
     report.ok = not report.mismatches
     return report

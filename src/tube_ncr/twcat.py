@@ -4,16 +4,30 @@ them, and the mechanical half-twist verification.
 An ``AInfTable`` is a finite set of basis morphisms between named
 objects together with structure constants for a differential (mu1), a
 binary product (mu2), and a ternary product (mu3), all valued in a
-polynomial ring.  ``ainf_check`` verifies the quadratic relations these
-must satisfy, sign-free, up to arity 4 (mu4 and higher are identically
-zero for every shipped table).
+polynomial ring.  ``AInfTable.mu_of`` is the one structure-constant
+lookup: it takes a composable chain of basis names and dispatches on
+its length, and a chain longer than ``TOP_ARITY`` has none (every
+shipped table has mu4 and higher identically zero).  ``apply_mu``
+extends it multilinearly to elements.
+
+``ainf_check`` verifies the A-infinity relations sign-free up to arity
+4.  For each composable chain x_k..x_1 it forms one relation sum: over
+every block x_{i+j}..x_{i+1} of j consecutive arguments, each term g of
+the inner product of the block is put in the block's place, and the
+outer product of the shortened chain is added in.  Terms whose inner or
+outer arity exceeds ``TOP_ARITY`` are zero and are not formed.
 
 ``TwComplex`` / ``TwMorphism`` implement one-sided twisted complexes:
 formal shifted sums of table objects with a strictly triangular
 degree-1 connection ``delta``, and matrices of table morphisms between
-them.  ``mu_tw`` composes morphisms by summing over all ways of
-inserting ``delta`` into the table products, i.e. over all paths
-through the stacked diagram.
+them.  ``mu_tw`` composes k morphisms by one insertion sum: a power of
+the connection of each complex along the way is inserted before,
+between and after the k morphisms, and the table product is applied
+entrywise to every resulting chain of total arity at most
+``TOP_ARITY``, i.e. to all paths through the stacked diagram (Seidel,
+*Fukaya Categories and Picard-Lefschetz Theory*, §3k-3l).  With no
+morphism the same sum is mu1(delta) + mu2(delta, delta) +
+mu3(delta, delta, delta), which a connection must annihilate.
 
 ``halftwist_tables`` returns the curated morphism table around the
 half-twisted arc: the four objects are the twisting arc (L0), its two
@@ -41,10 +55,15 @@ closed degree-0 morphism of complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from itertools import product
+from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import Field, InternalError, Poly, PolyRing
-from .quivalg import Presentation
+from .exactalg import Field, Poly, PolyRing
+
+# The tables carry mu1, mu2 and mu3; every higher product is zero.
+TOP_ARITY = 3
 
 
 @dataclass(frozen=True)
@@ -97,6 +116,7 @@ class AInfTable:
         if len(self.morphisms) != len(morphisms):
             raise ValueError("duplicate morphism names")
         self.identities = dict(identities)
+        self.identity_names = frozenset(self.identities.values())
         self.total = total
         for obj, name in self.identities.items():
             m = self.morphisms[name]
@@ -110,7 +130,7 @@ class AInfTable:
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
-        id_names = set(self.identities.values())
+        id_names = self.identity_names
         for name, pairs in self.mu1.items():
             f = self.morphisms[name]
             if name in id_names and pairs:
@@ -154,7 +174,6 @@ class AInfTable:
                     )
                 self._check_coef(coef)
         if self.total:
-            id_names = set(self.identities.values())
             for xn, x in self.morphisms.items():
                 for yn, y in self.morphisms.items():
                     if xn in id_names or yn in id_names:
@@ -170,65 +189,51 @@ class AInfTable:
 
     # -- lookups --------------------------------------------------------------
 
-    def is_identity(self, name: str) -> bool:
-        return name in self.identities.values()
-
-    def composable2(self, xn: str, yn: str) -> bool:
+    def composable(self, xn: str, yn: str) -> bool:
+        """Whether x can act after y."""
         return self.morphisms[xn].source == self.morphisms[yn].target
 
-    def mu2_of(self, xn: str, yn: str):
-        """Structure pairs for x*y, or raise MissingProduct if undefined."""
-        if not self.composable2(xn, yn):
-            raise ValueError(f"({xn}, {yn}) is not composable")
-        if self.is_identity(xn):
+    def mu_of(self, chain: tuple):
+        """Structure pairs (Poly, name) of mu_k on a composable chain of
+        k basis names, last-acting first: mu1, mu2 or mu3 by length, and
+        none above ``TOP_ARITY``.  Identities multiply as strict units
+        (validation keeps them out of mu1 and mu3); a product a partial
+        table leaves undefined raises MissingProduct."""
+        if len(chain) == 1:
+            return self.mu1.get(chain[0], ())
+        if len(chain) == 3:
+            return self.mu3.get(chain, ())
+        if len(chain) != 2:
+            return ()
+        xn, yn = chain
+        if xn in self.identity_names:
             return ((self.ring.one(), yn),)
-        if self.is_identity(yn):
+        if yn in self.identity_names:
             return ((self.ring.one(), xn),)
         try:
-            return self.mu2[(xn, yn)]
+            return self.mu2[chain]
         except KeyError:
-            raise MissingProduct((xn, yn)) from None
-
-    def mu3_of(self, zn: str, yn: str, xn: str):
-        if self.is_identity(zn) or self.is_identity(yn) or self.is_identity(xn):
-            return ()
-        return self.mu3.get((zn, yn, xn), ())
-
-    def mu1_of(self, name: str):
-        return self.mu1.get(name, ())
-
-    # -- element-level multilinear extension ----------------------------------
+            raise MissingProduct(chain) from None
 
     def apply_mu(self, args: Sequence[dict]) -> dict:
-        """mu_k on elements (dict name -> Poly), args last-acting first."""
-        k = len(args)
-        if k not in (1, 2, 3):
-            raise ValueError(f"arity {k} not supported")
+        """mu_k on elements (dict name -> Poly), args last-acting first:
+        ``mu_of`` extended multilinearly over the composable chains of
+        basis names the arguments expand into."""
+        chains = [((), ())]
+        for el in args:
+            chains = [
+                (names + (name,), coefs + (coef,))
+                for names, coefs in chains
+                for name, coef in el.items()
+                if not names or self.composable(names[-1], name)
+            ]
         out: dict = {}
-        if k == 1:
-            for name, coef in args[0].items():
-                for scoef, gname in self.mu1_of(name):
+        for names, coefs in chains:
+            pairs = self.mu_of(names)
+            if pairs:
+                coef = reduce(mul, coefs)
+                for scoef, gname in pairs:
                     _merge(out, gname, coef * scoef)
-            return out
-        if k == 2:
-            xel, yel = args
-            for xn, xc in xel.items():
-                for yn, yc in yel.items():
-                    if not self.composable2(xn, yn):
-                        continue
-                    for scoef, gname in self.mu2_of(xn, yn):
-                        _merge(out, gname, xc * yc * scoef)
-            return out
-        zel, yel, xel = args
-        for zn, zc in zel.items():
-            for yn, yc in yel.items():
-                if not self.composable2(zn, yn):
-                    continue
-                for xn, xc in xel.items():
-                    if not self.composable2(yn, xn):
-                        continue
-                    for scoef, gname in self.mu3_of(zn, yn, xn):
-                        _merge(out, gname, zc * yc * xc * scoef)
         return out
 
     # -- serialisation ----------------------------------------------------------
@@ -269,73 +274,6 @@ class AInfTable:
         }
 
 
-def presentation_window_table(
-    pres: Presentation, length_bound: int
-) -> AInfTable:
-    """View a quiver presentation as a (partial) table: basis morphisms
-    are the irreducible words of length <= bound, products are normal
-    forms, and a product whose normal form leaves the window is left
-    undefined rather than wrongly truncated."""
-    morphisms = []
-    identities = {}
-    name_of = {}
-    for src in pres.quiver.vertices:
-        for path in pres.irreducible_words(src, None, length_bound):
-            if path.is_lazy:
-                name = f"e[{path.vertex}]"
-                identities[path.vertex] = name
-            else:
-                name = "*".join(path.arrows)
-            name_of[path] = name
-            morphisms.append(
-                BasisMorphism(
-                    name,
-                    pres.path_source(path),
-                    pres.path_target(path),
-                    pres.path_degree(path),
-                )
-            )
-    mu1 = {}
-    mu2 = {}
-    by_name = {name_of[p]: p for p in name_of}
-    for name, path in by_name.items():
-        if path.is_lazy:
-            continue
-        image = pres.differential_of(
-            pres.normal_form(path)
-        )
-        pairs = []
-        for ipath, coef in image.terms.items():
-            if len(ipath.arrows) > length_bound:
-                raise InternalError(
-                    f"d({name}) leaves the length-{length_bound} window"
-                )
-            pairs.append((coef, name_of[ipath]))
-        if pairs:
-            mu1[name] = pairs
-    for xn, xp in by_name.items():
-        for yn, yp in by_name.items():
-            if xp.is_lazy or yp.is_lazy:
-                continue
-            if pres.path_source(xp) != pres.path_target(yp):
-                continue
-            product = pres.normal_form(xp.arrows + yp.arrows)
-            if all(len(p.arrows) <= length_bound for p in product.terms):
-                mu2[(xn, yn)] = [
-                    (coef, name_of[p]) for p, coef in product.terms.items()
-                ]
-    return AInfTable(
-        pres.ring,
-        pres.quiver.vertices,
-        morphisms,
-        identities,
-        mu1,
-        mu2,
-        {},
-        total=False,
-    )
-
-
 @dataclass
 class AInfReport:
     ok: bool
@@ -366,11 +304,11 @@ def _element_text(el: dict, ring) -> str:
 
 
 def ainf_check(table: AInfTable, max_arity: int) -> AInfReport:
-    """Verify the sign-free quadratic relations on every composable
-    tuple, through ``max_arity`` inputs (at most 4; the tables carry no
+    """Verify the sign-free A-infinity relations on every composable
+    chain, through ``max_arity`` inputs (at most 4; the tables carry no
     mu4, so arity 4 is the last one with content).
 
-    Tuples whose evaluation needs a product a partial table leaves
+    Chains whose relation sum needs a product a partial table leaves
     undefined are skipped and counted, never treated as zero.
 
     The relations are summed without signs, so the check is only
@@ -378,17 +316,21 @@ def ainf_check(table: AInfTable, max_arity: int) -> AInfReport:
     field even plain associativity would be reported as a residual of
     twice the product.
     """
-    if max_arity > 4:
+    if max_arity > TOP_ARITY + 1:
         raise ValueError("tables carry mu1..mu3 only; arity must be <= 4")
     if table.ring.field.characteristic != 2:
         raise ValueError("sign-free verification needs characteristic 2")
     names = sorted(table.morphisms)
     violations = []
     skipped = 0
-    checked = {1: 0, 2: 0, 3: 0, 4: 0}
+    checked = {k: 0 for k in range(1, TOP_ARITY + 2)}
+    memo: dict = {}
 
-    def single(name):
-        return {name: table.ring.one()}
+    def lookup(chain):
+        pairs = memo.get(chain)
+        if pairs is None:
+            pairs = memo[chain] = table.mu_of(chain)
+        return pairs
 
     def chains(k):
         """All composable k-tuples, last-acting first."""
@@ -398,81 +340,30 @@ def ainf_check(table: AInfTable, max_arity: int) -> AInfReport:
             return
         for tail in chains(k - 1):
             for n in names:
-                if table.composable2(n, tail[0]):
+                if table.composable(n, tail[0]):
                     yield (n,) + tail
 
-    if max_arity >= 1:
-        for (fn,) in chains(1):
-            checked[1] += 1
-            res = table.apply_mu([table.apply_mu([single(fn)])])
-            if res:
-                violations.append((1, (fn,), _element_text(res, table.ring)))
-
-    def mu(args):
-        return table.apply_mu(args)
-
-    if max_arity >= 2:
-        for yn, xn in chains(2):
-            checked[2] += 1
-            y, x = single(yn), single(xn)
+    for k in range(1, max_arity + 1):
+        # (i, j): the inner product takes chain[i:i + j]
+        blocks = [
+            (i, j)
+            for j in range(1, min(k, TOP_ARITY) + 1)
+            for i in range(k - j + 1)
+            if k - j + 1 <= TOP_ARITY
+        ]
+        for chain in chains(k):
+            checked[k] += 1
+            acc: dict = {}
             try:
-                res = mu([mu([y, x])])
-                acc = dict(res)
-                for name, coef in mu([mu([y]), x]).items():
-                    _merge(acc, name, coef)
-                for name, coef in mu([y, mu([x])]).items():
-                    _merge(acc, name, coef)
+                for i, j in blocks:
+                    for c, g in lookup(chain[i:i + j]):
+                        for d, h in lookup(chain[:i] + (g,) + chain[i + j:]):
+                            _merge(acc, h, c * d)
             except MissingProduct:
                 skipped += 1
                 continue
             if acc:
-                violations.append((2, (yn, xn), _element_text(acc, table.ring)))
-
-    if max_arity >= 3:
-        for zn, yn, xn in chains(3):
-            checked[3] += 1
-            z, y, x = single(zn), single(yn), single(xn)
-            try:
-                acc = mu([mu([z, y]), x])
-                for term in (
-                    mu([z, mu([y, x])]),
-                    mu([mu([z, y, x])]),
-                    mu([mu([z]), y, x]),
-                    mu([z, mu([y]), x]),
-                    mu([z, y, mu([x])]),
-                ):
-                    for name, coef in term.items():
-                        _merge(acc, name, coef)
-            except MissingProduct:
-                skipped += 1
-                continue
-            if acc:
-                violations.append(
-                    (3, (zn, yn, xn), _element_text(acc, table.ring))
-                )
-
-    if max_arity >= 4:
-        for wn, zn, yn, xn in chains(4):
-            checked[4] += 1
-            w, z, y, x = single(wn), single(zn), single(yn), single(xn)
-            try:
-                acc = mu([mu([w, z]), y, x])
-                for term in (
-                    mu([w, mu([z, y]), x]),
-                    mu([w, z, mu([y, x])]),
-                    mu([mu([w, z, y]), x]),
-                    mu([w, mu([z, y, x])]),
-                ):
-                    for name, coef in term.items():
-                        _merge(acc, name, coef)
-            except MissingProduct:
-                skipped += 1
-                continue
-            if acc:
-                violations.append(
-                    (4, (wn, zn, yn, xn), _element_text(acc, table.ring))
-                )
-
+                violations.append((k, chain, _element_text(acc, table.ring)))
     return AInfReport(not violations, checked, skipped, violations)
 
 
@@ -489,49 +380,25 @@ class TwComplex:
     def __init__(self, table: AInfTable, slots: Sequence, delta: dict):
         self.table = table
         self.slots = tuple((obj, int(shift)) for obj, shift in slots)
-        self.delta = {k: dict(v) for k, v in delta.items()}
         for obj, _ in self.slots:
             if obj not in table.objects:
                 raise ValueError(f"unknown object {obj!r}")
-        for (row, col), el in self.delta.items():
-            if not 0 <= col < len(self.slots) or not 0 <= row < len(self.slots):
-                raise ValueError("connection entry outside the slot range")
+        for row, col in delta:
             if col >= row:
                 raise ValueError(
                     "connection must be strictly triangular (col < row)"
                 )
-            for name in el:
-                self._check_entry(name, col, row, 1)
-        if any(self.delta.values()) and table.ring.field.characteristic != 2:
+        self.delta = TwMorphism(self, self, 1, delta).entries
+        if self.delta and table.ring.field.characteristic != 2:
             raise ValueError(
                 "twisted complexes with a nonzero connection are sign-free "
                 "and need characteristic 2"
             )
-        mc = matrix_mu(table, [self.delta])
-        for other in (
-            matrix_mu(table, [self.delta, self.delta]),
-            matrix_mu(table, [self.delta, self.delta, self.delta]),
-        ):
-            _matrix_accumulate(mc, other)
-        if any(mc.values()):
+        curvature = _insertion_sum(table, [self.delta], [])
+        if curvature:
             raise ValueError(
-                f"connection fails the flatness identity: {_matrix_text(mc, table)}"
-            )
-
-    def _check_entry(self, name: str, col: int, row: int, want_total: int) -> None:
-        m = self.table.morphisms[name]
-        src_obj, src_shift = self.slots[col]
-        tgt_obj, tgt_shift = self.slots[row]
-        if m.source != src_obj or m.target != tgt_obj:
-            raise ValueError(
-                f"entry {name} does not map slot {col} ({src_obj}) to "
-                f"slot {row} ({tgt_obj})"
-            )
-        total = m.degree + src_shift - tgt_shift
-        if total != want_total:
-            raise ValueError(
-                f"entry {name} at ({row},{col}) has total degree {total}, "
-                f"expected {want_total}"
+                "connection fails the flatness identity: "
+                f"{_matrix_text(curvature, table)}"
             )
 
     def identity(self) -> "TwMorphism":
@@ -563,18 +430,22 @@ class TwMorphism:
             k: dict(v) for k, v in entries.items() if any(not c.is_zero() for c in v.values())
         }
         for (row, col), el in self.entries.items():
+            if not (0 <= row < len(target.slots) and 0 <= col < len(source.slots)):
+                raise ValueError(f"entry at ({row},{col}) is outside the slot range")
             src_obj, src_shift = source.slots[col]
             tgt_obj, tgt_shift = target.slots[row]
             for name in el:
                 m = source.table.morphisms[name]
                 if m.source != src_obj or m.target != tgt_obj:
                     raise ValueError(
-                        f"entry {name} does not map slot {col} to slot {row}"
+                        f"entry {name} does not map slot {col} ({src_obj}) to "
+                        f"slot {row} ({tgt_obj})"
                     )
-                if m.degree + src_shift - tgt_shift != degree:
+                total = m.degree + src_shift - tgt_shift
+                if total != degree:
                     raise ValueError(
-                        f"entry {name} at ({row},{col}) breaks the uniform "
-                        f"degree {degree}"
+                        f"entry {name} at ({row},{col}) has total degree "
+                        f"{total}, expected {degree}"
                     )
 
     def is_zero(self) -> bool:
@@ -652,43 +523,42 @@ def matrix_mu(table: AInfTable, mats: Sequence[dict]) -> dict:
     return out
 
 
+def _insertion_sum(
+    table: AInfTable, deltas: Sequence[dict], mats: Sequence[dict]
+) -> dict:
+    """Sum of ``matrix_mu`` over every chain that puts a power of
+    deltas[0] before mats[0], of deltas[i] between mats[i - 1] and
+    mats[i], and of deltas[-1] after the last matrix, with total arity
+    1..TOP_ARITY.  Both lists are last-acting first; ``deltas`` has one
+    entry more than ``mats``."""
+    acc: dict = {}
+    for powers in product(range(TOP_ARITY + 1), repeat=len(deltas)):
+        if not 1 <= len(mats) + sum(powers) <= TOP_ARITY:
+            continue
+        chain = [deltas[0]] * powers[0]
+        for mat, delta, power in zip(mats, deltas[1:], powers[1:]):
+            chain += [mat] + [delta] * power
+        _matrix_accumulate(acc, matrix_mu(table, chain))
+    return acc
+
+
 def mu_tw(k: int, fs: Sequence[TwMorphism]) -> TwMorphism:
-    """Composition on twisted complexes: sum over all insertions of the
-    connections into the table products (all paths through the stacked
-    diagram).  ``fs`` are listed last-acting first; k in {1, 2}."""
-    if k == 1:
-        (f,) = fs
-        dA, dB = f.source.delta, f.target.delta
-        F = f.entries
-        acc: dict = {}
-        for term in (
-            matrix_mu(f.source.table, [F]),
-            matrix_mu(f.source.table, [dB, F]),
-            matrix_mu(f.source.table, [F, dA]),
-            matrix_mu(f.source.table, [dB, dB, F]),
-            matrix_mu(f.source.table, [dB, F, dA]),
-            matrix_mu(f.source.table, [F, dA, dA]),
-        ):
-            _matrix_accumulate(acc, term)
-        return TwMorphism(f.source, f.target, f.degree + 1, acc)
-    if k == 2:
-        f2, f1 = fs
-        if f1.target is not f2.source:
+    """Composition on twisted complexes: the table's mu summed over every
+    insertion of the connections before, between and after the k
+    morphisms (all paths through the stacked diagram).  ``fs`` are
+    listed last-acting first; the result has degree
+    sum(deg) - k + 2."""
+    if not 1 <= k == len(fs):
+        raise ValueError(f"mu_tw({k}) needs k >= 1 and k morphisms, got {len(fs)}")
+    for later, earlier in zip(fs, fs[1:]):
+        if earlier.target is not later.source:
             raise ValueError("morphisms are not composable")
-        dA = f1.source.delta
-        dB = f1.target.delta
-        dC = f2.target.delta
-        table = f1.source.table
-        acc = {}
-        for term in (
-            matrix_mu(table, [f2.entries, f1.entries]),
-            matrix_mu(table, [dC, f2.entries, f1.entries]),
-            matrix_mu(table, [f2.entries, dB, f1.entries]),
-            matrix_mu(table, [f2.entries, f1.entries, dA]),
-        ):
-            _matrix_accumulate(acc, term)
-        return TwMorphism(f1.source, f2.target, f1.degree + f2.degree, acc)
-    raise ValueError("k must be 1 or 2")
+    deltas = [fs[0].target.delta] + [f.source.delta for f in fs]
+    entries = _insertion_sum(
+        fs[0].source.table, deltas, [f.entries for f in fs]
+    )
+    degree = sum(f.degree for f in fs) - k + 2
+    return TwMorphism(fs[-1].source, fs[0].target, degree, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +666,12 @@ _MU3 = [
 
 WRAPPINGS = ("left", "right")
 
+HALFTWIST_MIN_N = 2
+HALFTWIST_UNSUPPORTED = (
+    f"the uniform tables need n >= {HALFTWIST_MIN_N}; the two small cases "
+    "have different pictures and are not supported"
+)
+
 
 def halftwist_tables(n: int, wrapping: str) -> AInfTable:
     """The morphism table around the half-twisted arc, over GF(2).
@@ -810,11 +686,8 @@ def halftwist_tables(n: int, wrapping: str) -> AInfTable:
     twisting arc the comparison chords wrap around; it moves a handful
     of entries but never the verification verdict.
     """
-    if n < 2:
-        raise ValueError(
-            "the uniform tables need n >= 2; the two small cases have "
-            "different pictures and are not supported"
-        )
+    if n < HALFTWIST_MIN_N:
+        raise ValueError(HALFTWIST_UNSUPPORTED)
     if wrapping not in WRAPPINGS:
         raise ValueError(f"wrapping must be one of {WRAPPINGS}")
     ring = PolyRing(Field.prime(2), tuple(f"t{i}" for i in range(n + 1)))

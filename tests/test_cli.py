@@ -222,6 +222,16 @@ def test_inconclusive_localization_exits_two(capsys):
     assert code == EXIT_INCONCLUSIVE
 
 
+def test_unsupported_manifest_check_exits_two(capsys):
+    code = main(["verify", "all", "--n", "1", "--bound", "4"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == EXIT_INCONCLUSIVE
+    assert len(checks) == 9
+    unsupported = [c["name"] for c in checks if "unsupported" in c]
+    assert unsupported == ["twcat.halftwist"]
+    assert all(c["ok"] for c in checks if c["name"] != "twcat.halftwist")
+
+
 # -- golden reports --------------------------------------------------------------
 
 GOLDEN_RUNS = [

@@ -1,28 +1,95 @@
 """Tests for the product tables, twisted complexes, and the half-twist
 verification."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from tube_ncr.exactalg import Field, PolyRing
-from tube_ncr.quivalg import contraction_quiver, tube_algebra
+from tube_ncr.exactalg import Field, InternalError, PolyRing
+from tube_ncr.quivalg import Presentation, contraction_quiver, tube_algebra
 from tube_ncr.twcat import (
+    WRAPPINGS,
     AInfTable,
+    BasisMorphism,
     MissingProduct,
     TwComplex,
     TwMorphism,
     ainf_check,
     halftwist_complexes,
     halftwist_tables,
-    matrix_mu,
     mu_tw,
-    presentation_window_table,
     verify_halftwist,
 )
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
+
+
+def presentation_window_table(pres: Presentation, length_bound: int) -> AInfTable:
+    """View a quiver presentation as a (partial) table: basis morphisms
+    are the irreducible words of length <= bound, products are normal
+    forms, and a product whose normal form leaves the window is left
+    undefined rather than wrongly truncated.  These window tables are
+    the second family, after the half-twist tables, that the relation
+    sum is checked on."""
+    morphisms = []
+    identities = {}
+    name_of = {}
+    for src in pres.quiver.vertices:
+        for path in pres.irreducible_words(src, None, length_bound):
+            if path.is_lazy:
+                name = f"e[{path.vertex}]"
+                identities[path.vertex] = name
+            else:
+                name = "*".join(path.arrows)
+            name_of[path] = name
+            morphisms.append(
+                BasisMorphism(
+                    name,
+                    pres.path_source(path),
+                    pres.path_target(path),
+                    pres.path_degree(path),
+                )
+            )
+    mu1 = {}
+    mu2 = {}
+    by_name = {name_of[p]: p for p in name_of}
+    for name, path in by_name.items():
+        if path.is_lazy:
+            continue
+        image = pres.differential_of(pres.normal_form(path))
+        pairs = []
+        for ipath, coef in image.terms.items():
+            if len(ipath.arrows) > length_bound:
+                raise InternalError(
+                    f"d({name}) leaves the length-{length_bound} window"
+                )
+            pairs.append((coef, name_of[ipath]))
+        if pairs:
+            mu1[name] = pairs
+    for xn, xp in by_name.items():
+        for yn, yp in by_name.items():
+            if xp.is_lazy or yp.is_lazy:
+                continue
+            if pres.path_source(xp) != pres.path_target(yp):
+                continue
+            product = pres.normal_form(xp.arrows + yp.arrows)
+            if all(len(p.arrows) <= length_bound for p in product.terms):
+                mu2[(xn, yn)] = [
+                    (coef, name_of[p]) for p, coef in product.terms.items()
+                ]
+    return AInfTable(
+        pres.ring,
+        pres.quiver.vertices,
+        morphisms,
+        identities,
+        mu1,
+        mu2,
+        {},
+        total=False,
+    )
 
 
 # -- table consistency --------------------------------------------------------
@@ -45,11 +112,13 @@ def test_halftwist_table_shape():
     assert table.morphisms["pbar"].degree == 0
     ring = table.ring
     t0 = ring.gen("t0")
-    assert table.mu2_of("a0", "b0") == ((t0, "e1"),)
+    assert table.mu_of(("a0", "b0")) == ((t0, "e1"),)
     # strict units
-    assert table.mu2_of("eW", "alpha") == ((ring.one(), "alpha"),)
-    assert table.mu2_of("alpha", "e0") == ((ring.one(), "alpha"),)
-    assert table.mu3_of("eW", "p", "e0") == ()
+    assert table.mu_of(("eW", "alpha")) == ((ring.one(), "alpha"),)
+    assert table.mu_of(("alpha", "e0")) == ((ring.one(), "alpha"),)
+    assert table.mu_of(("eW", "p", "e0")) == ()
+    # no mu4
+    assert table.mu_of(("p", "pbar", "p", "pbar")) == ()
 
 
 def test_halftwist_table_rejects_small_n():
@@ -117,10 +186,10 @@ def test_window_leaves_out_of_range_products_undefined():
     table = presentation_window_table(tube_algebra(2, ring), 2)
     # a full turn has length 3 and does not fit in the window
     with pytest.raises(MissingProduct):
-        table.mu2_of("a2*a1", "a0")
+        table.mu_of(("a2*a1", "a0"))
     # a backtracking pair reduces and stays inside
     t0 = ring.gen("t0")
-    assert table.mu2_of("b0", "a0") == ((t0, "e[L0]"),)
+    assert table.mu_of(("b0", "a0")) == ((t0, "e[L0]"),)
 
 
 def test_contraction_window_table_with_differential():
@@ -131,6 +200,60 @@ def test_contraction_window_table_with_differential():
     assert "alpha" in table.mu1
     report = ainf_check(table, 4)
     assert report.ok, report.violations
+
+
+def _frozen_verdicts() -> list:
+    blobs = [verify_halftwist(n).to_json() for n in (2, 3, 4)]
+    for wrapping in WRAPPINGS:
+        table = halftwist_tables(2, wrapping)
+        # a deleted mu3 entry is a wrong zero; a deleted mu2 entry is an
+        # undefined product, so the partial table skips its chains
+        for level, total in (("mu3", True), ("mu2", False)):
+            for key in sorted(getattr(table, level)):
+                levels = {
+                    "mu1": dict(table.mu1),
+                    "mu2": dict(table.mu2),
+                    "mu3": dict(table.mu3),
+                }
+                del levels[level][key]
+                broken = AInfTable(
+                    table.ring,
+                    table.objects,
+                    list(table.morphisms.values()),
+                    table.identities,
+                    total=total,
+                    **levels,
+                )
+                blobs.append(ainf_check(broken, 4).to_json())
+    ring = PolyRing(F2, ("t0", "t1", "t2"))
+    tube = presentation_window_table(tube_algebra(2, ring), 3)
+    blobs.append(ainf_check(tube, 4).to_json())
+    ring = PolyRing(F2, ("x", "y"))
+    x, y = ring.gens()
+    pres = contraction_quiver(2, ring, (x, x + y, y))
+    blobs.append(ainf_check(presentation_window_table(pres, 3), 4).to_json())
+    # no table above has a term in mu1(mu1(x)); this one does not square
+    # to zero
+    ring = PolyRing(F2, ("t",))
+    loops = [
+        BasisMorphism(name, "X", "X", degree)
+        for name, degree in (("e", 0), ("u", 0), ("v", 1), ("w", 2))
+    ]
+    d = {"u": [(ring.gen("t"), "v")], "v": [(ring.one(), "w")]}
+    table = AInfTable(ring, ("X",), loops, {"X": "e"}, d, total=False)
+    blobs.append(ainf_check(table, 4).to_json())
+    return blobs
+
+
+def test_relation_verdicts_are_frozen():
+    # sha256 of the verdicts as the per-arity relation check gave them,
+    # before the relations became one sum over (block start, block length)
+    blobs = _frozen_verdicts()
+    assert len(blobs) == 140
+    digest = hashlib.sha256(json.dumps(blobs, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "8b279ebbd308b64fb83f4163e31ae3eb855034b174de8b42497195664432fb7c"
+    )
 
 
 # -- twisted complexes ---------------------------------------------------------
@@ -161,6 +284,20 @@ def test_connection_flatness_guard():
     # alpha is not closed (mu1 alpha = t0 p), so it cannot be a connection
     with pytest.raises(ValueError, match="flatness"):
         TwComplex(table, [("L0", 0), ("W", -1)], {(1, 0): {"alpha": one}})
+    # a0 after b0 is t0 e1, so mu2(delta, delta) is not zero
+    with pytest.raises(ValueError, match="flatness"):
+        TwComplex(
+            table,
+            [("L1", 0), ("L0", -1), ("L1", -2)],
+            {(1, 0): {"b0": one}, (2, 1): {"a0": one}},
+        )
+    # the path b0, p, pbar: mu1 and mu2 vanish on it, mu3 only in the
+    # right wrapping
+    slots = [("L1", 0), ("L0", -1), ("W", -1), ("L0", -2)]
+    delta = {(1, 0): {"b0": one}, (2, 1): {"p": one}, (3, 2): {"pbar": one}}
+    TwComplex(table, slots, delta)
+    with pytest.raises(ValueError, match="flatness"):
+        TwComplex(halftwist_tables(2, "right"), slots, delta)
 
 
 def test_nonzero_connection_requires_char_two():
@@ -181,6 +318,9 @@ def test_morphism_degree_bookkeeping():
         TwMorphism(two_term, w_cx, 1, {(0, 2): {"p": one}})
     with pytest.raises(ValueError, match="slot"):
         TwMorphism(two_term, w_cx, 0, {(0, 0): {"p": one}})
+    # a negative index must not wrap round to the last slot
+    with pytest.raises(ValueError, match="slot range"):
+        TwMorphism(two_term, w_cx, 0, {(0, -1): {"p": one}})
 
 
 def test_mu_tw_with_zero_connection_is_entrywise():
@@ -197,6 +337,51 @@ def test_mu_tw_with_zero_connection_is_entrywise():
     fg = mu_tw(2, [g, f])
     # left wrapping: pbar after alpha vanishes
     assert fg.is_zero()
+
+
+def test_mu_tw_takes_k_morphisms():
+    table = halftwist_tables(2, "left")
+    _, _, q1, q2 = halftwist_complexes(table)
+    with pytest.raises(ValueError, match="needs"):
+        mu_tw(2, [q1])
+    with pytest.raises(ValueError, match="needs"):
+        mu_tw(1, [q2, q1])
+    with pytest.raises(ValueError, match="needs"):
+        mu_tw(0, [])
+
+
+def test_every_connection_insertion_contributes():
+    table = halftwist_tables(2, "left")
+    one = table.ring.one()
+    t0 = table.ring.gen("t0")
+    w_cx, two_term, _, _ = halftwist_complexes(table)
+    # the connection path b0 then p composes to zero but feeds mu3
+    path = TwComplex(
+        table,
+        [("L1", 0), ("L0", -1), ("W", -1)],
+        {(1, 0): {"b0": one}, (2, 1): {"p": one}},
+    )
+    # mu1(f) and mu2(f, delta)
+    f = TwMorphism(two_term, w_cx, -1, {(0, 2): {"alpha": one}})
+    assert mu_tw(1, [f]).entries == {(0, 2): {"p": t0}, (0, 1): {"gn": one}}
+    # mu2(delta, g), mu3(delta, delta, g), mu3(g, delta, delta) and
+    # mu3(delta, g, delta), in that order of the entries
+    g = TwMorphism(path, path, -1, {(0, 2): {"alpha_prime": one}})
+    assert mu_tw(1, [g]).entries == {
+        (1, 2): {"pbar": one},
+        (2, 2): {"eW": one},
+        (0, 0): {"e1": one},
+        (1, 1): {"e0": one},
+    }
+    # mu3(h, g, f) with no connection: p after b0 after a0 is alpha
+    objects = [TwComplex(table, [(obj, 0)], {}) for obj in ("L0", "L1", "L0", "W")]
+    a0, b0, p = (
+        TwMorphism(objects[i], objects[i + 1], deg, {(0, 0): {name: one}})
+        for i, (name, deg) in enumerate((("a0", 0), ("b0", 0), ("p", 1)))
+    )
+    triple = mu_tw(3, [p, b0, a0])
+    assert triple.degree == 0
+    assert triple.entries == {(0, 0): {"alpha": one}}
 
 
 def test_identity_morphism_is_a_unit_for_mu_tw():
@@ -274,29 +459,15 @@ def test_mu_tw_associative_up_to_ternary_correction():
     table = halftwist_tables(2, "left")
     _, two_term, _, _ = halftwist_complexes(table)
     rng = random.Random(20260818)
-
-    def mu3_tw(f3, f2, f1):
-        # with tables ending at the ternary level, connection
-        # insertions all vanish and only the bare term survives
-        entries = matrix_mu(
-            table, [f3.entries, f2.entries, f1.entries]
-        )
-        return TwMorphism(
-            f1.source,
-            f3.target,
-            f1.degree + f2.degree + f3.degree - 1,
-            entries,
-        )
-
     for _ in range(20):
         f = _random_endomorphism(table, two_term, rng)
         g = _random_endomorphism(table, two_term, rng)
         h = _random_endomorphism(table, two_term, rng)
         acc = mu_tw(2, [mu_tw(2, [h, g]), f]) + mu_tw(2, [h, mu_tw(2, [g, f])])
-        acc = acc + mu_tw(1, [mu3_tw(h, g, f)])
-        acc = acc + mu3_tw(mu_tw(1, [h]), g, f)
-        acc = acc + mu3_tw(h, mu_tw(1, [g]), f)
-        acc = acc + mu3_tw(h, g, mu_tw(1, [f]))
+        acc = acc + mu_tw(1, [mu_tw(3, [h, g, f])])
+        acc = acc + mu_tw(3, [mu_tw(1, [h]), g, f])
+        acc = acc + mu_tw(3, [h, mu_tw(1, [g]), f])
+        acc = acc + mu_tw(3, [h, g, mu_tw(1, [f])])
         assert acc.is_zero(), acc.to_text()
 
 
