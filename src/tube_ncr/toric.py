@@ -366,16 +366,13 @@ def default_degree_bound(n: int) -> int:
 
 def word_image(word, n: int) -> WeightMonomial:
     """Multiplicative dictionary a_i -> x_i, b_i -> y_i on a path."""
-    image = one_monomial(n)
+    counts = {"a": [0] * (n + 1), "b": [0] * (n + 1)}
     for arrow in word:
-        kind, idx = arrow[0], int(arrow[1:])
-        if kind == "a":
-            image = image * x_var(idx, n)
-        elif kind == "b":
-            image = image * y_var(idx, n)
-        else:
-            raise ValueError(f"unexpected arrow {arrow!r}")
-    return image
+        exps, idx = counts.get(arrow[0]), int(arrow[1:])
+        if exps is None or not 0 <= idx <= n:
+            raise ValueError(f"unexpected arrow {arrow!r} for n = {n}")
+        exps[idx] += 1
+    return WeightMonomial(tuple(counts["a"]), tuple(counts["b"]))
 
 
 @dataclass

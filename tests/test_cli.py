@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface: exit codes, golden
-reports, determinism, and the config round trip."""
+reports, determinism, and the wiring of every command to its handler."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -18,8 +19,8 @@ from tube_ncr.cli import (
     EXIT_OK,
     EXIT_USAGE,
     CommandError,
-    RunConfig,
     localization_exit_code,
+    build_parser,
     main,
     parse_field,
     parse_polynomials,
@@ -38,23 +39,6 @@ def run_to_file(argv, tmp_path, name="out.json"):
 
 
 # -- plumbing --------------------------------------------------------------------
-
-
-def test_run_config_round_trip():
-    cfg = RunConfig(
-        command=["cohom", "truncated"],
-        field="f5",
-        n=2,
-        f=["x", "x^2+y^3", "y"],
-        variables=["x", "y"],
-        bounds={"length": 6, "polydeg": 8},
-        options={"m": 2, "quiver": "contraction"},
-        output="report.json",
-        format="json",
-    )
-    assert RunConfig.from_json(cfg.to_json()) == cfg
-    # and the JSON itself survives a serialisation cycle
-    assert json.loads(json.dumps(cfg.to_json())) == cfg.to_json()
 
 
 def test_parse_field():
@@ -154,6 +138,14 @@ def test_unknown_vertex_exits_usage(argv, vertex, capsys):
     assert f"unknown vertex '{vertex}'" in capsys.readouterr().err
 
 
+def test_degree_bound_zero_exits_usage(capsys):
+    # An explicit bound is used as given, 0 included; only an absent one
+    # falls back to the default for n.
+    argv = ["toric", "sections", "--n", "2", "--index", "1", "--degree-bound", "0"]
+    assert main(argv) == EXIT_USAGE
+    assert "cannot see both generators" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["cohom", "truncated", "--n", "1", "--f", "x", "y", "--len", "-3"], "--len"),
     (["cohom", "sphere", "--polydeg", "-1"], "--polydeg"),
@@ -230,6 +222,22 @@ def test_unsupported_manifest_check_exits_two(capsys):
     unsupported = [c["name"] for c in checks if "unsupported" in c]
     assert unsupported == ["twcat.halftwist"]
     assert all(c["ok"] for c in checks if c["name"] != "twcat.halftwist")
+
+
+def test_manifest_at_n_zero_runs_what_it_supports(capsys):
+    code = main(["verify", "all", "--n", "0", "--bound", "4"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == EXIT_INCONCLUSIVE
+    assert len(checks) == 9
+    unsupported = [c["name"] for c in checks if "unsupported" in c]
+    assert unsupported == ["arc.round_trips", "twcat.halftwist",
+                           "toric.end_comparison"]
+    assert all(c["ok"] for c in checks if c["name"] not in unsupported)
+
+
+def test_manifest_rejects_negative_n(capsys):
+    assert main(["verify", "all", "--n", "-1", "--bound", "4"]) == EXIT_USAGE
+    assert "n must be >= 0" in capsys.readouterr().err
 
 
 # -- golden reports --------------------------------------------------------------
@@ -372,6 +380,28 @@ def test_documented_invocations_pass(capsys):
 
 
 # -- formats and wiring ----------------------------------------------------------
+
+
+def _leaf_commands(parser, path=()):
+    """(argv prefix, parser) of every command that takes no subcommand."""
+    subparsers = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_commands(child, (*path, name))
+
+
+def test_every_command_has_a_handler_and_help(capsys):
+    leaves = list(_leaf_commands(build_parser()))
+    assert len(leaves) == 16
+    for path, parser in leaves:
+        assert callable(parser.get_default("handler")), path
+        with pytest.raises(SystemExit) as err:
+            main([*path, "--help"])
+        assert err.value.code == 0, path
+        assert capsys.readouterr().out.startswith("usage: tube-ncr " + " ".join(path))
 
 
 def test_text_format_is_flat(capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tube_ncr.exactalg import Field, PolyRing
+from tube_ncr import cohom
+from tube_ncr.cli import EXIT_INTERNAL, main
+from tube_ncr.exactalg import Field, InternalError, PolyRing
 from tube_ncr.cohom import (
     FreeComplex,
     char2_pagoda_check,
@@ -370,6 +372,27 @@ def test_membership_witness_verifies():
     for coef, u in zip(res.witness, window):
         acc = acc + pres.element([(coef * p, path) for path, p in u.terms.items()])
     assert pres.reduce(acc - target).is_zero()
+
+
+def test_corrupted_witness_is_an_internal_error(monkeypatch, capsys):
+    honest = cohom.truncated_solve
+
+    def corrupted(*args, **kwargs):
+        res = honest(*args, **kwargs)
+        if res.status == "member":
+            j = next(j for j, w in enumerate(res.witness) if not w.is_zero())
+            res.witness[j] = res.witness[j] + res.witness[j].ring.one()
+        return res
+
+    monkeypatch.setattr(cohom, "truncated_solve", corrupted)
+    pres = cusp_contraction()
+    h0 = h0_presentation(pres, length_bound=6)
+    target = scalar_times_unit(pres, pres.ring.gen("x") ** 2, contraction_vertex(1))
+    with pytest.raises(InternalError, match="does not rebuild"):
+        h0.contains(target)
+    code = main(["cohom", "contraction-h0", "--n", "2", "--f", "x", "x^2+y^3", "y"])
+    assert code == EXIT_INTERNAL
+    assert "does not rebuild" in capsys.readouterr().err
 
 
 # -- pagoda family ---------------------------------------------------------------

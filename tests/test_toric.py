@@ -200,6 +200,13 @@ def test_wedge_rejects_tiny_n():
 def test_word_image_dictionary():
     assert word_image(("a0",), 2).to_text() == "x0"
     assert word_image(("b1", "a1", "a0"), 2).to_text() == "x0*x1*y1"
+    assert word_image((), 2) == one_monomial(2)
+
+
+@pytest.mark.parametrize("arrow", ["a3", "b5", "a-1", "c0"])
+def test_word_image_rejects_arrows_outside_the_tube(arrow):
+    with pytest.raises(ValueError, match="unexpected arrow"):
+        word_image(("a0", arrow), 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
