@@ -131,7 +131,8 @@ def cmd_algebra_contraction(args):
 
 def cmd_algebra_localize(args):
     pres = tube_from_args(args, parse_field(args.field))
-    return drinfeld_localize(pres, args.vertex or tube_vertex(0)).to_json(), EXIT_OK
+    vertex = tube_vertex(0) if args.vertex is None else args.vertex
+    return drinfeld_localize(pres, vertex).to_json(), EXIT_OK
 
 
 def cmd_arc_annulus(args):
@@ -224,8 +225,8 @@ def cmd_cohom_truncated(args):
             default_vertex = tube_vertex(0)
     rep = truncated_cohomology(
         pres,
-        args.source or default_vertex,
-        args.target or default_vertex,
+        default_vertex if args.source is None else args.source,
+        default_vertex if args.target is None else args.target,
         args.m,
         length_bound=args.length,
         poly_bound=args.polydeg,

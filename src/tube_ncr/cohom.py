@@ -23,7 +23,8 @@ of the degree -1 arrows.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -49,6 +50,7 @@ from .quivalg import (
     contraction_vertex,
     drinfeld_localize,
     lazy,
+    path_key,
     tube_algebra,
     tube_vertex,
 )
@@ -61,10 +63,6 @@ from .quivalg import (
 
 def _monomials_of_degree(nvars: int, d: int) -> list:
     return [m for m in monomials_upto(nvars, d) if sum(m) == d]
-
-
-def _path_key(path: Path) -> tuple:
-    return (len(path.arrows), path.arrows, path.vertex or "")
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +358,7 @@ def _word_differential(pres: Presentation, w: Path) -> list:
             )
         )
         base = []
-        for path in sorted(img.terms, key=_path_key):
+        for path in sorted(img.terms, key=path_key):
             poly = img.terms[path]
             for exp in sorted(poly.terms, key=deglex_key):
                 base.append((path, exp, poly.terms[exp]))
@@ -515,7 +513,7 @@ def _bounded_rank(
                     f"truncated cohomology: generator {elt.to_text()} is not closed"
                 )
             w, e = cols[max(vec)]
-            generators.append(((_path_key(w), deglex_key(e)), elt.to_text()))
+            generators.append(((path_key(w), deglex_key(e)), elt.to_text()))
         if len(found) != block_rank:
             raise InternalError(
                 f"truncated cohomology: {len(found)} generators for rank {block_rank}"
@@ -584,7 +582,7 @@ def truncated_cohomology(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class H0Presentation:
     """H^0 of a presentation whose arrows sit in degrees 0 and -1.
 
@@ -593,7 +591,8 @@ class H0Presentation:
     differentials of the degree -1 arrows (a degree -1 word contains
     exactly one degree -1 arrow, so the image of d is exactly that
     ideal).  Membership in the ideal is decided against the bounded
-    window of products x * r * y with x, y irreducible degree-0 words.
+    window of products x * r * y with x, y irreducible degree-0 words,
+    built once per presentation and cached as ``window``.
     """
 
     pres: Presentation
@@ -601,7 +600,8 @@ class H0Presentation:
     relations: list        # AlgebraElements generating the ideal
     length_bound: int
 
-    def window_elements(self) -> list:
+    @cached_property
+    def window(self) -> list:
         """Products x * r * y with len(x) + len(y) <= length_bound."""
         pres = self.pres
         words: list[Path] = []
@@ -639,27 +639,10 @@ class H0Presentation:
         """
         element = self.pres.reduce(element)
         if element.is_zero():
-            return TruncatedSolveResult("membership", poly_bound, "member", witness=[])
-        window = self.window_elements()
-        if not window:
-            return TruncatedSolveResult("membership", poly_bound, "inconclusive_at_bound")
-        ring = self.pres.ring
-        paths = sorted(
-            {p for u in window for p in u.terms} | set(element.terms), key=_path_key
-        )
-        matrix = [[u.terms.get(p, ring.zero()) for u in window] for p in paths]
-        target = [element.terms.get(p, ring.zero()) for p in paths]
-        data_degree = max(
-            (p.total_degree() for row in matrix for p in row if not p.is_zero()),
-            default=0,
-        )
-        data_degree = max(
-            data_degree,
-            max((p.total_degree() for p in target if not p.is_zero()), default=0),
-        )
+            return TruncatedSolveResult(poly_bound, "member", [])
+        window = self.window
         result = truncated_solve(
-            matrix, "membership", target=target,
-            degree_bound=max(poly_bound, data_degree),
+            self.pres.ring, [u.terms for u in window], element.terms, poly_bound
         )
         if result.status == "member":
             rebuilt = self.pres.zero()
@@ -687,9 +670,7 @@ class H0Presentation:
         here means the word enumeration or the rule set is broken, which
         is exactly when membership answers should not be trusted.
         """
-        inner = H0Presentation(
-            self.pres, self.generators, self.relations, self.length_bound - 1
-        ).window_elements()
+        inner = replace(self, length_bound=self.length_bound - 1).window
         checked = 0
         failures = []
         for u in inner:

@@ -2,8 +2,9 @@
 
 Everything downstream runs on the primitives in this module: fields (the
 rationals, or a prime field F_p with p < 2**31), multivariate polynomial
-rings over such a field, sparse exact elimination, and an exact linear
-solver over polynomial entries truncated at an explicit degree bound.
+rings over such a field, sparse exact elimination, and bounded
+membership: is a sparse vector of polynomials a combination of given
+ones, with coefficients truncated at an explicit degree bound?
 
 Conventions fixed here, relied on everywhere else:
 
@@ -25,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def _is_prime(p: int) -> bool:
@@ -143,12 +144,6 @@ class Field:
         if self.p is None:
             return {"kind": "rationals"}
         return {"kind": "prime", "p": self.p}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Field":
-        if data["kind"] == "rationals":
-            return cls(None)
-        return cls(data["p"])
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -705,7 +700,7 @@ def solve_sparse(
 
 
 # ---------------------------------------------------------------------------
-# Truncated solving over polynomial matrices
+# Bounded membership over sparse polynomial vectors
 # ---------------------------------------------------------------------------
 
 
@@ -743,102 +738,50 @@ def linear_rows(columns: Sequence[tuple], image_of) -> dict:
     return rows
 
 
-
 @dataclass
 class TruncatedSolveResult:
-    mode: str                      # "kernel" | "membership"
-    bound: int
-    status: str                    # "ok" | "member" | "inconclusive_at_bound"
-    vectors: list = None           # kernel mode: list of Poly vectors
-    witness: list = None           # membership mode: Poly coefficients
-
-    def to_json(self) -> dict:
-        out = {"mode": self.mode, "bound": self.bound, "status": self.status}
-        if self.vectors is not None:
-            out["vectors"] = [[p.to_json() for p in v] for v in self.vectors]
-        if self.witness is not None:
-            out["witness"] = [p.to_json() for p in self.witness]
-        return out
+    bound: int                     # the degree bound actually used
+    status: str                    # "member" | "inconclusive_at_bound"
+    witness: Optional[list] = None  # a member's Poly coefficient per column
 
 
 def truncated_solve(
-    A: Sequence[Sequence[Poly]],
-    mode: str,
-    target: Optional[Sequence[Poly]] = None,
-    degree_bound: int = 0,
+    ring: PolyRing, columns: Sequence[dict], target: dict, degree_bound: int
 ) -> TruncatedSolveResult:
-    """Exact linear algebra over Poly entries, truncated at a degree bound.
+    """Bounded membership of a sparse polynomial vector in a column span.
 
-    kernel mode: a deterministic field-basis of
-    ``{v : A v = 0, deg v_j <= degree_bound}``.
-
-    membership mode: decide whether ``target`` lies in the column span of
-    ``A`` with coefficient degrees <= degree_bound.  A bounded miss is
-    status ``inconclusive_at_bound`` (a higher-degree witness may exist),
-    never a bare "no".
+    ``columns`` and ``target`` map coordinates to ``Poly`` entries over
+    ``ring``.  Decide whether ``target`` is a sum of the columns with
+    ``Poly`` coefficients of degree at most the bound, which is first
+    raised to the largest degree in the data.  A member carries its
+    coefficients as ``witness``; a bounded miss is
+    ``inconclusive_at_bound`` (a higher-degree witness may exist), never
+    a bare "no".
     """
-    if mode not in ("kernel", "membership"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not A or not A[0]:
-        raise ValueError("empty matrix")
-    ring = A[0][0].ring
-    field = ring.field
-    nrows, ncols = len(A), len(A[0])
-    for row in A:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        for p in row:
-            if p.ring != ring:
-                raise ValueError("mixed rings in matrix")
-    max_deg = max((p.total_degree() for row in A for p in row), default=0)
-    if mode == "membership":
-        if target is None or len(target) != nrows:
-            raise ValueError("membership mode needs a target of length nrows")
-        for p in target:
-            if p.ring != ring:
-                raise ValueError("target not in the matrix ring")
-        max_deg = max(max_deg, max((p.total_degree() for p in target), default=0))
-    if degree_bound < max_deg:
-        raise ValueError(
-            f"degree_bound {degree_bound} below max degree {max_deg} in the data"
-        )
-
+    bound = max([degree_bound] + [p.total_degree() for vec in (*columns, target)
+                                  for p in vec.values()])
     # One field unknown per (column j, monomial mons[k] <= bound), at
-    # index j * nmons + k; one equation per (row i, monomial).
-    mons = monomials_upto(ring.nvars, degree_bound)
+    # index j * nmons + k; one equation per (coordinate, monomial).
+    mons = monomials_upto(ring.nvars, bound)
     nmons = len(mons)
     eqs = linear_rows(
-        [(j, m) for j in range(ncols) for m in mons],
-        lambda j: [(i, exp, coef) for i in range(nrows)
-                   for exp, coef in A[i][j].terms.items()],
+        [(j, m) for j in range(len(columns)) for m in mons],
+        lambda j: [(c, exp, coef) for c, p in columns[j].items()
+                   for exp, coef in p.terms.items()],
     )
-
-    if mode == "kernel":
-        vecs = kernel_basis(list(eqs.values()), ncols * nmons, field)
-        out = [
-            [
-                Poly(ring, {m: vec[c] for c, m in enumerate(mons, j * nmons)
-                            if c in vec})
-                for j in range(ncols)
-            ]
-            for vec in vecs
-        ]
-        return TruncatedSolveResult("kernel", degree_bound, "ok", vectors=out)
-
-    # membership
+    rhs_of = {(c, exp): coef for c, p in target.items()
+              for exp, coef in p.terms.items()}
     # A target term no column reaches is an equation 0 = coef.
-    for i in range(nrows):
-        for exp in target[i].terms:
-            eqs.setdefault((i, exp), {})
-    rhs = [target[i].terms.get(exp, field.zero) for i, exp in eqs]
+    for key in rhs_of:
+        eqs.setdefault(key, {})
+    field = ring.field
+    rhs = [rhs_of.get(key, field.zero) for key in eqs]
     solution = solve_sparse(list(eqs.values()), rhs, field)
     if solution is None:
-        return TruncatedSolveResult(
-            "membership", degree_bound, "inconclusive_at_bound"
-        )
+        return TruncatedSolveResult(bound, "inconclusive_at_bound")
     witness = [
         Poly(ring, {m: solution[c] for c, m in enumerate(mons, j * nmons)
                     if c < len(solution) and solution[c]})
-        for j in range(ncols)
+        for j in range(len(columns))
     ]
-    return TruncatedSolveResult("membership", degree_bound, "member", witness=witness)
+    return TruncatedSolveResult(bound, "member", witness)

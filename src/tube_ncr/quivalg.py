@@ -86,6 +86,11 @@ def lazy(vertex: str) -> Path:
     return Path((), vertex)
 
 
+def path_key(path: Path) -> tuple:
+    """The path order: by length, then arrow names, then vertex."""
+    return (len(path.arrows), path.arrows, path.vertex or "")
+
+
 class AlgebraElement:
     """A normal-form linear combination of paths with Poly coefficients."""
 
@@ -135,10 +140,7 @@ class AlgebraElement:
         return AlgebraElement(self.pres, terms)
 
     def sorted_terms(self) -> list:
-        return sorted(
-            self.terms.items(),
-            key=lambda t: (len(t[0].arrows), t[0].arrows, t[0].vertex or ""),
-        )
+        return sorted(self.terms.items(), key=lambda t: path_key(t[0]))
 
     def to_text(self) -> str:
         if not self.terms:
@@ -263,9 +265,6 @@ class Presentation:
 
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, {})
-
-    def unit(self, vertex: str) -> AlgebraElement:
-        return AlgebraElement(self, {lazy(vertex): self.ring.one()})
 
     def arrow_element(self, name: str) -> AlgebraElement:
         return AlgebraElement(self, {Path((name,), None): self.ring.one()})
@@ -540,7 +539,7 @@ class Presentation:
             ):
                 continue
             result.append(path)
-        result.sort(key=lambda p: (len(p.arrows), p.arrows, p.vertex or ""))
+        result.sort(key=path_key)
         return result
 
     # -- serialisation ---------------------------------------------------------

@@ -132,6 +132,12 @@ def test_single_dash_long_flag_after_polynomials_is_named(typo, capsys):
      "nope"),
     (["cohom", "truncated", "--quiver", "tube", "--n", "1", "--source", "L9"],
      "L9"),
+    # An empty name is a vertex name like any other, not an absent one.
+    (["cohom", "truncated", "--n", "1", "--f", "x", "y", "--source", "",
+      "--len", "2", "--polydeg", "2"], ""),
+    (["cohom", "truncated", "--n", "1", "--f", "x", "y", "--target", "",
+      "--len", "2", "--polydeg", "2"], ""),
+    (["algebra", "localize", "--n", "1", "--vertex", ""], ""),
 ])
 def test_unknown_vertex_exits_usage(argv, vertex, capsys):
     assert main(argv) == EXIT_USAGE

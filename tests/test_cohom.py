@@ -357,6 +357,22 @@ def test_cusp_window_closure():
     assert result["failures"] == []
 
 
+def test_closure_check_builds_the_window_once(monkeypatch):
+    # One enumeration per vertex for the full window and one for the
+    # inner window, however many products are tested against it.
+    calls = []
+    honest = Presentation.irreducible_words
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "irreducible_words", counted)
+    pres = cusp_contraction()
+    assert h0_presentation(pres, length_bound=6).closure_check()["checked"] == 16
+    assert len(calls) <= 2 * len(pres.quiver.vertices)
+
+
 def test_membership_witness_verifies():
     # Recombine the witness against the window and land exactly on the
     # tested element.
@@ -366,7 +382,7 @@ def test_membership_witness_verifies():
     target = scalar_times_unit(pres, ring.gen("x") ** 2, contraction_vertex(1))
     res = h0.contains(target)
     assert res.status == "member"
-    window = h0.window_elements()
+    window = h0.window
     assert len(res.witness) == len(window)
     acc = pres.zero()
     for coef, u in zip(res.witness, window):

@@ -159,7 +159,7 @@ def test_poly_ring_axioms(p, q, r):
 
 
 # ---------------------------------------------------------------------------
-# Truncated solving
+# Truncated solving and bounded kernels
 # ---------------------------------------------------------------------------
 
 
@@ -201,25 +201,47 @@ def sympy_kernel_oracle(entries, var_names, bound):
     return len(free)
 
 
+def bounded_kernel(entries, bound):
+    """Kernel of v -> sum_j entries[j] * v_j with deg v_j <= bound.
+
+    The equations come from ``linear_rows`` and the basis from
+    ``kernel_basis``, the kernel path of ``cohom._bounded_rank``; each
+    vector comes back as one ``Poly`` per entry.
+    """
+    ring = entries[0].ring
+    cols = [(j, m) for j in range(len(entries))
+            for m in monomials_upto(ring.nvars, bound)]
+    rows = linear_rows(cols, lambda j: [(0, exp, coef)
+                                        for exp, coef in entries[j].terms.items()])
+    vectors = []
+    for vec in kernel_basis(list(rows.values()), len(cols), ring.field):
+        parts = [ring.zero()] * len(entries)
+        for k, coef in vec.items():
+            j, m = cols[k]
+            parts[j] = parts[j] + Poly(ring, {m: coef})
+        vectors.append(parts)
+    return vectors
+
+
 def test_kernel_of_xy_row_matches_oracle_and_frozen_value():
     R = RXY
     x, y = R.gens()
-    result = truncated_solve([[x, y]], "kernel", degree_bound=3)
+    vectors = bounded_kernel([x, y], 3)
     # Every reported vector is an exact solution.
-    for v in result.vectors:
+    for v in vectors:
         assert (x * v[0] + y * v[1]).is_zero()
     # Independent oracle agreement on the bounded-kernel dimension:
     # solutions are (y*h, -x*h) with deg h <= 2, i.e. 6 dimensions.
-    assert len(result.vectors) == sympy_kernel_oracle(["x", "y"], ("x", "y"), 3) == 6
+    assert len(vectors) == sympy_kernel_oracle(["x", "y"], ("x", "y"), 3) == 6
 
 
 def test_kernel_of_t1_t0_row():
     R = ring_qq("t0", "t1")
     t0, t1 = R.gens()
-    result = truncated_solve([[t1, t0]], "kernel", degree_bound=4)
-    for v in result.vectors:
+    vectors = bounded_kernel([t1, t0], 4)
+    for v in vectors:
         assert (t1 * v[0] + t0 * v[1]).is_zero()
-    assert len(result.vectors) == sympy_kernel_oracle(
+    assert len(vectors) == sympy_kernel_oracle(
         ["t1", "t0"], ("t0", "t1"), 4
     ) == 10
 
@@ -227,7 +249,7 @@ def test_kernel_of_t1_t0_row():
 def test_membership_with_witness():
     R = RXY
     x, _ = R.gens()
-    res = truncated_solve([[x]], "membership", target=[x * x], degree_bound=2)
+    res = truncated_solve(R, [{0: x}], {0: x * x}, 2)
     assert res.status == "member"
     assert res.witness[0] == x
 
@@ -235,7 +257,7 @@ def test_membership_with_witness():
 def test_membership_inconclusive_at_bound():
     R = RXY
     x, y = R.gens()
-    res = truncated_solve([[x]], "membership", target=[y], degree_bound=4)
+    res = truncated_solve(R, [{0: x}], {0: y}, 4)
     assert res.status == "inconclusive_at_bound"
 
 
@@ -243,9 +265,8 @@ def test_kernel_grows_consistently_with_bound():
     # Rerunning at bound+2 yields a span containing the bound-level span.
     R = RXY
     x, y = R.gens()
-    small = truncated_solve([[x, y]], "kernel", degree_bound=2)
-    big = truncated_solve([[x, y]], "kernel", degree_bound=4)
-    big_rows = []
+    small = bounded_kernel([x, y], 2)
+    big = bounded_kernel([x, y], 4)
     mons = monomials_upto(2, 5)
     mon_index = {m: i for i, m in enumerate(mons)}
 
@@ -256,17 +277,90 @@ def test_kernel_grows_consistently_with_bound():
                 row[j * len(mons) + mon_index[e]] = c
         return row
 
-    big_rows = [flatten(v) for v in big.vectors]
+    big_rows = [flatten(v) for v in big]
     base_rank = matrix_rank(big_rows, QQ)
-    for v in small.vectors:
+    for v in small:
         assert matrix_rank(big_rows + [flatten(v)], QQ) == base_rank
 
 
-def test_bound_below_data_degree_rejected():
+def test_bound_is_raised_to_the_data_degree():
     R = RXY
     x, y = R.gens()
-    with pytest.raises(ValueError):
-        truncated_solve([[x * x * y]], "kernel", degree_bound=1)
+    res = truncated_solve(R, [{0: x * x * y}], {0: x * x * y}, 1)
+    assert res.bound == 3
+    assert res.status == "member"
+    assert res.witness == [R.one()]
+
+
+def sympy_bounded_membership(columns, target, bound):
+    """Is ``target`` a sum of the columns with coefficients of degree at
+    most ``bound``?  The same bounded system, solved by sympy."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+
+    def expr(poly):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x**e[0] * y**e[1]
+                    for e, c in poly.terms.items()), sympy.Integer(0))
+
+    mons = monomials_upto(2, bound)
+    unknowns = sympy.symbols(f"c0:{len(columns) * len(mons)}")
+    coefs = [sum(u * x**m[0] * y**m[1]
+                 for u, m in zip(unknowns[j * len(mons):], mons))
+             for j in range(len(columns))]
+    equations = []
+    for coord in set(target).union(*columns):
+        residual = -expr(target[coord]) if coord in target else sympy.Integer(0)
+        for coef, column in zip(coefs, columns):
+            if coord in column:
+                residual += coef * expr(column[coord])
+        equations.extend(sympy.Poly(sympy.expand(residual), x, y).coeffs())
+    # linsolve reads an empty system as inconsistent, so pad it with 0 = 0.
+    return sympy.linsolve(equations + [sympy.Integer(0)], unknowns) != sympy.EmptySet
+
+
+@st.composite
+def membership_problems(draw):
+    """Sparse columns over Q[x, y] and a target, half of the time drawn
+    from their span with coefficients of degree at most 1."""
+    mons = st.sampled_from(monomials_upto(2, 2))
+
+    def vectors(min_size):
+        polys = st.dictionaries(mons, st.integers(-2, 2).filter(bool),
+                                min_size=min_size, max_size=3)
+        return st.dictionaries(st.integers(0, 1), polys.map(lambda terms: Poly(
+            RXY, {e: Fraction(c) for e, c in terms.items()})),
+            min_size=min_size, max_size=2)
+
+    columns = draw(st.lists(vectors(0), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        target = {}
+        for column in columns:
+            coef = Poly(RXY, {e: Fraction(c) for e, c in draw(st.dictionaries(
+                st.sampled_from(monomials_upto(2, 1)), st.integers(-2, 2),
+                max_size=2)).items() if c})
+            for coord, entry in column.items():
+                target[coord] = target.get(coord, RXY.zero()) + coef * entry
+    else:
+        target = draw(vectors(1))
+    return columns, target, draw(st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(membership_problems())
+def test_truncated_solve_agrees_with_sympy(problem):
+    columns, target, degree_bound = problem
+    res = truncated_solve(RXY, columns, target, degree_bound)
+    assert (res.status == "member") == sympy_bounded_membership(
+        columns, target, res.bound)
+    if res.status == "member":
+        rebuilt = {}
+        for coef, column in zip(res.witness, columns):
+            for coord, entry in column.items():
+                rebuilt[coord] = rebuilt.get(coord, RXY.zero()) + coef * entry
+        assert ({c: p for c, p in rebuilt.items() if not p.is_zero()}
+                == {c: p for c, p in target.items() if not p.is_zero()})
+        assert all(p.total_degree() <= res.bound for p in res.witness)
 
 
 def test_monomials_upto_deglex_order():
