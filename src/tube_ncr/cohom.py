@@ -55,6 +55,9 @@ from .quivalg import (
     tube_vertex,
 )
 
+# How far every bound is enlarged for the stability rerun.
+STABILITY_STEP = 2
+
 
 # ---------------------------------------------------------------------------
 # Shared linear-algebra helpers
@@ -240,13 +243,13 @@ class FreeComplex:
 
         Per layer the count is exact (kernel minus incoming rank); the
         only question a bound leaves open is whether higher layers still
-        contribute, so the whole count is repeated at ``poly_bound + 2``
-        and compared.
+        contribute, so the whole count is repeated at ``poly_bound +
+        STABILITY_STEP`` and compared.
         """
         if not self.generators:
             raise ValueError("complex has no generators")
         dims = self._layered_dims(poly_bound)
-        again = self._layered_dims(poly_bound + 2)
+        again = self._layered_dims(poly_bound + STABILITY_STEP)
         status = "stable" if dims == again else "inconclusive_at_bound"
         ranks = {
             i: len(self.generators.get(i, []))
@@ -528,18 +531,16 @@ def truncated_cohomology(
     m: int,
     length_bound: int = 8,
     poly_bound: int = 8,
-    stability_step: int = 2,
     with_generators: bool = True,
-    image_length_slack: Optional[int] = None,
 ) -> CohomologyReport:
     """Rank of the degree -m cohomology of Hom(source, target), bounded.
 
-    Words are truncated at ``length_bound`` (``image_length_slack``
-    longer on the image side, chosen from the rule set when not given)
-    and coefficient monomials at ``poly_bound``.  The same rank is
-    recomputed with both bounds enlarged by ``stability_step``;
-    agreement is reported as ``"stable"``, disagreement as
-    ``"inconclusive_at_bound"`` with the smaller-bound rank.
+    Words are truncated at ``length_bound`` (longer on the image side by
+    a slack chosen from the rule set) and coefficient monomials at
+    ``poly_bound``.  The same rank is recomputed with both bounds
+    enlarged by ``STABILITY_STEP``; agreement is reported as
+    ``"stable"``, disagreement as ``"inconclusive_at_bound"`` with the
+    smaller-bound rank.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -549,15 +550,7 @@ def truncated_cohomology(
                 f"unknown vertex {vertex!r}; vertices are "
                 + ", ".join(pres.quiver.vertices)
             )
-    if stability_step < 1:
-        raise ValueError("stability_step must be positive")
-    slack = (
-        image_length_slack
-        if image_length_slack is not None
-        else _default_image_slack(pres)
-    )
-    if slack < 1:
-        raise ValueError("image window must reach past the kernel window")
+    slack = _default_image_slack(pres)
     rank, generators = _bounded_rank(
         pres, source, target, m, length_bound, poly_bound, slack, with_generators
     )
@@ -566,8 +559,8 @@ def truncated_cohomology(
         source,
         target,
         m,
-        length_bound + stability_step,
-        poly_bound + stability_step,
+        length_bound + STABILITY_STEP,
+        poly_bound + STABILITY_STEP,
         slack,
         False,
     )

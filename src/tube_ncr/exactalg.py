@@ -433,6 +433,17 @@ class Poly:
         return f"Poly({self.to_text()})"
 
 
+def add_term(terms: dict, key, coef: Poly) -> None:
+    """Add ``coef`` at ``key`` of a sparse sum of ``Poly`` coefficients;
+    like ``Poly`` itself, the sum never stores a zero."""
+    s = terms.get(key)
+    s = coef if s is None else s + coef
+    if s.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
 # ---------------------------------------------------------------------------
 # Monomial enumeration
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactalg import Field, Poly, PolyRing, kernel_basis
+from .exactalg import Field, Poly, PolyRing, add_term, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,7 @@ class AlgebraElement:
             raise ValueError("elements of different presentations")
         terms = dict(self.terms)
         for path, coef in other.terms.items():
-            s = terms.get(path)
-            s = coef if s is None else s + coef
-            if s.is_zero():
-                terms.pop(path, None)
-            else:
-                terms[path] = s
+            add_term(terms, path, coef)
         return AlgebraElement(self.pres, terms)
 
     def __neg__(self) -> "AlgebraElement":
@@ -184,6 +179,12 @@ class Presentation:
     order) to its right side, given as ``(coef Poly, Path)`` pairs.
     ``differential`` maps an arrow name to a list of such pairs.
 
+    ``_sides`` reads both as one list of (left word, right side, degree
+    shift): shift 0 for a rule, 1 for the differential of an arrow.
+    Construction checks each entry on that walk (``_validate``), then
+    confluence, then that d squares to zero and descends to the
+    quotient; ``grade`` and ``same_presentation`` read the same walk.
+
     ``grade`` gives each basis term (word, monomial) its value in the
     finest grading for which every rule and differential entry is
     homogeneous.  It is computed from the rules and the differential
@@ -205,14 +206,14 @@ class Presentation:
         self.differential = {
             k: tuple(v) for k, v in (differential or {}).items()
         }
-        self._validate_rules()
+        self._validate()
         self.confluence = self.check_confluence()
         if require_confluent and not self.confluence.confluent:
             raise ValueError(
                 f"rule set not confluent; unresolved pairs: "
                 f"{[w for w, _, _ in self.confluence.unresolved]}"
             )
-        self._validate_differential()
+        self._check_differential()
 
     # -- structural helpers -------------------------------------------------
 
@@ -253,14 +254,7 @@ class Presentation:
         """Element from (coef, Path) pairs, normalised."""
         terms: dict = {}
         for coef, path in pairs:
-            if coef.is_zero():
-                continue
-            s = terms.get(path)
-            s = coef if s is None else s + coef
-            if s.is_zero():
-                terms.pop(path, None)
-            else:
-                terms[path] = s
+            add_term(terms, path, coef)
         return self.reduce(AlgebraElement(self, terms))
 
     def zero(self) -> AlgebraElement:
@@ -276,40 +270,38 @@ class Presentation:
 
     # -- validation ----------------------------------------------------------
 
-    def _rhs_endpoints_ok(self, lhs: tuple, rhs: tuple) -> None:
-        lhs_path = self.make_path(lhs)
-        src, tgt = self.path_source(lhs_path), self.path_target(lhs_path)
-        deg = self.path_degree(lhs_path)
-        for coef, path in rhs:
-            if coef.ring != self.ring:
-                raise ValueError("rule coefficient outside the coefficient ring")
-            if len(path.arrows) > 1:
-                raise ValueError(
-                    f"rule right side must be strictly shorter than the left: {path}"
-                )
-            if path.is_lazy and path.vertex not in self.quiver.vertices:
-                raise ValueError(f"rule right side at unknown vertex {path.vertex}")
-            if not path.is_lazy:
-                self.make_path(path.arrows)
-            if self.path_source(path) != src or self.path_target(path) != tgt:
-                raise ValueError(f"rule {lhs} -> {path} changes endpoints")
-            if self.path_degree(path) != deg:
-                raise ValueError(f"rule {lhs} -> {path} changes degree")
+    def _sides(self) -> list:
+        """(left word, right side, degree shift) for every rule (shift 0)
+        and for every arrow's differential (left word (name,), shift 1)."""
+        sides = [(lhs, rhs, 0) for lhs, rhs in self.rules.items()]
+        sides += [((name,), image, 1) for name, image in self.differential.items()]
+        return sides
 
-    def _validate_rules(self) -> None:
-        for lhs, rhs in self.rules.items():
-            if len(lhs) != 2:
+    def _validate(self) -> None:
+        """Every right-side term keeps the endpoints of its left word and
+        has its degree plus the shift; a rule rewrites two letters to at
+        most one."""
+        for lhs, rhs, shift in self._sides():
+            what = f"d({lhs[0]})" if shift else f"rule {lhs}"
+            if not shift and len(lhs) != 2:
                 raise ValueError(f"rule left side must be a two-arrow word: {lhs}")
-            self._rhs_endpoints_ok(lhs, rhs)
+            left = self.make_path(lhs)
+            ends = (self.path_source(left), self.path_target(left))
+            deg = self.path_degree(left) + shift
+            for coef, path in rhs:
+                if coef.ring != self.ring:
+                    raise ValueError(f"{what}: coefficient outside the coefficient ring")
+                if not shift and len(path.arrows) > 1:
+                    raise ValueError(
+                        f"rule right side must be strictly shorter than the left: {path}"
+                    )
+                self.make_path(path.arrows, path.vertex)
+                if (self.path_source(path), self.path_target(path)) != ends:
+                    raise ValueError(f"{what} -> {path} changes endpoints")
+                if self.path_degree(path) != deg:
+                    raise ValueError(f"{what} -> {path} is not of degree {deg}")
 
-    def _validate_differential(self) -> None:
-        for name, image in self.differential.items():
-            arrow = self.arrow(name)
-            for coef, path in image:
-                if self.path_source(path) != arrow.src or self.path_target(path) != arrow.tgt:
-                    raise ValueError(f"d({name}) changes endpoints")
-                if self.path_degree(path) != arrow.deg + 1:
-                    raise ValueError(f"d({name}) does not raise degree by 1")
+    def _check_differential(self) -> None:
         # d^2 = 0 on arrows.
         for name in self.differential:
             dd = self.differential_of(self.differential_of(self.arrow_element(name)))
@@ -344,10 +336,8 @@ class Presentation:
         """
         index = {a.name: i for i, a in enumerate(self.quiver.arrows)}
         nsymbols = len(index) + self.ring.nvars
-        sides = list(self.rules.items())
-        sides += [((name,), image) for name, image in self.differential.items()]
         relations = []
-        for lhs, rhs in sides:
+        for lhs, rhs, _ in self._sides():
             for coef, path in rhs:
                 for exp in coef.terms:
                     row = Counter(index[a] for a in lhs)
@@ -389,12 +379,7 @@ class Presentation:
                     hit = i
                     break
             if hit is None:
-                s = out.get(path)
-                s = coef if s is None else s + coef
-                if s.is_zero():
-                    out.pop(path, None)
-                else:
-                    out[path] = s
+                add_term(out, path, coef)
                 continue
             prefix, suffix = arrows[:hit], arrows[hit + 2:]
             for rcoef, rpath in self.rules[(arrows[hit], arrows[hit + 1])]:
@@ -806,21 +791,14 @@ def same_presentation(p: Presentation, q: Presentation) -> bool:
         a.name: (a.src, a.tgt, a.deg) for a in q.quiver.arrows
     }:
         return False
-    if set(p.rules) != set(q.rules):
-        return False
-    for lhs in p.rules:
-        if sorted(p.rules[lhs], key=_pair_key) != sorted(
-            q.rules[lhs], key=_pair_key
-        ):
-            return False
-    if set(p.differential) != set(q.differential):
-        return False
-    for name in p.differential:
-        if sorted(p.differential[name], key=_pair_key) != sorted(
-            q.differential[name], key=_pair_key
-        ):
-            return False
-    return True
+    return _side_table(p) == _side_table(q)
+
+
+def _side_table(pres: Presentation) -> dict:
+    return {
+        (lhs, shift): sorted(rhs, key=_pair_key)
+        for lhs, rhs, shift in pres._sides()
+    }
 
 
 def _pair_key(pair):

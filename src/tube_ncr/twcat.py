@@ -60,7 +60,7 @@ from itertools import product
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import Field, Poly, PolyRing
+from .exactalg import Field, Poly, PolyRing, add_term
 
 # The tables carry mu1, mu2 and mu3; every higher product is zero.
 TOP_ARITY = 3
@@ -78,15 +78,6 @@ class MissingProduct(KeyError):
     """A window table does not define this product (out of range)."""
 
 
-def _merge(into: dict, name: str, coef: Poly) -> None:
-    s = into.get(name)
-    s = coef if s is None else s + coef
-    if s.is_zero():
-        into.pop(name, None)
-    else:
-        into[name] = s
-
-
 class AInfTable:
     """Basis morphisms + structure constants for mu1, mu2, mu3.
 
@@ -97,6 +88,13 @@ class AInfTable:
     (h, g, f) with f acting first; absent means zero.  Identity
     morphisms act strictly: they multiply as units and never appear in
     a nonzero mu1 or mu3 entry.
+
+    Construction checks the entries on one walk over (chain, pairs) for
+    mu1, mu2 and mu3 alike, the way ``mu_of`` reads a chain: the chain
+    is composable, each result runs from the source of the first-acting
+    argument to the target of the last-acting one in degree
+    sum(deg) + 2 - k, its coefficient lies in ``ring``, and identities
+    act strictly.  An unknown morphism name anywhere is a ValueError.
     """
 
     def __init__(
@@ -119,7 +117,7 @@ class AInfTable:
         self.identity_names = frozenset(self.identities.values())
         self.total = total
         for obj, name in self.identities.items():
-            m = self.morphisms[name]
+            m = self._morphism(name)
             if m.source != obj or m.target != obj or m.degree != 0:
                 raise ValueError(f"identity of {obj} must be a degree-0 loop")
         self.mu1 = {k: tuple(v) for k, v in (mu1 or {}).items()}
@@ -129,50 +127,38 @@ class AInfTable:
 
     # -- validation -----------------------------------------------------------
 
+    def _morphism(self, name: str) -> BasisMorphism:
+        try:
+            return self.morphisms[name]
+        except KeyError:
+            raise ValueError(f"unknown morphism {name!r}") from None
+
     def _validate(self) -> None:
         id_names = self.identity_names
-        for name, pairs in self.mu1.items():
-            f = self.morphisms[name]
-            if name in id_names and pairs:
-                raise ValueError(f"mu1 of identity {name} must vanish")
-            for coef, gname in pairs:
-                g = self.morphisms[gname]
-                if (g.source, g.target) != (f.source, f.target):
-                    raise ValueError(f"mu1({name}) changes endpoints")
-                if g.degree != f.degree + 1:
-                    raise ValueError(f"mu1({name}) must raise degree by 1")
-                self._check_coef(coef)
-        for (xn, yn), pairs in self.mu2.items():
-            x, y = self.morphisms[xn], self.morphisms[yn]
-            if x.source != y.target:
-                raise ValueError(f"mu2 key ({xn}, {yn}) is not composable")
-            if xn in id_names or yn in id_names:
-                raise ValueError(
-                    f"mu2 with identity {xn if xn in id_names else yn} is "
-                    f"implicit; do not list it"
-                )
-            for coef, gname in pairs:
-                g = self.morphisms[gname]
-                if (g.source, g.target) != (y.source, x.target):
-                    raise ValueError(f"mu2({xn},{yn}) result endpoints wrong")
-                if g.degree != x.degree + y.degree:
-                    raise ValueError(f"mu2({xn},{yn}) must preserve degree")
-                self._check_coef(coef)
-        for (zn, yn, xn), pairs in self.mu3.items():
-            x, y, z = self.morphisms[xn], self.morphisms[yn], self.morphisms[zn]
-            if y.source != x.target or z.source != y.target:
-                raise ValueError(f"mu3 key ({zn},{yn},{xn}) is not composable")
-            if {zn, yn, xn} & id_names and pairs:
-                raise ValueError("mu3 with an identity argument must vanish")
-            for coef, gname in pairs:
-                g = self.morphisms[gname]
-                if (g.source, g.target) != (x.source, z.target):
-                    raise ValueError(f"mu3({zn},{yn},{xn}) result endpoints wrong")
-                if g.degree != x.degree + y.degree + z.degree - 1:
+        mu1 = {(name,): pairs for name, pairs in self.mu1.items()}
+        for k, level in enumerate((mu1, self.mu2, self.mu3), 1):
+            for chain, pairs in level.items():
+                what = f"mu{k}({', '.join(chain)})"
+                if len(chain) != k:
+                    raise ValueError(f"{what} must name {k} morphisms")
+                args = [self._morphism(name) for name in chain]
+                if any(x.source != y.target for x, y in zip(args, args[1:])):
+                    raise ValueError(f"{what} is not composable")
+                if id_names.intersection(chain) and (k == 2 or pairs):
                     raise ValueError(
-                        f"mu3({zn},{yn},{xn}) must have degree -1 as an operation"
+                        f"{what} has an identity argument: identities are "
+                        "strict units, so mu2 on one is implicit and mu1, mu3 vanish"
                     )
-                self._check_coef(coef)
+                ends = (args[-1].source, args[0].target)
+                degree = sum(m.degree for m in args) + 2 - k
+                for coef, gname in pairs:
+                    g = self._morphism(gname)
+                    if (g.source, g.target) != ends:
+                        raise ValueError(f"{what} -> {gname} changes endpoints")
+                    if g.degree != degree:
+                        raise ValueError(f"{what} -> {gname} is not of degree {degree}")
+                    if coef.ring != self.ring:
+                        raise ValueError("structure constant outside the table's ring")
         if self.total:
             for xn, x in self.morphisms.items():
                 for yn, y in self.morphisms.items():
@@ -182,10 +168,6 @@ class AInfTable:
                         raise ValueError(
                             f"total table is missing the product ({xn}, {yn})"
                         )
-
-    def _check_coef(self, coef: Poly) -> None:
-        if coef.ring != self.ring:
-            raise ValueError("structure constant outside the table's ring")
 
     # -- lookups --------------------------------------------------------------
 
@@ -233,7 +215,7 @@ class AInfTable:
             if pairs:
                 coef = reduce(mul, coefs)
                 for scoef, gname in pairs:
-                    _merge(out, gname, coef * scoef)
+                    add_term(out, gname, coef * scoef)
         return out
 
     # -- serialisation ----------------------------------------------------------
@@ -358,7 +340,7 @@ def ainf_check(table: AInfTable, max_arity: int) -> AInfReport:
                 for i, j in blocks:
                     for c, g in lookup(chain[i:i + j]):
                         for d, h in lookup(chain[:i] + (g,) + chain[i + j:]):
-                            _merge(acc, h, c * d)
+                            add_term(acc, h, c * d)
             except MissingProduct:
                 skipped += 1
                 continue
@@ -435,7 +417,7 @@ class TwMorphism:
             src_obj, src_shift = source.slots[col]
             tgt_obj, tgt_shift = target.slots[row]
             for name in el:
-                m = source.table.morphisms[name]
+                m = source.table._morphism(name)
                 if m.source != src_obj or m.target != tgt_obj:
                     raise ValueError(
                         f"entry {name} does not map slot {col} ({src_obj}) to "
@@ -484,7 +466,7 @@ def _matrix_accumulate(into: dict, other: dict) -> None:
     for key, el in other.items():
         target = into.setdefault(key, {})
         for name, coef in el.items():
-            _merge(target, name, coef)
+            add_term(target, name, coef)
     for key in [k for k, el in into.items() if not el]:
         del into[key]
 
@@ -517,7 +499,7 @@ def matrix_mu(table: AInfTable, mats: Sequence[dict]) -> dict:
         if value:
             target = out.setdefault((row_last, col0), {})
             for name, coef in value.items():
-                _merge(target, name, coef)
+                add_term(target, name, coef)
     for key in [k for k, el in out.items() if not el]:
         del out[key]
     return out

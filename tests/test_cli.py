@@ -300,6 +300,28 @@ def test_golden_report_under_python_optimize(tmp_path):
     )
     assert run.returncode == EXIT_OK, run.stderr
     assert out.read_bytes() == (GOLDEN / "verify_all_n2.json").read_bytes()
+    # An entry check: d(c) = b*b*a has the endpoints and degree of c but
+    # is not a composable word.
+    build = (
+        "from tube_ncr.exactalg import Field, PolyRing\n"
+        "from tube_ncr.quivalg import Arrow, Path, Presentation, Quiver\n"
+        "ring = PolyRing(Field.rationals(), ('t',))\n"
+        "arrows = (Arrow('a', 'P', 'Q'), Arrow('b', 'Q', 'P'), Arrow('c', 'P', 'P', -1))\n"
+        "image = [(ring.one(), Path(('b', 'b', 'a')))]\n"
+        "try:\n"
+        "    Presentation(Quiver(('P', 'Q'), arrows), ring, {}, {'c': image})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", build],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "non-composable" in run.stdout
 
 
 def test_package_has_no_assert_statements():

@@ -318,6 +318,63 @@ def test_differential_rule_compatibility_guard():
         Presentation(quiver, ring, rules, diff)
 
 
+# Rules and differential entries for the entry checks, on a quiver with
+# a: P -> Q and b: Q -> P in degree 0 and loops c (degree -1) and s
+# (degree -2) at P.
+CHECK_RING = PolyRing(QQ, ("t",))
+CHECK_QUIVER = Quiver(
+    ("P", "Q"),
+    (
+        Arrow("a", "P", "Q"),
+        Arrow("b", "Q", "P"),
+        Arrow("c", "P", "P", -1),
+        Arrow("s", "P", "P", -2),
+    ),
+)
+ONE = CHECK_RING.one()
+FOREIGN = PolyRing(QQ, ("u",)).one()
+
+
+def test_entry_checks_accept_a_wellformed_presentation():
+    pres = Presentation(
+        CHECK_QUIVER,
+        CHECK_RING,
+        {("b", "a"): [(CHECK_RING.gen("t"), lazy("P"))], ("c", "c"): []},
+        {"c": [(ONE, lazy("P"))]},
+    )
+    assert pres.differential_of(pres.arrow_element("c")) == pres.element(
+        [(ONE, lazy("P"))]
+    )
+
+
+@pytest.mark.parametrize(
+    "rules, differential, match",
+    [
+        ({("a",): []}, {}, "two-arrow"),
+        ({("a", "zz"): []}, {}, "unknown arrow 'zz'"),
+        ({("a", "a"): []}, {}, "non-composable"),
+        ({("b", "a"): [(ONE, Path(("b", "a")))]}, {}, "strictly shorter"),
+        ({("b", "a"): [(ONE, lazy("Z"))]}, {}, "vertex of the quiver"),
+        ({("b", "a"): [(FOREIGN, lazy("P"))]}, {}, "coefficient ring"),
+        ({("b", "a"): [(ONE, lazy("Q"))]}, {}, "changes endpoints"),
+        ({("b", "a"): [(ONE, Path(("c",)))]}, {}, "not of degree 0"),
+        ({}, {"zz": []}, "unknown arrow 'zz'"),
+        ({}, {"c": [(ONE, Path(("zz",)))]}, "unknown arrow 'zz'"),
+        ({}, {"c": [(ONE, Path(("b", "b", "a")))]}, "non-composable"),
+        ({}, {"c": [(ONE, lazy("Z"))]}, "vertex of the quiver"),
+        ({}, {"c": [(FOREIGN, lazy("P"))]}, "coefficient ring"),
+        ({}, {"c": [(ONE, lazy("Q"))]}, "changes endpoints"),
+        ({}, {"a": [(ONE, Path(("a",)))]}, "not of degree 1"),
+        ({}, {"s": [(ONE, Path(("c",)))], "c": [(ONE, lazy("P"))]}, r"d\^2"),
+    ],
+)
+def test_entry_checks_reject_malformed_rules_and_differentials(
+    rules, differential, match
+):
+    with pytest.raises(ValueError, match=match):
+        Presentation(CHECK_QUIVER, CHECK_RING, rules, differential)
+
+
 def test_localize_adds_free_loop():
     pres, ring = tube(1)
     loc = drinfeld_localize(pres, "L0")

@@ -19,6 +19,7 @@ from tube_ncr.twcat import (
     ainf_check,
     halftwist_complexes,
     halftwist_tables,
+    matrix_mu,
     mu_tw,
     verify_halftwist,
 )
@@ -135,6 +136,65 @@ def test_table_json_lists_all_structure_constants():
     assert len(blob["mu2"]) == 48
     assert len(blob["mu3"]) == 19
     assert blob["mu1"].keys() == {"alpha", "beta"}
+
+
+# A table for the entry checks: identities eX and eY, f: X -> Y in
+# degree 0, g: X -> Y in degree 1, and the loop h at Y.
+CHECK_RING = PolyRing(F2, ("t",))
+ONE = CHECK_RING.one()
+CHECK_MORPHISMS = [
+    BasisMorphism("eX", "X", "X", 0),
+    BasisMorphism("eY", "Y", "Y", 0),
+    BasisMorphism("f", "X", "Y", 0),
+    BasisMorphism("g", "X", "Y", 1),
+    BasisMorphism("h", "Y", "Y", 0),
+]
+CHECK_MU2 = {("h", "f"): [(ONE, "f")], ("h", "g"): [(ONE, "g")], ("h", "h"): []}
+
+
+def check_table(**changes) -> AInfTable:
+    args = {
+        "morphisms": CHECK_MORPHISMS,
+        "identities": {"X": "eX", "Y": "eY"},
+        "mu1": {"f": [(CHECK_RING.gen("t"), "g")]},
+        "mu2": CHECK_MU2,
+        "mu3": {("h", "h", "g"): [(ONE, "f")]},
+        "total": True,
+    }
+    args.update(changes)
+    return AInfTable(CHECK_RING, ("X", "Y"), **args)
+
+
+def test_entry_checks_accept_a_wellformed_table():
+    table = check_table()
+    assert table.mu_of(("h", "h", "g")) == ((ONE, "f"),)
+    assert table.mu_of(("eY", "f")) == ((ONE, "f"),)
+
+
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        ({"morphisms": CHECK_MORPHISMS + CHECK_MORPHISMS[:1]}, "duplicate"),
+        ({"identities": {"X": "zz"}}, "unknown morphism 'zz'"),
+        ({"identities": {"X": "f"}}, "degree-0 loop"),
+        ({"mu1": {"zz": []}}, "unknown morphism 'zz'"),
+        ({"mu1": {"f": [(ONE, "zz")]}}, "unknown morphism 'zz'"),
+        ({"mu2": {**CHECK_MU2, ("h", "zz"): []}}, "unknown morphism 'zz'"),
+        ({"mu3": {("h", "f"): []}}, "must name 3"),
+        ({"mu2": {**CHECK_MU2, ("f", "f"): []}}, "not composable"),
+        ({"mu2": {**CHECK_MU2, ("eY", "f"): [(ONE, "f")]}}, "identity"),
+        ({"mu1": {"eX": [(ONE, "eX")]}}, "identity"),
+        ({"mu3": {("h", "f", "eX"): [(ONE, "f")]}}, "identity"),
+        ({"mu1": {"f": [(ONE, "h")]}}, "changes endpoints"),
+        ({"mu2": {**CHECK_MU2, ("h", "f"): [(ONE, "g")]}}, "not of degree 0"),
+        ({"mu3": {("h", "h", "g"): [(ONE, "g")]}}, "not of degree 0"),
+        ({"mu1": {"f": [(PolyRing(QQ, ("t",)).one(), "g")]}}, "ring"),
+        ({"mu2": {("h", "f"): [], ("h", "g"): []}}, r"missing the product \(h, h\)"),
+    ],
+)
+def test_entry_checks_reject_malformed_tables(changes, match):
+    with pytest.raises(ValueError, match=match):
+        check_table(**changes)
 
 
 def test_negative_control_flipped_ternary_entry_breaks_arity_four():
@@ -382,6 +442,34 @@ def test_every_connection_insertion_contributes():
     triple = mu_tw(3, [p, b0, a0])
     assert triple.degree == 0
     assert triple.entries == {(0, 0): {"alpha": one}}
+
+
+def test_closedness_depends_on_the_connection_insertions():
+    # f = (f_X, f_Y) from X (+) Y, connected by c: X -> Y, to Z, with
+    # mu1(f_X) = h = mu2(f_Y, c): f is closed only because the insertion
+    # of c cancels the entrywise mu1.
+    ring = PolyRing(F2, ("t",))
+    one = ring.one()
+    morphisms = [
+        BasisMorphism("c", "X", "Y", 1),
+        BasisMorphism("fX", "X", "Z", 0),
+        BasisMorphism("fY", "Y", "Z", 0),
+        BasisMorphism("h", "X", "Z", 1),
+    ]
+    table = AInfTable(
+        ring,
+        ("X", "Y", "Z"),
+        morphisms,
+        {},
+        mu1={"fX": [(one, "h")]},
+        mu2={("fY", "c"): [(one, "h")]},
+        total=False,
+    )
+    xy = TwComplex(table, [("X", 0), ("Y", 0)], {(1, 0): {"c": one}})
+    z = TwComplex(table, [("Z", 0)], {})
+    f = TwMorphism(xy, z, 0, {(0, 0): {"fX": one}, (0, 1): {"fY": one}})
+    assert mu_tw(1, [f]).is_zero()
+    assert matrix_mu(table, [f.entries]) == {(0, 0): {"h": one}}
 
 
 def test_identity_morphism_is_a_unit_for_mu_tw():
