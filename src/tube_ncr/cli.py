@@ -504,7 +504,7 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def render_text(report, prefix: str = "") -> str:
+def render_text(report) -> str:
     lines: list[str] = []
 
     def walk(node, path):
@@ -519,7 +519,7 @@ def render_text(report, prefix: str = "") -> str:
         else:
             lines.append(f"{path}: {node}")
 
-    walk(report, prefix)
+    walk(report, "")
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,8 @@ polynomial grading, which is exact per layer because homogeneous entries
 never mix layers.  For a differential graded ``Presentation`` the
 morphism complex between two vertices has infinite rank, so everything is
 truncated instead: words up to a length bound, coefficient monomials up
-to a degree bound.  Every truncated answer is recomputed with both bounds
+to a degree bound.  Both kinds split into graded blocks eliminated by one
+routine, ``_window_blocks``.  Every answer is recomputed with its bounds
 enlarged and carries a status, ``"stable"`` when the two runs agree and
 ``"inconclusive_at_bound"`` otherwise; a bound that was too small shows
 up in the status, never as a silently wrong number.
@@ -64,8 +65,57 @@ STABILITY_STEP = 2
 # ---------------------------------------------------------------------------
 
 
-def _monomials_of_degree(nvars: int, d: int) -> list:
-    return [m for m in monomials_upto(nvars, d) if sum(m) == d]
+def _window_blocks(
+    v_blocks: dict, u_blocks: dict, image_of, field: Field, with_vectors: bool
+):
+    """Yield (columns, rank, generator vectors) per grade of the window V.
+
+    ``v_blocks`` and ``u_blocks`` map a grade, which d respects, to the
+    (generator, exponent) columns of the window V and of the image side
+    U; ``image_of`` is read as ``linear_rows`` reads it.  A block's rank
+    is dim ker(d on V) minus the dimension of d U inside the window.
+
+    The image side is one ``Echelon`` in column orientation: a column per
+    element of U, a row per target coordinate, and the rows outside the
+    window inserted first, so the pivot count after them is the outside
+    rank and the pivot columns below len(U) at the end count rank(d U).
+    With ``with_vectors`` each kernel vector is one more column, on the
+    window's rows; it is a pivot column exactly when it is independent
+    of the image inside the window and of the kernel vectors before it,
+    so the pivots past len(U) pick one generator vector per unit of rank.
+    """
+    for g in sorted(v_blocks):
+        cols = v_blocks[g]
+        d_rows = list(linear_rows(cols, image_of).values())
+        if with_vectors:
+            kernel = kernel_basis(d_rows, len(cols), field)
+            dim_kernel = len(kernel)
+        else:
+            kernel = []
+            dim_kernel = len(cols) - matrix_rank(d_rows, field)
+
+        u_cols = u_blocks.get(g, [])
+        n_u = len(u_cols)
+        image = linear_rows(u_cols, image_of)
+        # Column n_u + i holds kernel[i] on the window's rows.
+        for k, vec in enumerate(kernel, n_u):
+            for j, scal in vec.items():
+                image.setdefault(cols[j], {})[k] = scal
+        window = set(cols)
+        ech = Echelon(field)
+        for row in [row for key, row in image.items() if key not in window]:
+            ech.insert(row)
+        rank_outside = len(ech.rows)
+        for row in [row for key, row in image.items() if key in window]:
+            ech.insert(row)
+        dim_image = sum(1 for c in ech.pivots if c < n_u) - rank_outside
+        block_rank = dim_kernel - dim_image
+        found = [kernel[c - n_u] for c in ech.pivots if c >= n_u]
+        if with_vectors and len(found) != block_rank:
+            raise InternalError(
+                f"truncated cohomology: {len(found)} generators for rank {block_rank}"
+            )
+        yield cols, block_rank, found
 
 
 # ---------------------------------------------------------------------------
@@ -201,42 +251,34 @@ class FreeComplex:
             )
         return degs.pop() if degs else 1
 
-    def _layer(self, i: int, d: int, cache: dict) -> tuple[int, int]:
-        """(kernel dim, rank) of the differential leaving layer (i, d)."""
-        if (i, d) in cache:
-            return cache[(i, d)]
-        gens = self.generators.get(i, [])
-        mons = _monomials_of_degree(self.ring.nvars, d)
-        cols = [(g, m) for g in gens for m in mons]
-        if not cols:
-            cache[(i, d)] = (0, 0)
-            return (0, 0)
-        rows = linear_rows(
-            cols,
-            lambda g: [(tgt, exp, coef)
-                       for tgt, p in self.differential.get(g, {}).items()
-                       for exp, coef in p.terms.items()],
-        )
-        rank = matrix_rank(list(rows.values()), self.ring.field)
-        out = (len(cols) - rank, rank)
-        cache[(i, d)] = out
-        return out
+    def _dims(self, poly_bound: int) -> dict[int, int]:
+        """Cohomology dimension per degree from the layers up to the bound.
 
-    def _layered_dims(self, poly_bound: int) -> dict[int, int]:
+        Column (g, e) has grade deg(e) - s * deg(g) for the entry degree
+        s, so each block is one polynomial layer and its image stays in
+        the window.
+        """
         s = self._entry_degree()
-        cache: dict = {}
-        dims: dict[int, int] = {}
+        mons = monomials_upto(self.ring.nvars, poly_bound)
+
+        def blocks(i: int) -> dict:
+            out: dict[int, list] = {}
+            for g in self.generators.get(i, []):
+                for e in mons:
+                    out.setdefault(sum(e) - s * i, []).append((g, e))
+            return out
+
+        def image_of(g: str) -> list:
+            return [(tgt, exp, coef)
+                    for tgt, p in self.differential.get(g, {}).items()
+                    for exp, coef in p.terms.items()]
+
         degrees = self.degrees()
-        for i in range(degrees[0], degrees[-1] + 1):
-            total = 0
-            for d in range(poly_bound + 1):
-                ker, _ = self._layer(i, d, cache)
-                total += ker
-                if d - s >= 0:
-                    _, rank_in = self._layer(i - 1, d - s, cache)
-                    total -= rank_in
-            dims[i] = total
-        return dims
+        return {
+            i: sum(rank for _, rank, _ in _window_blocks(
+                blocks(i), blocks(i - 1), image_of, self.ring.field, False))
+            for i in range(degrees[0], degrees[-1] + 1)
+        }
 
     def cohomology(self, poly_bound: int = 8) -> "FreeComplexReport":
         """Cohomology dimensions found in polynomial layers up to the bound.
@@ -248,8 +290,8 @@ class FreeComplex:
         """
         if not self.generators:
             raise ValueError("complex has no generators")
-        dims = self._layered_dims(poly_bound)
-        again = self._layered_dims(poly_bound + STABILITY_STEP)
+        dims = self._dims(poly_bound)
+        again = self._dims(poly_bound + STABILITY_STEP)
         status = "stable" if dims == again else "inconclusive_at_bound"
         ranks = {
             i: len(self.generators.get(i, []))
@@ -417,27 +459,16 @@ def _bounded_rank(
 
     The kernel is cut out of the window V of (irreducible word, monomial)
     pairs by the exact differential.  The image comes from words up to
-    ``image_slack`` letters longer at the same coefficient bound; the
-    dimension of image-inside-window is rank(d U) minus the rank of what
-    sticks out of the window.  Both matrices decompose into blocks by
-    the presentation's inferred grading (``Presentation.grade``), and the
+    ``image_slack`` letters longer at the same coefficient bound.  Both
+    sides split into blocks by the presentation's inferred grading
+    (``Presentation.grade``), which ``_window_blocks`` eliminates; the
     coefficient of a basis term never interacts with the word, so each
     word's differential is computed once and shifted across monomials.
-
-    The image side is one ``Echelon`` in column orientation: a column per
-    element of U, a row per target coordinate, and the rows outside the
-    window inserted first.  After those rows the pivot count is the
-    outside rank; at the end the pivot columns below len(U) count
-    rank(d U).  For generators each kernel vector is one more column,
-    on the window's rows.  It is a pivot column exactly when it is
-    independent of the image inside the window and of the kernel vectors
-    before it, so the pivots past len(U) pick the generators.  Each is
-    checked to be closed before it is reported, and generators are
-    listed in window order, word-major as the window is enumerated,
-    whatever the blocks.
+    Each generator is checked to be closed before it is reported, and
+    generators are listed in window order, word-major as the window is
+    enumerated, whatever the blocks.
     """
     ring = pres.ring
-    field = ring.field
     words_v = _words_of_degree(pres, source, target, length_bound, -m)
     words_u = _words_of_degree(
         pres, source, target, length_bound + image_slack, -(m + 1)
@@ -457,52 +488,18 @@ def _bounded_rank(
                 blocks.setdefault(g, []).append((w, e))
         return blocks
 
-    def word_image(w: Path) -> list:
-        return _word_differential(pres, w)
-
-    v_blocks = fill_blocks(words_v)
-    u_blocks = fill_blocks(words_u)
-
     rank = 0
     # (window position of the free column, text) per generator; the free
     # column is a kernel vector's largest index.
     generators: list[tuple] = []
-    for g in sorted(v_blocks):
-        cols = v_blocks[g]
-        ncols = len(cols)
-        d_rows = list(linear_rows(cols, word_image).values())
-        if with_generators:
-            kernel = kernel_basis(d_rows, ncols, field)
-            dim_kernel = len(kernel)
-        else:
-            dim_kernel = ncols - matrix_rank(d_rows, field)
-
-        u_cols = u_blocks.get(g, [])
-        n_u = len(u_cols)
-        image = linear_rows(u_cols, word_image)
-        if with_generators:
-            # Column n_u + i holds kernel[i] on the window's rows.
-            for k, vec in enumerate(kernel, n_u):
-                for j, scal in vec.items():
-                    image.setdefault(cols[j], {})[k] = scal
-        window = set(cols)
-        ech = Echelon(field)
-        inside = []
-        for key, row in image.items():
-            if key in window:
-                inside.append(row)
-            else:
-                ech.insert(row)
-        rank_outside = len(ech.rows)
-        for row in inside:
-            ech.insert(row)
-        dim_image = sum(1 for c in ech.pivots if c < n_u) - rank_outside
-        block_rank = dim_kernel - dim_image
+    for cols, block_rank, found in _window_blocks(
+        fill_blocks(words_v),
+        fill_blocks(words_u),
+        lambda w: _word_differential(pres, w),
+        ring.field,
+        with_generators,
+    ):
         rank += block_rank
-
-        if not with_generators:
-            continue
-        found = [kernel[c - n_u] for c in ech.pivots if c >= n_u]
         for vec in found:
             terms: dict[Path, Poly] = {}
             for j, scal in sorted(vec.items()):
@@ -517,10 +514,6 @@ def _bounded_rank(
                 )
             w, e = cols[max(vec)]
             generators.append(((path_key(w), deglex_key(e)), elt.to_text()))
-        if len(found) != block_rank:
-            raise InternalError(
-                f"truncated cohomology: {len(found)} generators for rank {block_rank}"
-            )
     return rank, [text for _, text in sorted(generators)]
 
 
@@ -743,9 +736,7 @@ class PagodaCharReport:
         }
 
 
-def char2_pagoda_check(
-    n: int, length_bound: int = 3, poly_bound: Optional[int] = None
-) -> PagodaCharReport:
+def char2_pagoda_check(n: int) -> PagodaCharReport:
     """Characteristic sensitivity of the pagoda H^0.
 
     Over the rationals the bounded H^0 rank stabilises at n and x^n is a
@@ -755,10 +746,10 @@ def char2_pagoda_check(
     computation can certify membership but never non-membership, so the
     characteristic-two side is the honest
     ``inconclusive_at_bound``/growing-rank signature rather than a proof
-    of nontriviality.
+    of nontriviality.  Words reach three letters and coefficients degree
+    2n + 2.
     """
-    if poly_bound is None:
-        poly_bound = 2 * n + 2
+    length_bound, poly_bound = 3, 2 * n + 2
     sides = {}
     for label, field in (("char0", Field.rationals()), ("char2", Field.prime(2))):
         pres = pagoda_quiver(n, field)

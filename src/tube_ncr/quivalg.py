@@ -86,6 +86,11 @@ def lazy(vertex: str) -> Path:
     return Path((), vertex)
 
 
+def joined(arrows: tuple, vertex: Optional[str]) -> Path:
+    """The word ``arrows``, or the lazy path at ``vertex`` when it is empty."""
+    return Path(arrows, None) if arrows else Path((), vertex)
+
+
 def path_key(path: Path) -> tuple:
     """The path order: by length, then arrow names, then vertex."""
     return (len(path.arrows), path.arrows, path.vertex or "")
@@ -383,13 +388,7 @@ class Presentation:
                 continue
             prefix, suffix = arrows[:hit], arrows[hit + 2:]
             for rcoef, rpath in self.rules[(arrows[hit], arrows[hit + 1])]:
-                new_arrows = prefix + rpath.arrows + suffix
-                if new_arrows:
-                    new_path = Path(new_arrows, None)
-                else:
-                    # Whole word collapsed to a lazy path; locate its vertex.
-                    vertex = rpath.vertex if rpath.is_lazy else None
-                    new_path = Path((), vertex)
+                new_path = joined(prefix + rpath.arrows + suffix, rpath.vertex)
                 stack.append((coef * rcoef, new_path))
         return AlgebraElement(self, out)
 
@@ -415,12 +414,7 @@ class Presentation:
             for py, cy in y.terms.items():
                 if self.path_source(px) != self.path_target(py):
                     continue  # concatenate-or-die: mismatched endpoints give 0
-                arrows = px.arrows + py.arrows
-                if arrows:
-                    path = Path(arrows, None)
-                else:
-                    path = px if px.is_lazy else py
-                pairs.append((cx * cy, path))
+                pairs.append((cx * cy, joined(px.arrows + py.arrows, px.vertex)))
         return self.reduce_raw(pairs)
 
     def differential_of(self, x: AlgebraElement) -> AlgebraElement:
@@ -438,11 +432,8 @@ class Presentation:
                 if image:
                     sign = one if sign_deg % 2 == 0 else self.ring.const(-1)
                     for dcoef, dpath in image:
-                        new_arrows = arrows[:i] + dpath.arrows + arrows[i + 1:]
-                        if new_arrows:
-                            new_path = Path(new_arrows, None)
-                        else:
-                            new_path = Path((), dpath.vertex)
+                        new_path = joined(arrows[:i] + dpath.arrows + arrows[i + 1:],
+                                          dpath.vertex)
                         pairs.append((coef * dcoef * sign, new_path))
                 sign_deg += self.arrow(name).deg
         return self.reduce_raw(pairs)

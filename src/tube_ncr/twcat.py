@@ -94,7 +94,8 @@ class AInfTable:
     is composable, each result runs from the source of the first-acting
     argument to the target of the last-acting one in degree
     sum(deg) + 2 - k, its coefficient lies in ``ring``, and identities
-    act strictly.  An unknown morphism name anywhere is a ValueError.
+    act strictly.  An unknown morphism name anywhere, or a morphism with
+    an end outside ``objects``, is a ValueError.
     """
 
     def __init__(
@@ -113,6 +114,12 @@ class AInfTable:
         self.morphisms = {m.name: m for m in morphisms}
         if len(self.morphisms) != len(morphisms):
             raise ValueError("duplicate morphism names")
+        for m in morphisms:
+            if m.source not in self.objects or m.target not in self.objects:
+                raise ValueError(
+                    f"morphism {m.name} runs {m.source} -> {m.target}, "
+                    f"outside the objects {', '.join(self.objects)}"
+                )
         self.identities = dict(identities)
         self.identity_names = frozenset(self.identities.values())
         self.total = total
@@ -386,6 +393,8 @@ class TwComplex:
     def identity(self) -> "TwMorphism":
         entries = {}
         for i, (obj, _) in enumerate(self.slots):
+            if obj not in self.table.identities:
+                raise ValueError(f"object {obj} has no identity in the table")
             entries[(i, i)] = {
                 self.table.identities[obj]: self.table.ring.one()
             }

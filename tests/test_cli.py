@@ -340,7 +340,7 @@ LOOP_FUNCTIONS = {
     "exactalg.py": {"Echelon", "echelon", "row_reduce", "_back_substitute_prime",
                     "_back_substitute_rationals", "linear_rows",
                     "truncated_solve"},
-    "cohom.py": {"FreeComplex._layer", "_bounded_rank"},
+    "cohom.py": {"_window_blocks", "_bounded_rank"},
 }
 FIELD_OPS = {"add", "sub", "mul", "neg", "inv", "div"}
 

@@ -1,6 +1,9 @@
 """Tests for bounded cohomology: free complexes with polynomial entries,
 truncated morphism cohomology, H^0 presentations, and the worked families."""
 
+import functools
+import importlib.util
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +145,57 @@ def test_zero_differential_complex_is_inconclusive():
     rep = cx.cohomology(poly_bound=4)
     assert rep.dims == {0: 5, 1: 5}
     assert rep.status == "inconclusive_at_bound"
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="needs sympy")
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_koszul_dims_match_a_sympy_layer_count(data):
+    # K(f, g) over Q[x, y] with f, g homogeneous of one degree s.  The
+    # oracle counts, per polynomial layer D <= bound, dim ker(d on layer
+    # D) minus the rank of d from layer D - s one degree lower.
+    import sympy
+
+    s = data.draw(st.integers(1, 3))
+    poly_bound = data.draw(st.integers(0, 4))
+    coefs = [data.draw(st.lists(st.integers(-3, 3), min_size=s + 1, max_size=s + 1))
+             for _ in range(2)]
+    ring = xy_ring()
+    x, y = sympy.symbols("x y")
+    f, g = (sum((ring.monomial((a, s - a), c) for a, c in enumerate(cs) if c),
+                ring.zero()) for cs in coefs)
+    fs, gs = (sum(c * x ** a * y ** (s - a) for a, c in enumerate(cs)) for cs in coefs)
+    degree_of = {"c": -2, "a": -1, "b": -1, "e": 0}
+    entries = {("c", "a"): (g, gs), ("c", "b"): (-f, -fs),
+               ("a", "e"): (f, fs), ("b", "e"): (g, gs)}
+    cx = FreeComplex(
+        ring, {-2: ["c"], -1: ["a", "b"], 0: ["e"]},
+        {src: {tgt: p for (head, tgt), (p, _) in entries.items() if head == src}
+         for src in ("c", "a", "b")},
+    )
+
+    @functools.cache
+    def layer(i, d):
+        """(kernel dim, rank) of d leaving layer d of degree i, by sympy."""
+        sources = [n for n, k in degree_of.items() if k == i]
+        targets = [n for n, k in degree_of.items() if k == i + 1]
+        if d < 0 or not sources:
+            return 0, 0
+        mons = [x ** a * y ** (d - a) for a in range(d + 1)]
+        rows = [
+            [sympy.Poly(entries.get((src, tgt), (0, 0))[1] * mon, x, y)
+             .coeff_monomial(x ** a * y ** (d + s - a))
+             for src in sources for mon in mons]
+            for tgt in targets for a in range(d + s + 1)
+        ]
+        rank = sympy.Matrix(rows).rank() if rows else 0
+        return len(sources) * len(mons) - rank, rank
+
+    expected = {
+        i: sum(layer(i, d)[0] - layer(i - 1, d - s)[1] for d in range(poly_bound + 1))
+        for i in degree_of.values()
+    }
+    assert cx.cohomology(poly_bound).dims == expected
 
 
 # -- free complexes: specialisation ---------------------------------------------

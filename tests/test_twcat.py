@@ -175,6 +175,10 @@ def test_entry_checks_accept_a_wellformed_table():
     "changes, match",
     [
         ({"morphisms": CHECK_MORPHISMS + CHECK_MORPHISMS[:1]}, "duplicate"),
+        ({"morphisms": CHECK_MORPHISMS + [BasisMorphism("k", "X", "Nowhere", 0)]},
+         "k runs X -> Nowhere"),
+        ({"morphisms": CHECK_MORPHISMS + [BasisMorphism("k", "Nowhere", "Y", 0)]},
+         "k runs Nowhere -> Y"),
         ({"identities": {"X": "zz"}}, "unknown morphism 'zz'"),
         ({"identities": {"X": "f"}}, "degree-0 loop"),
         ({"mu1": {"zz": []}}, "unknown morphism 'zz'"),
@@ -470,6 +474,14 @@ def test_closedness_depends_on_the_connection_insertions():
     f = TwMorphism(xy, z, 0, {(0, 0): {"fX": one}, (0, 1): {"fY": one}})
     assert mu_tw(1, [f]).is_zero()
     assert matrix_mu(table, [f.entries]) == {(0, 0): {"h": one}}
+
+
+def test_identity_needs_an_identity_in_the_table():
+    table = AInfTable(
+        CHECK_RING, ("X",), [BasisMorphism("h", "X", "X", 0)], {}, total=False
+    )
+    with pytest.raises(ValueError, match="object X has no identity"):
+        TwComplex(table, [("X", 0)], {}).identity()
 
 
 def test_identity_morphism_is_a_unit_for_mu_tw():
