@@ -175,10 +175,6 @@ def test_entry_checks_accept_a_wellformed_table():
     "changes, match",
     [
         ({"morphisms": CHECK_MORPHISMS + CHECK_MORPHISMS[:1]}, "duplicate"),
-        ({"morphisms": CHECK_MORPHISMS + [BasisMorphism("k", "X", "Nowhere", 0)]},
-         "k runs X -> Nowhere"),
-        ({"morphisms": CHECK_MORPHISMS + [BasisMorphism("k", "Nowhere", "Y", 0)]},
-         "k runs Nowhere -> Y"),
         ({"identities": {"X": "zz"}}, "unknown morphism 'zz'"),
         ({"identities": {"X": "f"}}, "degree-0 loop"),
         ({"mu1": {"zz": []}}, "unknown morphism 'zz'"),
@@ -194,6 +190,10 @@ def test_entry_checks_accept_a_wellformed_table():
         ({"mu3": {("h", "h", "g"): [(ONE, "g")]}}, "not of degree 0"),
         ({"mu1": {"f": [(PolyRing(QQ, ("t",)).one(), "g")]}}, "ring"),
         ({"mu2": {("h", "f"): [], ("h", "g"): []}}, r"missing the product \(h, h\)"),
+        ({"morphisms": CHECK_MORPHISMS + [BasisMorphism("k", "X", "Nowhere", 0)]},
+         "k runs X -> Nowhere"),
+        ({"morphisms": CHECK_MORPHISMS + [BasisMorphism("k", "Nowhere", "Y", 0)]},
+         "k runs Nowhere -> Y"),
     ],
 )
 def test_entry_checks_reject_malformed_tables(changes, match):
