@@ -29,19 +29,21 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactalg import (
+    BoundedSpan,
     Echelon,
     Field,
     InternalError,
     Poly,
     PolyRing,
     TruncatedSolveResult,
+    data_degree,
     deglex_key,
     kernel_basis,
     linear_rows,
     matrix_rank,
+    membership_bound,
     monomials_upto,
     row_reduce,  # unused here; perfbench asserts its tracer rebinds cohom.row_reduce
-    truncated_solve,
 )
 from .quivalg import (
     AlgebraElement,
@@ -578,7 +580,9 @@ class H0Presentation:
     exactly one degree -1 arrow, so the image of d is exactly that
     ideal).  Membership in the ideal is decided against the bounded
     window of products x * r * y with x, y irreducible degree-0 words,
-    built once per presentation and cached as ``window``.
+    built once per presentation and cached as ``window``; the window is
+    reduced once per coefficient bound, and every membership question at
+    that bound is answered from the one reduction.
     """
 
     pres: Presentation
@@ -614,22 +618,34 @@ class H0Presentation:
                         out.append(xry)
         return out
 
+    @cached_property
+    def _window_degree(self) -> int:
+        return data_degree(u.terms for u in self.window)
+
+    @cached_property
+    def _spans(self) -> dict:
+        """The window reduced at each coefficient bound asked so far."""
+        return {}
+
     def contains(self, element: AlgebraElement, poly_bound: int = 8) -> TruncatedSolveResult:
         """Bounded two-sided ideal membership.
 
-        ``"member"`` comes with a verified witness: the window elements
-        weighted by it are summed in the algebra and must give the element
-        back, or ``InternalError`` is raised.  A miss is always
-        ``"inconclusive_at_bound"``, since a longer window or higher
-        coefficient degree might still find a representation.
+        ``"member"`` comes with a verified witness, one coefficient per
+        window element: the window elements weighted by it are summed in
+        the algebra and must give the element back, or ``InternalError``
+        is raised.  A miss is always ``"inconclusive_at_bound"``, since a
+        longer window or higher coefficient degree might still find a
+        representation.
         """
         element = self.pres.reduce(element)
-        if element.is_zero():
-            return TruncatedSolveResult(poly_bound, "member", [])
         window = self.window
-        result = truncated_solve(
-            self.pres.ring, [u.terms for u in window], element.terms, poly_bound
-        )
+        bound = membership_bound(poly_bound, self._window_degree, element.terms)
+        span = self._spans.get(bound)
+        if span is None:
+            span = self._spans[bound] = BoundedSpan(
+                self.pres.ring, [u.terms for u in window], bound
+            )
+        result = span.solve(element.terms)
         if result.status == "member":
             rebuilt = self.pres.zero()
             for u, w in zip(window, result.witness):

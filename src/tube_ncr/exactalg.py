@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def _is_prime(p: int) -> bool:
@@ -756,6 +756,106 @@ class TruncatedSolveResult:
     witness: Optional[list] = None  # a member's Poly coefficient per column
 
 
+def data_degree(vectors: Iterable[dict]) -> int:
+    """Largest total degree of an entry of sparse ``Poly`` vectors; -1 for none."""
+    return max([-1] + [p.total_degree() for vec in vectors for p in vec.values()])
+
+
+def membership_bound(degree_bound: int, column_degree: int, target: dict) -> int:
+    """The degree bound a membership question runs at: the requested
+    bound, raised to the columns' ``data_degree`` and the target's."""
+    return max(degree_bound, column_degree, data_degree([target]))
+
+
+class BoundedSpan:
+    """Bounded membership in the span of fixed columns, one elimination
+    for every target.
+
+    ``columns`` map coordinates to ``Poly`` entries over ``ring``.  The
+    unknowns are the coefficients of ``Poly`` multipliers of degree at most
+    ``bound``, one per (column j, monomial ``mons[k]``) at index
+    j * len(mons) + k; the equations are those of ``linear_rows``, one per
+    (coordinate, monomial).  The equation rows, each augmented by its own
+    tag column, are reduced once: a reduced row with its pivot among the
+    unknowns reads x_pivot = (tag part) * b for a right-hand side b, and a
+    row with its pivot among the tags is a consistency condition
+    (tag part) * b = 0.  Only each tag's column of those rows is kept, so
+    a target reads the tags its terms touch.  Free unknowns stay zero and
+    the reduced form is unique, so the witness does not depend on which
+    targets were asked before (Golub and Van Loan, *Matrix Computations*,
+    sec. 3.2: one factorisation, many right-hand sides).
+    """
+
+    __slots__ = ("ring", "columns", "bound", "mons", "nvars", "tags", "by_tag")
+
+    def __init__(self, ring: PolyRing, columns: Sequence[dict], bound: int):
+        self.ring, self.columns, self.bound = ring, columns, bound
+        self.mons = mons = monomials_upto(ring.nvars, bound)
+        eqs = linear_rows(
+            [(j, m) for j in range(len(columns)) for m in mons],
+            lambda j: [(c, exp, coef) for c, p in columns[j].items()
+                       for exp, coef in p.terms.items()],
+        )
+        self.nvars = nvars = len(columns) * len(mons)
+        # The tag of equation i is column nvars + i, after every unknown;
+        # the rows are fresh, so they take their tags in place.
+        self.tags = {}
+        for i, (key, row) in enumerate(eqs.items()):
+            self.tags[key] = i
+            row[nvars + i] = ring.field.one
+        reduced, pivots = row_reduce(list(eqs.values()), ring.field)
+        del eqs
+        # Tag i keeps the pivots of the reduced rows that hold it and its
+        # entries there, as two tuples; a pivot >= nvars marks a
+        # consistency condition.
+        leads: list[list] = [[] for _ in self.tags]
+        vals: list[list] = [[] for _ in self.tags]
+        for lead, ridx in pivots.items():
+            for col, val in reduced[ridx].items():
+                if col >= nvars:
+                    leads[col - nvars].append(lead)
+                    vals[col - nvars].append(val)
+        self.by_tag = [(tuple(ls), tuple(vs)) for ls, vs in zip(leads, vals)]
+
+    def solve(self, target: dict) -> TruncatedSolveResult:
+        """Is ``target`` a sum of the columns with multipliers of degree at
+        most the bound?  A member carries the multipliers as ``witness``,
+        re-checked against the columns as ``Poly`` vectors; a miss is
+        ``inconclusive_at_bound``."""
+        inconclusive = TruncatedSolveResult(self.bound, "inconclusive_at_bound")
+        p, nvars = self.ring.field.p, self.nvars
+        values: dict = {}
+        for coord, poly in target.items():
+            for exp, b in poly.terms.items():
+                tag = self.tags.get((coord, exp))
+                if tag is None:
+                    return inconclusive  # no equation reaches this term
+                for lead, val in zip(*self.by_tag[tag]):
+                    values[lead] = values.get(lead, 0) + val * b
+        if p is not None:
+            values = {lead: v % p for lead, v in values.items()}
+        if any(v for lead, v in values.items() if lead >= nvars):
+            return inconclusive
+        coefs: list[dict] = [{} for _ in self.columns]
+        for lead in sorted(values):
+            if values[lead]:
+                j, k = divmod(lead, len(self.mons))
+                coefs[j][self.mons[k]] = values[lead]
+        witness = [Poly(self.ring, terms) for terms in coefs]
+        # Certify on the columns as given, so a fault in the stored
+        # reduction cannot be reported as a witness.
+        rebuilt: dict = {}
+        for w, column in zip(witness, self.columns):
+            if w.terms:
+                for coord, entry in column.items():
+                    add_term(rebuilt, coord, w * entry)
+        if rebuilt != {c: poly for c, poly in target.items() if poly.terms}:
+            raise InternalError(
+                "bounded membership: the witness fails the target's equations"
+            )
+        return TruncatedSolveResult(self.bound, "member", witness)
+
+
 def truncated_solve(
     ring: PolyRing, columns: Sequence[dict], target: dict, degree_bound: int
 ) -> TruncatedSolveResult:
@@ -764,35 +864,11 @@ def truncated_solve(
     ``columns`` and ``target`` map coordinates to ``Poly`` entries over
     ``ring``.  Decide whether ``target`` is a sum of the columns with
     ``Poly`` coefficients of degree at most the bound, which is first
-    raised to the largest degree in the data.  A member carries its
-    coefficients as ``witness``; a bounded miss is
+    raised to the largest degree in the data (``membership_bound``).  A
+    member carries its coefficients as ``witness``; a bounded miss is
     ``inconclusive_at_bound`` (a higher-degree witness may exist), never
-    a bare "no".
+    a bare "no".  One question on a fresh ``BoundedSpan``; a caller with
+    many targets keeps the span.
     """
-    bound = max([degree_bound] + [p.total_degree() for vec in (*columns, target)
-                                  for p in vec.values()])
-    # One field unknown per (column j, monomial mons[k] <= bound), at
-    # index j * nmons + k; one equation per (coordinate, monomial).
-    mons = monomials_upto(ring.nvars, bound)
-    nmons = len(mons)
-    eqs = linear_rows(
-        [(j, m) for j in range(len(columns)) for m in mons],
-        lambda j: [(c, exp, coef) for c, p in columns[j].items()
-                   for exp, coef in p.terms.items()],
-    )
-    rhs_of = {(c, exp): coef for c, p in target.items()
-              for exp, coef in p.terms.items()}
-    # A target term no column reaches is an equation 0 = coef.
-    for key in rhs_of:
-        eqs.setdefault(key, {})
-    field = ring.field
-    rhs = [rhs_of.get(key, field.zero) for key in eqs]
-    solution = solve_sparse(list(eqs.values()), rhs, field)
-    if solution is None:
-        return TruncatedSolveResult(bound, "inconclusive_at_bound")
-    witness = [
-        Poly(ring, {m: solution[c] for c, m in enumerate(mons, j * nmons)
-                    if c < len(solution) and solution[c]})
-        for j in range(len(columns))
-    ]
-    return TruncatedSolveResult(bound, "member", witness)
+    bound = membership_bound(degree_bound, data_degree(columns), target)
+    return BoundedSpan(ring, columns, bound).solve(target)

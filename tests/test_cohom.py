@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tube_ncr import cohom
 from tube_ncr.cli import EXIT_INTERNAL, main
-from tube_ncr.exactalg import Field, InternalError, PolyRing
+from tube_ncr.exactalg import BoundedSpan, Field, InternalError, PolyRing
 from tube_ncr.cohom import (
     FreeComplex,
     char2_pagoda_check,
@@ -347,7 +347,12 @@ def test_h0_of_tube_has_no_relations():
     h0 = h0_presentation(tube)
     assert sorted(h0.generators) == ["a0", "a1", "b0", "b1"]
     assert h0.relations == []
-    assert h0.contains(tube.zero()).status == "member"
+    zero = h0.contains(tube.zero())
+    assert zero.status == "member"
+    # The zero element takes the one membership path: one coefficient per
+    # window element, at the raised bound.
+    assert len(zero.witness) == len(h0.window) == 0
+    assert zero.bound == 8
     # No relations means no window, so a nonzero element can only come
     # back unresolved.
     x_unit = scalar_times_unit(tube, ring.gen("x"), tube_vertex(0))
@@ -442,17 +447,27 @@ def test_membership_witness_verifies():
     assert pres.reduce(acc - target).is_zero()
 
 
-def test_corrupted_witness_is_an_internal_error(monkeypatch, capsys):
-    honest = cohom.truncated_solve
+def test_zero_has_a_zero_witness_per_window_element():
+    h0 = h0_presentation(cusp_contraction(), length_bound=6)
+    res = h0.contains(h0.pres.zero())
+    assert res.status == "member"
+    assert len(res.witness) == len(h0.window) > 0
+    assert all(w.is_zero() for w in res.witness)
+    assert res.bound == max(8, max(p.total_degree() for u in h0.window
+                                   for p in u.terms.values()))
 
-    def corrupted(*args, **kwargs):
-        res = honest(*args, **kwargs)
+
+def test_corrupted_witness_is_an_internal_error(monkeypatch, capsys):
+    honest = BoundedSpan.solve
+
+    def corrupted(self, target):
+        res = honest(self, target)
         if res.status == "member":
             j = next(j for j, w in enumerate(res.witness) if not w.is_zero())
             res.witness[j] = res.witness[j] + res.witness[j].ring.one()
         return res
 
-    monkeypatch.setattr(cohom, "truncated_solve", corrupted)
+    monkeypatch.setattr(BoundedSpan, "solve", corrupted)
     pres = cusp_contraction()
     h0 = h0_presentation(pres, length_bound=6)
     target = scalar_times_unit(pres, pres.ring.gen("x") ** 2, contraction_vertex(1))
@@ -461,6 +476,50 @@ def test_corrupted_witness_is_an_internal_error(monkeypatch, capsys):
     code = main(["cohom", "contraction-h0", "--n", "2", "--f", "x", "x^2+y^3", "y"])
     assert code == EXIT_INTERNAL
     assert "does not rebuild" in capsys.readouterr().err
+
+
+def tamper_first_read_entry(span, target):
+    """Add one to the first stored solve entry (a pivot among the
+    unknowns) that ``target`` reads; False when it reads none."""
+    for coord, poly in target.items():
+        for exp in poly.terms:
+            tag = span.tags.get((coord, exp))
+            leads, vals = ((), ()) if tag is None else span.by_tag[tag]
+            for i, lead in enumerate(leads):
+                if lead < span.nvars:
+                    vals = vals[:i] + (vals[i] + 1,) + vals[i + 1:]
+                    span.by_tag[tag] = (leads, vals)
+                    return True
+    return False
+
+
+def test_corrupted_reduction_is_an_internal_error(monkeypatch, capsys):
+    # A fault in the stored reduction is caught by the linear re-check
+    # inside the span, before the algebra rebuild in ``contains``.
+    honest = BoundedSpan.solve
+    tampered = []
+
+    def tamper_once(self, target):
+        if not tampered:
+            tampered.append(tamper_first_read_entry(self, target))
+        return honest(self, target)
+
+    monkeypatch.setattr(BoundedSpan, "solve", tamper_once)
+    pres = cusp_contraction()
+    h0 = h0_presentation(pres, length_bound=6)
+    target = scalar_times_unit(pres, pres.ring.gen("x") ** 2, contraction_vertex(1))
+    with pytest.raises(InternalError, match="fails the target's equations"):
+        h0.contains(target)
+    assert tampered == [True]
+    # The closure check's first product is a member, so the tampered
+    # entry is read at once.
+    tampered.clear()
+    code = main(["cohom", "contraction-h0", "--n", "2", "--f", "x", "x^2+y^3", "y"])
+    assert code == EXIT_INTERNAL
+    assert tampered == [True]
+    err = capsys.readouterr().err
+    assert "fails the target's equations" in err
+    assert "does not rebuild" not in err
 
 
 # -- pagoda family ---------------------------------------------------------------

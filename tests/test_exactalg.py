@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 
 from tube_ncr import exactalg
 from tube_ncr.exactalg import (
+    BoundedSpan,
     Echelon,
     Field,
     InternalError,
     Poly,
     PolyParseError,
     PolyRing,
+    data_degree,
     echelon,
     kernel_basis,
     linear_rows,
     matrix_rank,
+    membership_bound,
     monomials_upto,
     row_reduce,
     solve_sparse,
@@ -319,31 +322,38 @@ def sympy_bounded_membership(columns, target, bound):
     return sympy.linsolve(equations + [sympy.Integer(0)], unknowns) != sympy.EmptySet
 
 
+def sparse_vectors(min_size):
+    """Sparse vectors over Q[x, y]: up to two coordinates, each entry up
+    to three terms of degree at most 2."""
+    polys = st.dictionaries(st.sampled_from(monomials_upto(2, 2)),
+                            st.integers(-2, 2).filter(bool),
+                            min_size=min_size, max_size=3)
+    return st.dictionaries(st.integers(0, 1), polys.map(lambda terms: Poly(
+        RXY, {e: Fraction(c) for e, c in terms.items()})),
+        min_size=min_size, max_size=2)
+
+
+@st.composite
+def span_targets(draw, columns):
+    """A target, half of the time drawn from the span of ``columns`` with
+    coefficients of degree at most 1."""
+    if not draw(st.booleans()):
+        return draw(sparse_vectors(1))
+    target = {}
+    for column in columns:
+        coef = Poly(RXY, {e: Fraction(c) for e, c in draw(st.dictionaries(
+            st.sampled_from(monomials_upto(2, 1)), st.integers(-2, 2),
+            max_size=2)).items() if c})
+        for coord, entry in column.items():
+            target[coord] = target.get(coord, RXY.zero()) + coef * entry
+    return target
+
+
 @st.composite
 def membership_problems(draw):
-    """Sparse columns over Q[x, y] and a target, half of the time drawn
-    from their span with coefficients of degree at most 1."""
-    mons = st.sampled_from(monomials_upto(2, 2))
-
-    def vectors(min_size):
-        polys = st.dictionaries(mons, st.integers(-2, 2).filter(bool),
-                                min_size=min_size, max_size=3)
-        return st.dictionaries(st.integers(0, 1), polys.map(lambda terms: Poly(
-            RXY, {e: Fraction(c) for e, c in terms.items()})),
-            min_size=min_size, max_size=2)
-
-    columns = draw(st.lists(vectors(0), min_size=1, max_size=3))
-    if draw(st.booleans()):
-        target = {}
-        for column in columns:
-            coef = Poly(RXY, {e: Fraction(c) for e, c in draw(st.dictionaries(
-                st.sampled_from(monomials_upto(2, 1)), st.integers(-2, 2),
-                max_size=2)).items() if c})
-            for coord, entry in column.items():
-                target[coord] = target.get(coord, RXY.zero()) + coef * entry
-    else:
-        target = draw(vectors(1))
-    return columns, target, draw(st.integers(0, 2))
+    """Sparse columns over Q[x, y], a target and a degree bound."""
+    columns = draw(st.lists(sparse_vectors(0), min_size=1, max_size=3))
+    return columns, draw(span_targets(columns)), draw(st.integers(0, 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -361,6 +371,61 @@ def test_truncated_solve_agrees_with_sympy(problem):
         assert ({c: p for c, p in rebuilt.items() if not p.is_zero()}
                 == {c: p for c, p in target.items() if not p.is_zero()})
         assert all(p.total_degree() <= res.bound for p in res.witness)
+
+
+def independent_solve(ring, columns, target, bound):
+    """Bounded membership as one ``solve_sparse`` on its own equations:
+    the system of ``BoundedSpan``, with the target as right-hand side."""
+    mons = monomials_upto(ring.nvars, bound)
+    eqs = linear_rows(
+        [(j, m) for j in range(len(columns)) for m in mons],
+        lambda j: [(c, exp, coef) for c, p in columns[j].items()
+                   for exp, coef in p.terms.items()],
+    )
+    rhs_of = {(c, exp): coef for c, p in target.items()
+              for exp, coef in p.terms.items()}
+    for key in rhs_of:
+        eqs.setdefault(key, {})  # a term no column reaches: 0 = coef
+    field = ring.field
+    solution = solve_sparse(list(eqs.values()),
+                            [rhs_of.get(key, field.zero) for key in eqs], field)
+    if solution is None:
+        return "inconclusive_at_bound", None
+    solution += [field.zero] * (len(columns) * len(mons) - len(solution))
+    return "member", [
+        Poly(ring, {m: solution[j * len(mons) + k] for k, m in enumerate(mons)
+                    if solution[j * len(mons) + k]})
+        for j in range(len(columns))
+    ]
+
+
+def over_field(field, vector):
+    """A sparse vector over Q[x, y] with its coefficients mapped into ``field``."""
+    ring = PolyRing(field, RXY.names)
+    return {coord: Poly(ring, {e: field.of(c) for e, c in p.terms.items()
+                               if field.of(c)})
+            for coord, p in vector.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([None, 2, 3, 5, 32003]))
+def test_many_targets_on_one_span_agree_with_independent_solves(data, p):
+    # One prepared span answers each target exactly as a fresh
+    # elimination with that target as right-hand side would, whatever
+    # was asked of it before.
+    field = QQ if p is None else Field.prime(p)
+    ring = PolyRing(field, RXY.names)
+    columns, target, degree_bound = data.draw(membership_problems())
+    targets = [target] + data.draw(st.lists(span_targets(columns), max_size=4))
+    columns = [over_field(field, column) for column in columns]
+    targets = [over_field(field, t) for t in targets]
+    bound = max(membership_bound(degree_bound, data_degree(columns), t)
+                for t in targets)
+    span = BoundedSpan(ring, columns, bound)
+    for t in targets:
+        res = span.solve(t)
+        assert res.bound == bound
+        assert (res.status, res.witness) == independent_solve(ring, columns, t, bound)
 
 
 def test_monomials_upto_deglex_order():
