@@ -149,13 +149,6 @@ class MarkedSurface:
             faces.append(entry)
         return {"boundaries": [list(b) for b in self.boundaries], "faces": faces}
 
-    @classmethod
-    def from_json(cls, blob: dict) -> "MarkedSurface":
-        faces = [
-            Face(tuple(f["cycle"]), f.get("mark")) for f in blob["faces"]
-        ]
-        return cls(blob["boundaries"], faces)
-
 
 @dataclass
 class GeneratedPresentation:

@@ -29,13 +29,13 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactalg import (
-    BoundedSpan,
     Echelon,
     Field,
     InternalError,
     Poly,
     PolyRing,
     TruncatedSolveResult,
+    bounded_members,
     data_degree,
     deglex_key,
     kernel_basis,
@@ -580,9 +580,9 @@ class H0Presentation:
     exactly one degree -1 arrow, so the image of d is exactly that
     ideal).  Membership in the ideal is decided against the bounded
     window of products x * r * y with x, y irreducible degree-0 words,
-    built once per presentation and cached as ``window``; the window is
-    reduced once per coefficient bound, and every membership question at
-    that bound is answered from the one reduction.
+    built once per presentation and cached as ``window``; the elements
+    asked together at one coefficient bound are answered from one
+    reduction of the window, with each element as a right-hand side.
     """
 
     pres: Presentation
@@ -618,44 +618,50 @@ class H0Presentation:
                         out.append(xry)
         return out
 
-    @cached_property
-    def _window_degree(self) -> int:
-        return data_degree(u.terms for u in self.window)
+    def contains_all(
+        self, elements: Sequence[AlgebraElement], poly_bound: int = 8
+    ) -> list[TruncatedSolveResult]:
+        """Bounded two-sided ideal membership of each element.
 
-    @cached_property
-    def _spans(self) -> dict:
-        """The window reduced at each coefficient bound asked so far."""
-        return {}
+        The elements are grouped by the bound they run at
+        (``membership_bound``), and each group is one ``bounded_members``
+        call on the window.  ``"member"`` comes with a verified witness,
+        one coefficient per window element: the window elements weighted
+        by it are summed in the algebra and must give the element back,
+        or ``InternalError`` is raised.  A miss is always
+        ``"inconclusive_at_bound"``, since a longer window or higher
+        coefficient degree might still find a representation.
+        """
+        elements = [self.pres.reduce(e) for e in elements]
+        window = self.window
+        columns = [u.terms for u in window]
+        column_degree = data_degree(columns)
+        groups: dict[int, list[int]] = {}
+        for i, element in enumerate(elements):
+            bound = membership_bound(poly_bound, column_degree, element.terms)
+            groups.setdefault(bound, []).append(i)
+        results: list = [None] * len(elements)
+        for bound, group in groups.items():
+            answers = bounded_members(
+                self.pres.ring, columns, [elements[i].terms for i in group], bound
+            )
+            for i, result in zip(group, answers):
+                results[i] = result
+        for element, result in zip(elements, results):
+            if result.status == "member":
+                rebuilt = self.pres.zero()
+                for u, w in zip(window, result.witness):
+                    if not w.is_zero():
+                        rebuilt = rebuilt + u.scale(w)
+                if rebuilt != element:
+                    raise InternalError(
+                        f"H^0 membership: the witness does not rebuild {element.to_text()}"
+                    )
+        return results
 
     def contains(self, element: AlgebraElement, poly_bound: int = 8) -> TruncatedSolveResult:
-        """Bounded two-sided ideal membership.
-
-        ``"member"`` comes with a verified witness, one coefficient per
-        window element: the window elements weighted by it are summed in
-        the algebra and must give the element back, or ``InternalError``
-        is raised.  A miss is always ``"inconclusive_at_bound"``, since a
-        longer window or higher coefficient degree might still find a
-        representation.
-        """
-        element = self.pres.reduce(element)
-        window = self.window
-        bound = membership_bound(poly_bound, self._window_degree, element.terms)
-        span = self._spans.get(bound)
-        if span is None:
-            span = self._spans[bound] = BoundedSpan(
-                self.pres.ring, [u.terms for u in window], bound
-            )
-        result = span.solve(element.terms)
-        if result.status == "member":
-            rebuilt = self.pres.zero()
-            for u, w in zip(window, result.witness):
-                if not w.is_zero():
-                    rebuilt = rebuilt + u.scale(w)
-            if rebuilt != element:
-                raise InternalError(
-                    f"H^0 membership: the witness does not rebuild {element.to_text()}"
-                )
-        return result
+        """``contains_all`` for one element."""
+        return self.contains_all([element], poly_bound)[0]
 
     def relation_holds(
         self, lhs: AlgebraElement, rhs: AlgebraElement, poly_bound: int = 8
@@ -673,19 +679,17 @@ class H0Presentation:
         is exactly when membership answers should not be trusted.
         """
         inner = replace(self, length_bound=self.length_bound - 1).window
-        checked = 0
-        failures = []
+        products = []
         for u in inner:
             for name in self.generators:
                 a = self.pres.arrow_element(name)
                 for prod in (self.pres.multiply(a, u), self.pres.multiply(u, a)):
-                    if prod.is_zero():
-                        continue
-                    checked += 1
-                    res = self.contains(prod, poly_bound)
-                    if res.status != "member":
-                        failures.append(prod.to_text())
-        return {"ok": not failures, "checked": checked, "failures": failures}
+                    if not prod.is_zero():
+                        products.append(prod)
+        results = self.contains_all(products, poly_bound)
+        failures = [prod.to_text() for prod, res in zip(products, results)
+                    if res.status != "member"]
+        return {"ok": not failures, "checked": len(products), "failures": failures}
 
     def to_json(self) -> dict:
         return {

@@ -4,7 +4,9 @@ Everything downstream runs on the primitives in this module: fields (the
 rationals, or a prime field F_p with p < 2**31), multivariate polynomial
 rings over such a field, sparse exact elimination, and bounded
 membership: is a sparse vector of polynomials a combination of given
-ones, with coefficients truncated at an explicit degree bound?
+ones, with coefficients truncated at an explicit degree bound?  Many
+such vectors are asked at once, as right-hand-side columns of one
+elimination.
 
 Conventions fixed here, relied on everywhere else:
 
@@ -121,19 +123,6 @@ class Field:
         if self.p is None:
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def parse_scalar(self, text: str):
-        """Parse "3", "-2", or (rationals only) "2/5"."""
-        text = text.strip()
-        if "/" in text:
-            if self.p is not None:
-                num, den = text.split("/", 1)
-                return self.div(self.of(int(num)), self.of(int(den)))
-            return Fraction(text)
-        return self.of(int(text))
 
     def format_scalar(self, a) -> str:
         if self.p is None and a.denominator != 1:
@@ -419,16 +408,6 @@ class Poly:
             ]
         }
 
-    @classmethod
-    def from_json(cls, ring: PolyRing, data: dict) -> "Poly":
-        terms = {}
-        for t in data["terms"]:
-            exp = tuple(t["exp"])
-            c = ring.field.parse_scalar(t["coef"])
-            if c:
-                terms[exp] = c
-        return cls(ring, terms)
-
     def __repr__(self) -> str:
         return f"Poly({self.to_text()})"
 
@@ -661,6 +640,7 @@ def kernel_basis(rows: list[dict], ncols: int, field: Field) -> list[dict]:
     and within a vector the pivot coordinates follow the pivot order.
     """
     reduced, pivots = row_reduce(rows, field)
+    p = field.p
     # In reduced form every non-pivot entry of a row sits in a free
     # column, so one pass over the rows collects each free column's
     # pivot coordinates.
@@ -668,7 +648,8 @@ def kernel_basis(rows: list[dict], ncols: int, field: Field) -> list[dict]:
     for pivot_col, ridx in pivots.items():
         for col, val in reduced[ridx].items():
             if col != pivot_col:
-                entries.setdefault(col, []).append((pivot_col, field.neg(val)))
+                entries.setdefault(col, []).append(
+                    (pivot_col, -val if p is None else -val % p))
     basis: list[dict] = []
     for free in range(ncols):
         if free in pivots:
@@ -677,6 +658,32 @@ def kernel_basis(rows: list[dict], ncols: int, field: Field) -> list[dict]:
         vec.update(entries.get(free, ()))
         basis.append(vec)
     return basis
+
+
+def _read_solutions(
+    reduced: list[dict], pivots: dict, nvars: int, nrhs: int
+) -> list[Optional[dict]]:
+    """Each right-hand side's solution, read off one reduced [A | B].
+
+    Columns below ``nvars`` are the unknowns and column nvars + k holds
+    right-hand side k.  With the free unknowns pinned to zero, a row
+    leading at an unknown reads x_lead = its entry in column nvars + k.
+    A row leading past the unknowns reads 0 = its entries there, so every
+    right-hand side it holds is inconsistent (None); that column need not
+    be a pivot itself, since b_k can lie in the span of A and an earlier
+    b_i.  A solution maps each nonzero unknown to its value.
+    """
+    solutions: list[Optional[dict]] = [{} for _ in range(nrhs)]
+    for lead, ridx in pivots.items():
+        for col, val in reduced[ridx].items():
+            if col < nvars:
+                continue
+            k = col - nvars
+            if lead >= nvars:
+                solutions[k] = None
+            elif solutions[k] is not None:
+                solutions[k][lead] = val
+    return solutions
 
 
 def solve_sparse(
@@ -693,13 +700,12 @@ def solve_sparse(
     # entry goes in as given.
     augmented = [{**row, sentinel: b} if b else row for row, b in zip(rows, rhs)]
     reduced, pivots = row_reduce(augmented, field)
-    if sentinel in pivots:
+    (values,) = _read_solutions(reduced, pivots, sentinel, 1)
+    if values is None:
         return None  # some row reduced to 0 = nonzero
     solution = [field.zero] * sentinel
-    # Each reduced row reads x_pivot + (free terms) = rhs entry; with the
-    # free variables pinned to zero, x_pivot is the rhs entry itself.
-    for pivot_col, ridx in pivots.items():
-        solution[pivot_col] = reduced[ridx].get(sentinel, field.zero)
+    for col, val in values.items():
+        solution[col] = val
     # Certify on the rows as given, so a solver fault cannot be reported
     # as a witness.
     p = field.p
@@ -767,93 +773,66 @@ def membership_bound(degree_bound: int, column_degree: int, target: dict) -> int
     return max(degree_bound, column_degree, data_degree([target]))
 
 
-class BoundedSpan:
-    """Bounded membership in the span of fixed columns, one elimination
-    for every target.
+def bounded_members(
+    ring: PolyRing, columns: Sequence[dict], targets: Sequence[dict], bound: int
+) -> list[TruncatedSolveResult]:
+    """Bounded membership of each target in the span of fixed columns,
+    all from one elimination.
 
-    ``columns`` map coordinates to ``Poly`` entries over ``ring``.  The
-    unknowns are the coefficients of ``Poly`` multipliers of degree at most
-    ``bound``, one per (column j, monomial ``mons[k]``) at index
-    j * len(mons) + k; the equations are those of ``linear_rows``, one per
-    (coordinate, monomial).  The equation rows, each augmented by its own
-    tag column, are reduced once: a reduced row with its pivot among the
-    unknowns reads x_pivot = (tag part) * b for a right-hand side b, and a
-    row with its pivot among the tags is a consistency condition
-    (tag part) * b = 0.  Only each tag's column of those rows is kept, so
-    a target reads the tags its terms touch.  Free unknowns stay zero and
-    the reduced form is unique, so the witness does not depend on which
-    targets were asked before (Golub and Van Loan, *Matrix Computations*,
-    sec. 3.2: one factorisation, many right-hand sides).
+    ``columns`` and ``targets`` map coordinates to ``Poly`` entries over
+    ``ring``.  The unknowns are the coefficients of ``Poly`` multipliers
+    of degree at most ``bound``, one per (column j, monomial ``mons[k]``)
+    at index j * len(mons) + k; the equations are those of
+    ``linear_rows``, one per (coordinate, monomial).  Each target becomes
+    one more column on the equation rows its terms touch, after every
+    unknown, and [A | B] is reduced once (Golub and Van Loan, *Matrix
+    Computations*, sec. 3.2: one factorisation, many right-hand sides).
+    The reduced form of A is unique and free unknowns stay zero, so each
+    answer equals the one-target answer.  A target with a term that no
+    equation reaches is ``inconclusive_at_bound`` and gets no column.  A
+    member carries its multipliers as ``witness``, re-checked against the
+    columns as ``Poly`` vectors; a miss is ``inconclusive_at_bound``.
     """
-
-    __slots__ = ("ring", "columns", "bound", "mons", "nvars", "tags", "by_tag")
-
-    def __init__(self, ring: PolyRing, columns: Sequence[dict], bound: int):
-        self.ring, self.columns, self.bound = ring, columns, bound
-        self.mons = mons = monomials_upto(ring.nvars, bound)
-        eqs = linear_rows(
-            [(j, m) for j in range(len(columns)) for m in mons],
-            lambda j: [(c, exp, coef) for c, p in columns[j].items()
-                       for exp, coef in p.terms.items()],
-        )
-        self.nvars = nvars = len(columns) * len(mons)
-        # The tag of equation i is column nvars + i, after every unknown;
-        # the rows are fresh, so they take their tags in place.
-        self.tags = {}
-        for i, (key, row) in enumerate(eqs.items()):
-            self.tags[key] = i
-            row[nvars + i] = ring.field.one
-        reduced, pivots = row_reduce(list(eqs.values()), ring.field)
-        del eqs
-        # Tag i keeps the pivots of the reduced rows that hold it and its
-        # entries there, as two tuples; a pivot >= nvars marks a
-        # consistency condition.
-        leads: list[list] = [[] for _ in self.tags]
-        vals: list[list] = [[] for _ in self.tags]
-        for lead, ridx in pivots.items():
-            for col, val in reduced[ridx].items():
-                if col >= nvars:
-                    leads[col - nvars].append(lead)
-                    vals[col - nvars].append(val)
-        self.by_tag = [(tuple(ls), tuple(vs)) for ls, vs in zip(leads, vals)]
-
-    def solve(self, target: dict) -> TruncatedSolveResult:
-        """Is ``target`` a sum of the columns with multipliers of degree at
-        most the bound?  A member carries the multipliers as ``witness``,
-        re-checked against the columns as ``Poly`` vectors; a miss is
-        ``inconclusive_at_bound``."""
-        inconclusive = TruncatedSolveResult(self.bound, "inconclusive_at_bound")
-        p, nvars = self.ring.field.p, self.nvars
-        values: dict = {}
-        for coord, poly in target.items():
-            for exp, b in poly.terms.items():
-                tag = self.tags.get((coord, exp))
-                if tag is None:
-                    return inconclusive  # no equation reaches this term
-                for lead, val in zip(*self.by_tag[tag]):
-                    values[lead] = values.get(lead, 0) + val * b
-        if p is not None:
-            values = {lead: v % p for lead, v in values.items()}
-        if any(v for lead, v in values.items() if lead >= nvars):
-            return inconclusive
-        coefs: list[dict] = [{} for _ in self.columns]
+    mons = monomials_upto(ring.nvars, bound)
+    eqs = linear_rows(
+        [(j, m) for j in range(len(columns)) for m in mons],
+        lambda j: [(c, exp, coef) for c, p in columns[j].items()
+                   for exp, coef in p.terms.items()],
+    )
+    nvars = len(columns) * len(mons)
+    results = [TruncatedSolveResult(bound, "inconclusive_at_bound") for _ in targets]
+    asked = []  # indices of the targets that get a column, in column order
+    for i, target in enumerate(targets):
+        terms = [((coord, exp), b) for coord, poly in target.items()
+                 for exp, b in poly.terms.items()]
+        if all(key in eqs for key, _ in terms):
+            # The rows are fresh, so they take the column in place.
+            for key, b in terms:
+                eqs[key][nvars + len(asked)] = b
+            asked.append(i)
+    reduced, pivots = row_reduce(list(eqs.values()), ring.field)
+    del eqs
+    for i, values in zip(asked, _read_solutions(reduced, pivots, nvars, len(asked))):
+        if values is None:
+            continue
+        coefs: list[dict] = [{} for _ in columns]
         for lead in sorted(values):
-            if values[lead]:
-                j, k = divmod(lead, len(self.mons))
-                coefs[j][self.mons[k]] = values[lead]
-        witness = [Poly(self.ring, terms) for terms in coefs]
-        # Certify on the columns as given, so a fault in the stored
-        # reduction cannot be reported as a witness.
+            j, k = divmod(lead, len(mons))
+            coefs[j][mons[k]] = values[lead]
+        witness = [Poly(ring, terms) for terms in coefs]
+        # Certify on the columns as given, so a fault in the reduction
+        # cannot be reported as a witness.
         rebuilt: dict = {}
-        for w, column in zip(witness, self.columns):
+        for w, column in zip(witness, columns):
             if w.terms:
                 for coord, entry in column.items():
                     add_term(rebuilt, coord, w * entry)
-        if rebuilt != {c: poly for c, poly in target.items() if poly.terms}:
+        if rebuilt != {c: poly for c, poly in targets[i].items() if poly.terms}:
             raise InternalError(
                 "bounded membership: the witness fails the target's equations"
             )
-        return TruncatedSolveResult(self.bound, "member", witness)
+        results[i] = TruncatedSolveResult(bound, "member", witness)
+    return results
 
 
 def truncated_solve(
@@ -867,8 +846,8 @@ def truncated_solve(
     raised to the largest degree in the data (``membership_bound``).  A
     member carries its coefficients as ``witness``; a bounded miss is
     ``inconclusive_at_bound`` (a higher-degree witness may exist), never
-    a bare "no".  One question on a fresh ``BoundedSpan``; a caller with
-    many targets keeps the span.
+    a bare "no".  ``bounded_members`` with one target; a caller with many
+    targets at one bound asks them together.
     """
     bound = membership_bound(degree_bound, data_degree(columns), target)
-    return BoundedSpan(ring, columns, bound).solve(target)
+    return bounded_members(ring, columns, [target], bound)[0]

@@ -157,15 +157,6 @@ class AlgebraElement:
                 parts.append(f"{ctext}*{word}")
         return " + ".join(parts)
 
-    def to_json(self) -> dict:
-        out = []
-        for path, coef in self.sorted_terms():
-            entry = {"word": list(path.arrows), "coef": coef.to_json()}
-            if path.is_lazy:
-                entry["vertex"] = path.vertex
-            out.append(entry)
-        return {"terms": out}
-
     def __repr__(self) -> str:
         return f"<AlgebraElement {self.to_text()}>"
 

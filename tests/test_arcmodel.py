@@ -127,13 +127,9 @@ def test_provenance_records_every_face():
     assert gen.provenance[2]["diff"] == ["beta"]
 
 
-def test_surface_json_roundtrip():
-    s = disc(3)
-    blob = s.to_json()
+def test_surface_to_json():
+    blob = disc(3).to_json()
     assert blob["faces"][0] == {"cycle": ["L1", "alpha"], "mark": 0}
-    again = MarkedSurface.from_json(blob)
-    assert again.boundaries == s.boundaries
-    assert again.faces == s.faces
 
 
 def test_unmarked_bigon_rejected():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tube_ncr import cohom
+from tube_ncr import cohom, exactalg
 from tube_ncr.cli import EXIT_INTERNAL, main
-from tube_ncr.exactalg import BoundedSpan, Field, InternalError, PolyRing
+from tube_ncr.exactalg import Field, InternalError, PolyRing
 from tube_ncr.cohom import (
     FreeComplex,
     char2_pagoda_check,
@@ -458,16 +458,17 @@ def test_zero_has_a_zero_witness_per_window_element():
 
 
 def test_corrupted_witness_is_an_internal_error(monkeypatch, capsys):
-    honest = BoundedSpan.solve
+    honest = cohom.bounded_members
 
-    def corrupted(self, target):
-        res = honest(self, target)
-        if res.status == "member":
-            j = next(j for j, w in enumerate(res.witness) if not w.is_zero())
-            res.witness[j] = res.witness[j] + res.witness[j].ring.one()
-        return res
+    def corrupted(ring, columns, targets, bound):
+        results = honest(ring, columns, targets, bound)
+        for res in results:
+            if res.status == "member":
+                j = next(j for j, w in enumerate(res.witness) if not w.is_zero())
+                res.witness[j] = res.witness[j] + res.witness[j].ring.one()
+        return results
 
-    monkeypatch.setattr(BoundedSpan, "solve", corrupted)
+    monkeypatch.setattr(cohom, "bounded_members", corrupted)
     pres = cusp_contraction()
     h0 = h0_presentation(pres, length_bound=6)
     target = scalar_times_unit(pres, pres.ring.gen("x") ** 2, contraction_vertex(1))
@@ -478,41 +479,40 @@ def test_corrupted_witness_is_an_internal_error(monkeypatch, capsys):
     assert "does not rebuild" in capsys.readouterr().err
 
 
-def tamper_first_read_entry(span, target):
-    """Add one to the first stored solve entry (a pivot among the
-    unknowns) that ``target`` reads; False when it reads none."""
-    for coord, poly in target.items():
-        for exp in poly.terms:
-            tag = span.tags.get((coord, exp))
-            leads, vals = ((), ()) if tag is None else span.by_tag[tag]
-            for i, lead in enumerate(leads):
-                if lead < span.nvars:
-                    vals = vals[:i] + (vals[i] + 1,) + vals[i + 1:]
-                    span.by_tag[tag] = (leads, vals)
-                    return True
+def tamper_first_read_entry(reduced, pivots, nvars, solutions):
+    """Add one to the first right-hand-side entry of a reduced row that
+    leads at an unknown, in the column of a target that ``solutions``
+    reads as consistent; False when there is none."""
+    for lead, ridx in pivots.items():
+        row = reduced[ridx]
+        for col in row:
+            if lead < nvars <= col and solutions[col - nvars] is not None:
+                row[col] += 1
+                return True
     return False
 
 
 def test_corrupted_reduction_is_an_internal_error(monkeypatch, capsys):
-    # A fault in the stored reduction is caught by the linear re-check
-    # inside the span, before the algebra rebuild in ``contains``.
-    honest = BoundedSpan.solve
+    # A fault in the reduced form is caught by the linear re-check inside
+    # ``bounded_members``, before the algebra rebuild in ``contains_all``.
+    honest = exactalg._read_solutions
     tampered = []
 
-    def tamper_once(self, target):
+    def tamper_once(reduced, pivots, nvars, nrhs):
         if not tampered:
-            tampered.append(tamper_first_read_entry(self, target))
-        return honest(self, target)
+            solutions = honest(reduced, pivots, nvars, nrhs)
+            tampered.append(tamper_first_read_entry(reduced, pivots, nvars, solutions))
+        return honest(reduced, pivots, nvars, nrhs)
 
-    monkeypatch.setattr(BoundedSpan, "solve", tamper_once)
+    monkeypatch.setattr(exactalg, "_read_solutions", tamper_once)
     pres = cusp_contraction()
     h0 = h0_presentation(pres, length_bound=6)
     target = scalar_times_unit(pres, pres.ring.gen("x") ** 2, contraction_vertex(1))
     with pytest.raises(InternalError, match="fails the target's equations"):
         h0.contains(target)
     assert tampered == [True]
-    # The closure check's first product is a member, so the tampered
-    # entry is read at once.
+    # The closure check asks every product in one reduction, and its
+    # members are read from the tampered one.
     tampered.clear()
     code = main(["cohom", "contraction-h0", "--n", "2", "--f", "x", "x^2+y^3", "y"])
     assert code == EXIT_INTERNAL
