@@ -8,10 +8,13 @@ never mix layers.  For a differential graded ``Presentation`` the
 morphism complex between two vertices has infinite rank, so everything is
 truncated instead: words up to a length bound, coefficient monomials up
 to a degree bound.  Both kinds split into graded blocks eliminated by one
-routine, ``_window_blocks``.  Every answer is recomputed with its bounds
-enlarged and carries a status, ``"stable"`` when the two runs agree and
-``"inconclusive_at_bound"`` otherwise; a bound that was too small shows
-up in the status, never as a silently wrong number.
+routine, ``_window_blocks``.  Every answer is also counted with its
+bounds enlarged and carries a status, ``"stable"`` when the two counts
+agree and ``"inconclusive_at_bound"`` otherwise; a bound that was too
+small shows up in the status, never as a silently wrong number.  Both
+counts come from one pass over the enlarged window: each of its blocks
+lists the columns of the smaller window first, so one elimination per
+block gives both ranks.
 
 Degree bookkeeping: arrows sit in degrees 0 and -1 and the differential
 raises degree by 1, so the interesting cohomology sits in degrees -m for
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -38,9 +41,9 @@ from .exactalg import (
     bounded_members,
     data_degree,
     deglex_key,
+    echelon,
     kernel_basis,
     linear_rows,
-    matrix_rank,
     membership_bound,
     monomials_upto,
     row_reduce,  # unused here; perfbench asserts its tracer rebinds cohom.row_reduce
@@ -70,54 +73,85 @@ STABILITY_STEP = 2
 def _window_blocks(
     v_blocks: dict, u_blocks: dict, image_of, field: Field, with_vectors: bool
 ):
-    """Yield (columns, rank, generator vectors) per grade of the window V.
+    """Yield (grade, columns, base rank, rank, generator vectors) per grade
+    of the window V, for V and for the base window inside it.
 
     ``v_blocks`` and ``u_blocks`` map a grade, which d respects, to the
     (generator, exponent) columns of the window V and of the image side
-    U; ``image_of`` is read as ``linear_rows`` reads it.  A block's rank
-    is dim ker(d on V) minus the dimension of d U inside the window.
+    U, with the columns of the base window and of its image side first,
+    and to the number of those base columns; ``image_of`` is read as
+    ``linear_rows`` reads it.  A block's rank is dim ker(d on V) minus
+    the dimension of d U inside the window, and likewise for the base.
 
-    The image side is one ``Echelon`` in column orientation: a column per
-    element of U, a row per target coordinate, and the rows outside the
-    window inserted first, so the pivot count after them is the outside
-    rank and the pivot columns below len(U) at the end count rank(d U).
-    With ``with_vectors`` each kernel vector is one more column, on the
-    window's rows; it is a pivot column exactly when it is independent
-    of the image inside the window and of the kernel vectors before it,
-    so the pivots past len(U) pick one generator vector per unit of rank.
+    One elimination per side serves both windows, because the pivot
+    columns of an echelon form below k count the rank of the first k
+    columns (the column rank profile).  The kernel side eliminates d on
+    all of V.  The image side is one ``Echelon`` in column orientation, a
+    column per element of U and a row per target coordinate, with the
+    rows inserted in three groups: outside V, inside V but outside the
+    base window, inside the base window.  The pivot count after the first
+    group is the outside rank of U; the pivots below the base count after
+    the second are the base's outside rank; at the end they count
+    rank(d U_base), and all pivots count rank(d U).
+
+    With ``with_vectors`` the base block's kernel vectors are found and
+    set as further columns on the base image side, [U_base | K], on the
+    base window's rows; a kernel vector is a pivot column exactly when it
+    is independent of the image inside the window and of the vectors
+    before it, so the pivots past len(U_base) pick one generator vector
+    per unit of base rank.
     """
     for g in sorted(v_blocks):
-        cols = v_blocks[g]
+        cols, n_base = v_blocks[g]
         d_rows = list(linear_rows(cols, image_of).values())
-        if with_vectors:
-            kernel = kernel_basis(d_rows, len(cols), field)
-            dim_kernel = len(kernel)
-        else:
-            kernel = []
-            dim_kernel = len(cols) - matrix_rank(d_rows, field)
+        _, pivots = echelon(d_rows, field)
+        base_pivots = sum(1 for c in pivots if c < n_base)
 
-        u_cols = u_blocks.get(g, [])
-        n_u = len(u_cols)
+        u_cols, u_base = u_blocks.get(g, ((), 0))
         image = linear_rows(u_cols, image_of)
-        # Column n_u + i holds kernel[i] on the window's rows.
-        for k, vec in enumerate(kernel, n_u):
-            for j, scal in vec.items():
-                image.setdefault(cols[j], {})[k] = scal
-        window = set(cols)
+        base_window, window = set(cols[:n_base]), set(cols)
+        groups: tuple[list, list, list] = ([], [], [])
+        for key, row in image.items():
+            # 0 outside V, 1 inside V only, 2 inside the base window.
+            groups[(key in window) + (key in base_window)].append(row)
         ech = Echelon(field)
-        for row in [row for key, row in image.items() if key not in window]:
+        for row in groups[0]:
             ech.insert(row)
         rank_outside = len(ech.rows)
-        for row in [row for key, row in image.items() if key in window]:
+        for row in groups[1]:
             ech.insert(row)
-        dim_image = sum(1 for c in ech.pivots if c < n_u) - rank_outside
-        block_rank = dim_kernel - dim_image
-        found = [kernel[c - n_u] for c in ech.pivots if c >= n_u]
-        if with_vectors and len(found) != block_rank:
-            raise InternalError(
-                f"truncated cohomology: {len(found)} generators for rank {block_rank}"
+        base_outside = sum(1 for c in ech.pivots if c < u_base)
+        for row in groups[2]:
+            ech.insert(row)
+        base_image = sum(1 for c in ech.pivots if c < u_base) - base_outside
+        base_rank = n_base - base_pivots - base_image
+        rank = len(cols) - len(pivots) - (len(ech.rows) - rank_outside)
+
+        found: list = []
+        if with_vectors:
+            kernel = kernel_basis(
+                [{c: v for c, v in row.items() if c < n_base} for row in d_rows],
+                n_base, field,
             )
-        yield cols, block_rank, found
+            # Column u_base + i holds kernel[i] on the base window's rows.
+            base_image_rows = {
+                key: {c: v for c, v in row.items() if c < u_base}
+                for key, row in image.items()
+            }
+            for k, vec in enumerate(kernel, u_base):
+                for j, scal in vec.items():
+                    base_image_rows.setdefault(cols[j], {})[k] = scal
+            # The pivot columns are fixed by the rows' span, whatever
+            # their order.
+            ech = Echelon(field)
+            for row in base_image_rows.values():
+                ech.insert(row)
+            found = [kernel[c - u_base] for c in ech.pivots if c >= u_base]
+            if len(found) != base_rank:
+                raise InternalError(
+                    f"truncated cohomology: {len(found)} generators for rank {base_rank}"
+                )
+        yield g, cols, base_rank, rank, found
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +287,23 @@ class FreeComplex:
             )
         return degs.pop() if degs else 1
 
-    def _dims(self, poly_bound: int) -> dict[int, int]:
-        """Cohomology dimension per degree from the layers up to the bound.
+    def _layer_ranks(self, poly_bound: int) -> dict[int, dict[int, int]]:
+        """Cohomology dimension per degree and polynomial layer up to the bound.
 
-        Column (g, e) has grade deg(e) - s * deg(g) for the entry degree
-        s, so each block is one polynomial layer and its image stays in
-        the window.
+        Column (g, e) of degree i sits in layer deg(e), and d maps it into
+        layer deg(e) + s for the entry degree s, so each block is one
+        layer and its image stays in the window.
         """
         s = self._entry_degree()
         mons = monomials_upto(self.ring.nvars, poly_bound)
 
-        def blocks(i: int) -> dict:
+        def blocks(i: int, shift: int) -> dict:
+            """Degree i's columns by the layer their image lands in."""
             out: dict[int, list] = {}
             for g in self.generators.get(i, []):
                 for e in mons:
-                    out.setdefault(sum(e) - s * i, []).append((g, e))
-            return out
+                    out.setdefault(sum(e) + shift, []).append((g, e))
+            return {layer: (cols, len(cols)) for layer, cols in out.items()}
 
         def image_of(g: str) -> list:
             return [(tgt, exp, coef)
@@ -277,8 +312,8 @@ class FreeComplex:
 
         degrees = self.degrees()
         return {
-            i: sum(rank for _, rank, _ in _window_blocks(
-                blocks(i), blocks(i - 1), image_of, self.ring.field, False))
+            i: {layer: rank for layer, _, _, rank, _ in _window_blocks(
+                blocks(i, 0), blocks(i - 1, s), image_of, self.ring.field, False)}
             for i in range(degrees[0], degrees[-1] + 1)
         }
 
@@ -287,13 +322,19 @@ class FreeComplex:
 
         Per layer the count is exact (kernel minus incoming rank); the
         only question a bound leaves open is whether higher layers still
-        contribute, so the whole count is repeated at ``poly_bound +
-        STABILITY_STEP`` and compared.
+        contribute, so the count is also taken at ``poly_bound +
+        STABILITY_STEP`` and compared.  Both come from one pass at the
+        larger bound: a layer at or below ``poly_bound`` has the same
+        block, with the same image side, at either bound.
         """
         if not self.generators:
             raise ValueError("complex has no generators")
-        dims = self._dims(poly_bound)
-        again = self._dims(poly_bound + STABILITY_STEP)
+        layers = self._layer_ranks(poly_bound + STABILITY_STEP)
+        dims = {
+            i: sum(rank for layer, rank in per.items() if layer <= poly_bound)
+            for i, per in layers.items()
+        }
+        again = {i: sum(per.values()) for i, per in layers.items()}
         status = "stable" if dims == again else "inconclusive_at_bound"
         ranks = {
             i: len(self.generators.get(i, []))
@@ -385,32 +426,115 @@ class CohomologyReport:
         }
 
 
-# Word enumeration and per-word differentials dominate the runtime of
-# repeated truncated ranks on one presentation (ten calls for a
-# localisation comparison), so both are kept per presentation: word
-# lists re-filter for smaller bounds instead of re-enumerating, and a
-# word's differential is shared across degrees, bounds and monomials.
+# Word lists and per-word differentials are kept per presentation, since
+# a localisation comparison asks several truncated ranks of each of its
+# two presentations: a word list is enumerated once, at the largest bound
+# asked, and re-filtered for smaller ones, and a word's differential is
+# shared across degrees, bounds and monomials.  ``_DIFF_CACHE`` holds
+# three tables per presentation: d by word, which also holds the suffixes
+# that the Leibniz rule builds each word from; the normal forms of the
+# letter-times-word products that a rule rewrites, by product word; and
+# one copy of each path that a cached differential names, which the
+# differentials share.
 _WORD_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _DIFF_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _word_differential(pres: Presentation, w: Path) -> list:
-    """d(w) flattened to (path, exponent, scalar) triples, cached."""
-    per = _DIFF_CACHE.setdefault(pres, {})
-    base = per.get(w)
-    if base is None:
-        img = pres.differential_of(
-            AlgebraElement(
-                pres, {w: Poly(pres.ring, {(0,) * pres.ring.nvars: pres.ring.field.one})}
-            )
+def _differential_cache(pres: Presentation) -> tuple[dict, dict, dict]:
+    """The presentation's (d by word, reduced products, paths) tables."""
+    cache = _DIFF_CACHE.get(pres)
+    if cache is None:
+        cache = _DIFF_CACHE[pres] = ({}, {}, {})
+    return cache
+
+
+def _accumulate(acc: dict, key: tuple, scal, field: Field) -> None:
+    old = acc.get(key)
+    acc[key] = scal if old is None else field.add(old, scal)
+
+
+def _flattened(element: AlgebraElement) -> list:
+    """An element's (path, exponent, scalar) triples, in path order, then
+    deglex."""
+    return [
+        (path, exp, poly.terms[exp])
+        for path, poly in sorted(element.terms.items(), key=lambda t: path_key(t[0]))
+        for exp in sorted(poly.terms, key=deglex_key)
+    ]
+
+
+def _letters_times(
+    pres: Presentation, products: dict, letters: tuple, terms: list
+) -> list:
+    """Normal form of the word ``letters`` times a normal-form sum of
+    (path, exponent, scalar) triples, as such triples.
+
+    A letter a times an irreducible word p is the word a*p itself unless
+    the new pair (a, first letter of p) is a rule's left side; such a
+    word is reduced once and its normal form cached in ``products``.
+    """
+    field, rules = pres.ring.field, pres.rules
+    for a in reversed(letters):
+        acc: dict = {}
+        for p, e, s in terms:
+            word = Path((a,) + p.arrows, None)
+            if not p.arrows or (a, p.arrows[0]) not in rules:
+                _accumulate(acc, (word, e), s, field)
+                continue
+            product = products.get(word)
+            if product is None:
+                product = products[word] = _flattened(
+                    pres.reduce_raw([(pres.ring.one(), word)])
+                )
+            for q, e2, s2 in product:
+                exp = tuple([x + y for x, y in zip(e, e2)])
+                _accumulate(acc, (q, exp), field.mul(s, s2), field)
+        terms = [(q, e, s) for (q, e), s in acc.items() if s]
+    return terms
+
+
+def _word_differential(pres: Presentation, cache: tuple, w: Path) -> list:
+    """d(w) of an irreducible word, flattened to (path, exponent, scalar)
+    triples in path order, then deglex, and cached in ``cache``.
+
+    A word a*w' of two or more letters takes the Leibniz rule
+    d(a*w') = d(a)*w' + (-1)^|a| a*d(w') from the cached differentials
+    of the letter a and of w', which is irreducible too.  Normal forms
+    are unique and d descends to the quotient (both checked when the
+    presentation is built), so reducing the two products gives d(w).
+    Only lazy paths and single letters go through ``differential_of``.
+    """
+    words, products, paths = cache
+    out = words.get(w)
+    if out is not None:
+        return out
+    # The words not cached yet, each the rest of the one before it.
+    todo = []
+    while w not in words and len(w.arrows) > 1:
+        todo.append(w)
+        w = Path(w.arrows[1:], None)
+    if w not in words:
+        words[w] = _flattened(
+            pres.differential_of(AlgebraElement(pres, {w: pres.ring.one()}))
         )
-        base = []
-        for path in sorted(img.terms, key=path_key):
-            poly = img.terms[path]
-            for exp in sorted(poly.terms, key=deglex_key):
-                base.append((path, exp, poly.terms[exp]))
-        per[w] = base
-    return base
+    field = pres.ring.field
+    for w in reversed(todo):
+        a, rest = w.arrows[0], Path(w.arrows[1:], None)
+        acc: dict = {}
+        for q, e, s in _word_differential(pres, cache, Path((a,), None)):
+            for r, e2, s2 in _letters_times(pres, products, q.arrows, [(rest, e, s)]):
+                _accumulate(acc, (r, e2), s2, field)
+        odd = pres.arrow(a).deg % 2
+        for r, e2, s2 in _letters_times(pres, products, (a,), words[rest]):
+            _accumulate(acc, (r, e2), field.neg(s2) if odd else s2, field)
+        words[w] = [
+            (paths.setdefault(r, r), e2, s2)
+            for (r, e2), s2 in sorted(
+                acc.items(), key=lambda t: (path_key(t[0][0]), deglex_key(t[0][1]))
+            )
+            if s2
+        ]
+    return words[w]
 
 
 def _words_of_degree(
@@ -447,7 +571,7 @@ def _default_image_slack(pres: Presentation) -> int:
     return 1
 
 
-def _bounded_rank(
+def _bounded_ranks(
     pres: Presentation,
     source: str,
     target: str,
@@ -456,52 +580,82 @@ def _bounded_rank(
     poly_bound: int,
     image_slack: int,
     with_generators: bool,
-) -> tuple[int, list]:
-    """Bounded rank of H^{-m}(Hom(source, target)) and generator texts.
+) -> tuple[int, int, list]:
+    """Bounded ranks of H^{-m}(Hom(source, target)) in the window and in
+    the rerun window, and the window's generator texts.
 
     The kernel is cut out of the window V of (irreducible word, monomial)
     pairs by the exact differential.  The image comes from words up to
-    ``image_slack`` letters longer at the same coefficient bound.  Both
-    sides split into blocks by the presentation's inferred grading
-    (``Presentation.grade``), which ``_window_blocks`` eliminates; the
-    coefficient of a basis term never interacts with the word, so each
-    word's differential is computed once and shifted across monomials.
-    Each generator is checked to be closed before it is reported, and
-    generators are listed in window order, word-major as the window is
-    enumerated, whatever the blocks.
+    ``image_slack`` letters longer at the same coefficient bound.  The
+    rerun window has both bounds enlarged by ``STABILITY_STEP`` and
+    contains the window, so one pass over the rerun window's blocks gives
+    both ranks (``_window_blocks``): the words are enumerated once, at
+    the rerun bounds, and each block lists the window's columns first.
+    Both sides split into blocks by the presentation's inferred grading
+    (``Presentation.grade``); a word's grade is shifted by each
+    monomial's grade once per word grade, so each column is one append.
+    The coefficient of a basis term never interacts with the word, so
+    each word's differential is computed once and shifted across
+    monomials.  Each generator is checked to be closed before it is
+    reported, and generators are listed in window order, word-major as
+    the window is enumerated, whatever the blocks.
     """
     ring = pres.ring
-    words_v = _words_of_degree(pres, source, target, length_bound, -m)
+    step = STABILITY_STEP
+    # The image side first: its bound is the larger, so one enumeration
+    # serves both sides.
     words_u = _words_of_degree(
-        pres, source, target, length_bound + image_slack, -(m + 1)
+        pres, source, target, length_bound + step + image_slack, -(m + 1)
     )
-    mons = sorted(monomials_upto(ring.nvars, poly_bound), key=deglex_key)
+    words_v = _words_of_degree(pres, source, target, length_bound + step, -m)
+    mons = sorted(monomials_upto(ring.nvars, poly_bound + step), key=deglex_key)
+    n_mons = sum(1 for e in mons if sum(e) <= poly_bound)
 
-    # Grades add over (word, monomial), so compute each half once.
     zero_exp = (0,) * ring.nvars
     mon_grades = [pres.grade(lazy(source), e) for e in mons]
 
-    def fill_blocks(words: list) -> dict:
+    def fill_blocks(words: list, base_length: int) -> dict:
+        """grade -> (columns, number of window columns), the columns of
+        words up to ``base_length`` letters and monomials up to
+        ``poly_bound`` first, each part word-major."""
         blocks: dict[tuple, list] = {}
+        classes: dict[tuple, list] = {}  # word grade -> block per monomial
+        targets = []
         for w in words:
             gw = pres.grade(w, zero_exp)
-            for e, ge in zip(mons, mon_grades):
-                g = tuple(a + b for a, b in zip(gw, ge))
-                blocks.setdefault(g, []).append((w, e))
-        return blocks
+            per_mon = classes.get(gw)
+            if per_mon is None:
+                per_mon = classes[gw] = [
+                    blocks.setdefault(tuple([a + b for a, b in zip(gw, ge)]), [])
+                    for ge in mon_grades
+                ]
+            targets.append(per_mon)
+        # The words are sorted by length first, so the window's are a prefix.
+        n_words = sum(1 for w in words if len(w.arrows) <= base_length)
+        for w, per_mon in zip(words[:n_words], targets):
+            for e, cols in zip(mons[:n_mons], per_mon):
+                cols.append((w, e))
+        n_base = {g: len(cols) for g, cols in blocks.items()}
+        for i, (w, per_mon) in enumerate(zip(words, targets)):
+            first = n_mons if i < n_words else 0
+            for e, cols in zip(mons[first:], per_mon[first:]):
+                cols.append((w, e))
+        return {g: (cols, n_base[g]) for g, cols in blocks.items()}
 
-    rank = 0
+    cache = _differential_cache(pres)
+    rank = again = 0
     # (window position of the free column, text) per generator; the free
     # column is a kernel vector's largest index.
     generators: list[tuple] = []
-    for cols, block_rank, found in _window_blocks(
-        fill_blocks(words_v),
-        fill_blocks(words_u),
-        lambda w: _word_differential(pres, w),
+    for _, cols, base_rank, block_rank, found in _window_blocks(
+        fill_blocks(words_v, length_bound),
+        fill_blocks(words_u, length_bound + image_slack),
+        partial(_word_differential, pres, cache),
         ring.field,
         with_generators,
     ):
-        rank += block_rank
+        rank += base_rank
+        again += block_rank
         for vec in found:
             terms: dict[Path, Poly] = {}
             for j, scal in sorted(vec.items()):
@@ -516,7 +670,18 @@ def _bounded_rank(
                 )
             w, e = cols[max(vec)]
             generators.append(((path_key(w), deglex_key(e)), elt.to_text()))
-    return rank, [text for _, text in sorted(generators)]
+    return rank, again, [text for _, text in sorted(generators)]
+
+
+def _require_confluent(pres: Presentation) -> None:
+    """Irreducible words are a basis, and normal forms unique, only when
+    the rules are confluent; no answer is given otherwise."""
+    if not pres.confluence.confluent:
+        raise ValueError(
+            "presentation is not confluent, so its irreducible words are not "
+            "a basis; unresolved overlaps: "
+            + ", ".join("*".join(w) for w, _, _ in pres.confluence.unresolved)
+        )
 
 
 def truncated_cohomology(
@@ -532,10 +697,11 @@ def truncated_cohomology(
 
     Words are truncated at ``length_bound`` (longer on the image side by
     a slack chosen from the rule set) and coefficient monomials at
-    ``poly_bound``.  The same rank is recomputed with both bounds
-    enlarged by ``STABILITY_STEP``; agreement is reported as
+    ``poly_bound``.  The same rank is taken with both bounds enlarged by
+    ``STABILITY_STEP``, in the same pass; agreement is reported as
     ``"stable"``, disagreement as ``"inconclusive_at_bound"`` with the
-    smaller-bound rank.
+    smaller-bound rank.  A presentation whose rules are not confluent is
+    a ``ValueError``.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -545,19 +711,10 @@ def truncated_cohomology(
                 f"unknown vertex {vertex!r}; vertices are "
                 + ", ".join(pres.quiver.vertices)
             )
-    slack = _default_image_slack(pres)
-    rank, generators = _bounded_rank(
-        pres, source, target, m, length_bound, poly_bound, slack, with_generators
-    )
-    again, _ = _bounded_rank(
-        pres,
-        source,
-        target,
-        m,
-        length_bound + STABILITY_STEP,
-        poly_bound + STABILITY_STEP,
-        slack,
-        False,
+    _require_confluent(pres)
+    rank, again, generators = _bounded_ranks(
+        pres, source, target, m, length_bound, poly_bound,
+        _default_image_slack(pres), with_generators,
     )
     status = "stable" if rank == again else "inconclusive_at_bound"
     return CohomologyReport(
@@ -701,7 +858,9 @@ class H0Presentation:
 
 
 def h0_presentation(pres: Presentation, length_bound: int = 6) -> H0Presentation:
-    """Generators and relations for H^0 of a degree {0, -1} presentation."""
+    """Generators and relations for H^0 of a degree {0, -1} presentation;
+    a presentation whose rules are not confluent is a ``ValueError``."""
+    _require_confluent(pres)
     for a in pres.quiver.arrows:
         if a.deg not in (0, -1):
             raise ValueError(

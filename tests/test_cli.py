@@ -364,7 +364,7 @@ LOOP_FUNCTIONS = {
     "exactalg.py": {"Echelon", "echelon", "row_reduce", "_back_substitute_prime",
                     "_back_substitute_rationals", "kernel_basis", "linear_rows",
                     "_read_solutions", "bounded_members", "truncated_solve"},
-    "cohom.py": {"_window_blocks", "_bounded_rank"},
+    "cohom.py": {"_window_blocks", "_bounded_ranks"},
 }
 FIELD_OPS = {"add", "sub", "mul", "neg", "inv", "div"}
 

@@ -204,7 +204,7 @@ def bounded_kernel(entries, bound):
     """Kernel of v -> sum_j entries[j] * v_j with deg v_j <= bound.
 
     The equations come from ``linear_rows`` and the basis from
-    ``kernel_basis``, the kernel path of ``cohom._bounded_rank``; each
+    ``kernel_basis``, the kernel path of ``cohom._window_blocks``; each
     vector comes back as one ``Poly`` per entry.
     """
     ring = entries[0].ring
