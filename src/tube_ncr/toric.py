@@ -19,18 +19,27 @@ degree by degree, and that the identification is multiplicative.  This
 is the machine cross-check that the quiver presentation and the
 weight-graded ring describe the same object.  ``base_change_end``
 repeats the structure-constant comparison after substituting arbitrary
-polynomials for the t's.
+polynomials for the t's.  Both refuse a length bound below 2, which
+admits no composable pair and so would check nothing.
 
 Monomials of a fixed weight are enumerated exactly: the weight
 equations force the x-minus-y exponent profile g_i = c_i - d_i to be a
 step function determined by one free integer, and the leftover freedom
 is a t-monomial; scanning the free integer over the degree window is a
 complete enumeration, with no appeal to the statements under test.
+
+The two comparisons run on exponent pairs (c, d) of plain tuples: the
+enumeration yields them, a per-run table holds the image of each word,
+filled through ``word_image`` so each word is validated once, and
+base change forms each product of f-powers once per t-exponent.  A
+``WeightMonomial`` is built only to render the text of a mismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import comb
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .exactalg import Field, InternalError, Poly, PolyRing, monomials_upto
@@ -185,8 +194,17 @@ def invariant_certificate(m: WeightMonomial, n: int) -> dict:
     return {"t_exponents": texp, "u_power": r, "v_power": s}
 
 
-def monomials_of_weight(n: int, target: tuple, degree_bound: int) -> list:
-    """All monomials of the given weight with total degree <= bound.
+def _t_exponents_by_room(n: int, degree_bound: int) -> list:
+    """Entry r lists the t-exponent vectors of degree <= r in deglex
+    order, for r <= bound // 2: ``monomials_upto`` is deglex, so they are
+    the first comb(r + n + 1, n + 1) of the longest list."""
+    texps = monomials_upto(n + 1, degree_bound // 2)
+    return [texps[: comb(r + n + 1, n + 1)] for r in range(degree_bound // 2 + 1)]
+
+
+def _weight_exponents(n: int, target: tuple, degree_bound: int) -> list:
+    """The (c, d) exponent pairs of all monomials of the given weight with
+    total degree <= bound, sorted by (total degree, c, d).
 
     Complete by construction: the weight equations determine the
     profile g_i = c_i - d_i up to one free integer s (g_n = s,
@@ -199,6 +217,7 @@ def monomials_of_weight(n: int, target: tuple, degree_bound: int) -> list:
     h = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
         h[k] = h[k + 1] + target[k]
+    texps = _t_exponents_by_room(n, degree_bound)
     out = []
     lo = -degree_bound - max(h)
     hi = degree_bound - min(h)
@@ -207,14 +226,22 @@ def monomials_of_weight(n: int, target: tuple, degree_bound: int) -> list:
         base_degree = sum(abs(gi) for gi in g)
         if base_degree > degree_bound:
             continue
-        base = WeightMonomial(
-            tuple(max(gi, 0) for gi in g), tuple(max(-gi, 0) for gi in g)
-        )
+        c0 = tuple(max(gi, 0) for gi in g)
+        d0 = tuple(max(-gi, 0) for gi in g)
         room = (degree_bound - base_degree) // 2
-        for texp in monomials_upto(n + 1, room):
-            out.append(base * t_monomial(texp))
-    out.sort(key=lambda m: (m.total_degree(), m.c, m.d))
-    return out
+        for e in texps[room]:
+            out.append(
+                (base_degree + 2 * sum(e), tuple(map(add, c0, e)),
+                 tuple(map(add, d0, e)))
+            )
+    out.sort()
+    return [(c, d) for _, c, d in out]
+
+
+def monomials_of_weight(n: int, target: tuple, degree_bound: int) -> list:
+    """All monomials of the given weight with total degree <= bound,
+    sorted by (total degree, c, d)."""
+    return [WeightMonomial(c, d) for c, d in _weight_exponents(n, target, degree_bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +454,37 @@ def _composable_pairs(words: dict, n: int, bound: int):
                         yield w1, w2
 
 
+class _WordImages(dict):
+    """Exponent pairs (c, d) of word images, keyed by arrow tuple and
+    filled through ``word_image``, so each word is validated once."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, arrows):
+        m = word_image(arrows, self.n)
+        self[arrows] = pair = (m.c, m.d)
+        return pair
+
+
+def _product(first: tuple, second: tuple) -> tuple:
+    """Product of two monomials given as exponent pairs (c, d)."""
+    return tuple(map(add, first[0], second[0])), tuple(map(add, first[1], second[1]))
+
+
+def _text(pair: tuple) -> str:
+    return WeightMonomial(*pair).to_text()
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 2:
+        raise ValueError(
+            f"length bound {bound} admits no composable pair of arrows "
+            f"(need at least 2)"
+        )
+
+
 def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonReport:
     """Compare the weight-graded monomial spaces with the path-algebra
     basis: the dictionary a_i -> x_i, b_i -> y_i must send the
@@ -436,6 +494,7 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
     if n < 1:
         raise ValueError("need n >= 1")
     bound = default_degree_bound(n) if length_bound is None else length_bound
+    _check_bound(bound)
     ring = PolyRing(Field.rationals(), tuple(f"t{k}" for k in range(n + 1)))
     tube = tube_algebra(n, ring)
     report = EndComparisonReport(n, bound, True)
@@ -445,25 +504,27 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
         **{f"t{i}": f"x{i}*y{i}" for i in range(n + 1)},
     }
     words = _tube_words(tube, n, bound)
+    images = _WordImages(n)
+    texps = _t_exponents_by_room(n, bound)
     for i in range(n + 1):
         chi_i = character(i, n)
         for j in range(n + 1):
             chi_j = character(j, n)
             target = tuple(b - a for a, b in zip(chi_i, chi_j))
-            cox_side = monomials_of_weight(n, target, bound)
+            cox_side = _weight_exponents(n, target, bound)
             seen = {}
             for path in words[(i, j)]:
-                base = word_image(path.arrows, n)
-                room = (bound - len(path.arrows)) // 2
-                for texp in monomials_upto(n + 1, room):
-                    m = base * t_monomial(texp)
-                    report.basis_pairs_checked += 1
+                base = images[path.arrows]
+                decorations = texps[(bound - len(path.arrows)) // 2]
+                report.basis_pairs_checked += len(decorations)
+                for e in decorations:
+                    m = _product(base, (e, e))
                     if m in seen:
                         report.mismatches.append(
                             {
                                 "kind": "not_injective",
                                 "hom": [i, j],
-                                "monomial": m.to_text(),
+                                "monomial": _text(m),
                             }
                         )
                     seen[m] = path
@@ -473,7 +534,7 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
                     {
                         "kind": "missing_path",
                         "hom": [i, j],
-                        "monomial": m.to_text(),
+                        "monomial": _text(m),
                     }
                 )
             for m in set(seen) - cox_set:
@@ -481,12 +542,13 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
                     {
                         "kind": "wrong_weight_or_degree",
                         "hom": [i, j],
-                        "monomial": m.to_text(),
+                        "monomial": _text(m),
                     }
                 )
             degrees = {}
-            for m in cox_side:
-                degrees[m.total_degree()] = degrees.get(m.total_degree(), 0) + 1
+            for c, d in cox_side:
+                degree = sum(c) + sum(d)
+                degrees[degree] = degrees.get(degree, 0) + 1
             report.rank_table[(i, j)] = degrees
     # multiplicativity on composable pairs of words
     for w1, w2 in _composable_pairs(words, n, bound):
@@ -502,16 +564,16 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
                 f"{product.to_text()}, not one monic term"
             )
         [(nf_path, texp, _)] = terms
-        lhs = word_image(w2.arrows, n) * word_image(w1.arrows, n)
-        rhs = t_monomial(texp) * word_image(nf_path.arrows, n)
+        lhs = _product(images[w2.arrows], images[w1.arrows])
+        rhs = _product((texp, texp), images[nf_path.arrows])
         report.products_checked += 1
         if lhs != rhs:
             report.mismatches.append(
                 {
                     "kind": "not_multiplicative",
                     "pair": ["*".join(w2.arrows), "*".join(w1.arrows)],
-                    "lhs": lhs.to_text(),
-                    "rhs": rhs.to_text(),
+                    "lhs": _text(lhs),
+                    "rhs": _text(rhs),
                 }
             )
     report.ok = not report.mismatches
@@ -548,6 +610,7 @@ def base_change_end(
     if len(f) != n + 1:
         raise ValueError(f"need {n + 1} substitution values, got {len(f)}")
     bound = default_degree_bound(n) if length_bound is None else length_bound
+    _check_bound(bound)
     ring = f[0].ring
     specialised = tube_algebra(n, ring, tuple(f))
     generic_ring = PolyRing(Field.rationals(), tuple(f"t{k}" for k in range(n + 1)))
@@ -556,14 +619,19 @@ def base_change_end(
         n, bound, True, [p.to_text() for p in f]
     )
     words = _tube_words(generic, n, bound)
+    images = _WordImages(n)
+    f_powers = {}  # t-exponent -> prod f_i^e_i
     for w1, w2 in _composable_pairs(words, n, bound):
         # t-exponents predicted by the monomial product
-        lhs = word_image(w2.arrows, n) * word_image(w1.arrows, n)
-        texp = tuple(min(ci, di) for ci, di in zip(lhs.c, lhs.d))
-        expected_word = lhs.quotient_by(t_monomial(texp))
-        predicted = ring.one()
-        for fi, e in zip(f, texp):
-            predicted = predicted * fi**e
+        c, d = _product(images[w2.arrows], images[w1.arrows])
+        texp = tuple(map(min, c, d))
+        expected_word = (tuple(map(sub, c, texp)), tuple(map(sub, d, texp)))
+        predicted = f_powers.get(texp)
+        if predicted is None:
+            predicted = ring.one()
+            for fi, e in zip(f, texp):
+                predicted = predicted * fi**e
+            f_powers[texp] = predicted
         actual = specialised.normal_form(w2.arrows + w1.arrows)
         report.products_checked += 1
         if predicted.is_zero():
@@ -572,7 +640,7 @@ def base_change_end(
             good = False
         else:
             [(path, coef)] = list(actual.terms.items())
-            good = coef == predicted and word_image(path.arrows, n) == expected_word
+            good = coef == predicted and images[path.arrows] == expected_word
         if not good:
             report.mismatches.append(
                 {

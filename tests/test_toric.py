@@ -1,13 +1,16 @@
 """Tests for the weight-graded ring construction and the comparison
 with the path algebra."""
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tube_ncr import toric
-from tube_ncr.cli import EXIT_INTERNAL, main
-from tube_ncr.exactalg import Field, InternalError, PolyRing
+from tube_ncr.cli import EXIT_FAILURE, EXIT_INTERNAL, EXIT_USAGE, main
+from tube_ncr.exactalg import Field, InternalError, Poly, PolyRing
 from tube_ncr.quivalg import Presentation, tube_algebra
 from tube_ncr.toric import (
     WeightMonomial,
@@ -124,6 +127,49 @@ def test_monomials_of_weight_is_sound_and_complete_small():
     got = monomials_of_weight(n, target, bound)
     assert len(got) == len(set(got))
     assert set(got) == expected
+
+
+def _brute_force_exponents(n, bound):
+    """Every (c, d) of total degree <= bound, grouped by weight, each
+    group sorted by (total degree, c, d)."""
+    groups = {}
+    for exps in itertools.product(range(bound + 1), repeat=2 * (n + 1)):
+        if sum(exps) <= bound:
+            c, d = exps[: n + 1], exps[n + 1 :]
+            groups.setdefault(weight(WeightMonomial(c, d), n), []).append(
+                (sum(exps), c, d)
+            )
+    return {w: [(c, d) for _, c, d in sorted(g)] for w, g in groups.items()}
+
+
+def _hom_targets(n):
+    return [
+        tuple(b - a for a, b in zip(character(i, n), character(j, n)))
+        for i in range(n + 1)
+        for j in range(n + 1)
+    ]
+
+
+def test_weight_exponents_match_brute_force_in_order():
+    # n = 2: six variables, every hom weight chi_j - chi_i, element by element
+    n, top = 2, 6
+    brute = _brute_force_exponents(n, top)
+    for bound in range(top + 1):
+        for target in _hom_targets(n):
+            expected = [
+                (c, d) for c, d in brute.get(target, []) if sum(c) + sum(d) <= bound
+            ]
+            assert toric._weight_exponents(n, target, bound) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monomials_of_weight_wraps_the_exponent_enumerator(n):
+    for bound in (0, 1, 2, 5, default_degree_bound(n)):
+        for target in _hom_targets(n):
+            pairs = toric._weight_exponents(n, target, bound)
+            monomials = monomials_of_weight(n, target, bound)
+            assert [(m.c, m.d) for m in monomials] == pairs
+            assert all(weight(m, n) == target for m in monomials)
 
 
 # -- section bases -------------------------------------------------------------
@@ -335,3 +381,222 @@ def test_broken_normal_form_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(Presentation, "normal_form", doubled)
     with pytest.raises(InternalError, match="not one monic term"):
         end_algebra(1)
+
+
+# -- bounds too small to compose ------------------------------------------------
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+def test_a_bound_below_two_is_refused(bound):
+    # No two arrows compose within the bound, so nothing would be checked
+    # and "ok" would mean nothing.
+    S = PolyRing(QQ, ("x", "y"))
+    x, y = S.gens()
+    with pytest.raises(ValueError, match="no composable pair"):
+        end_algebra(1, bound)
+    with pytest.raises(ValueError, match="no composable pair"):
+        base_change_end(1, (x, y), bound)
+    with pytest.raises(ValueError, match="no composable pair"):
+        base_change_end(0, (x,), bound)
+
+
+def test_bound_two_already_checks_products():
+    S = PolyRing(QQ, ("t",))
+    t = S.gen("t")
+    assert end_algebra(1, 2).products_checked > 0
+    assert base_change_end(0, (t,), 2).products_checked > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["toric", "end", "--n", "1", "--bound", "0"],
+    ["toric", "end", "--n", "1", "--bound", "1"],
+    ["toric", "base-change", "--n", "1", "--f", "x", "y", "--bound", "0"],
+    ["verify", "all", "--n", "2", "--bound", "0"],
+    ["verify", "all", "--n", "2", "--bound", "1"],
+])
+def test_vacuous_toric_bound_exits_usage(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "no composable pair" in captured.err
+    assert captured.out == ""
+
+
+# -- a wrong dictionary is caught -----------------------------------------------
+
+
+def _compact(mismatch):
+    kind = mismatch.get("kind")
+    if kind is None:
+        return tuple(mismatch["pair"]), mismatch["predicted"], mismatch["actual"]
+    if kind == "not_multiplicative":
+        return kind, tuple(mismatch["pair"]), mismatch["lhs"], mismatch["rhs"]
+    return kind, tuple(mismatch["hom"]), mismatch["monomial"]
+
+
+def _swap_x0_x1(honest):
+    def swapped(word, n):
+        m = honest(word, n)
+        return WeightMonomial((m.c[1], m.c[0]) + m.c[2:], m.d)
+
+    return swapped
+
+
+def test_swapped_variables_are_caught(monkeypatch):
+    monkeypatch.setattr(toric, "word_image", _swap_x0_x1(toric.word_image))
+    report = end_algebra(1, 2)
+    assert not report.ok and not report.to_json()["ok"]
+    assert [_compact(m) for m in report.mismatches] == [
+        ("missing_path", (0, 1), "x0"),
+        ("wrong_weight_or_degree", (0, 1), "x1"),
+        ("missing_path", (1, 0), "x1"),
+        ("wrong_weight_or_degree", (1, 0), "x0"),
+        ("not_multiplicative", ("b0", "a0"), "x1*y0", "x0*y0"),
+        ("not_multiplicative", ("a1", "b1"), "x0*y1", "x1*y1"),
+        ("not_multiplicative", ("b1", "a1"), "x0*y1", "x1*y1"),
+        ("not_multiplicative", ("a0", "b0"), "x1*y0", "x0*y0"),
+    ]
+    assert (report.basis_pairs_checked, report.products_checked) == (14, 8)
+
+
+def test_a_dictionary_forgetting_every_arrow_is_caught(monkeypatch, capsys):
+    monkeypatch.setattr(toric, "word_image", lambda word, n: one_monomial(n))
+    report = end_algebra(1, 2)
+    assert not report.ok
+    assert [_compact(m) for m in report.mismatches] == [
+        ("not_injective", (0, 0), "1"),
+        ("not_injective", (0, 0), "1"),
+        ("missing_path", (0, 0), "y0*y1"),
+        ("missing_path", (0, 0), "x0*x1"),
+        ("not_injective", (0, 1), "1"),
+        ("missing_path", (0, 1), "x0"),
+        ("missing_path", (0, 1), "y1"),
+        ("wrong_weight_or_degree", (0, 1), "1"),
+        ("not_injective", (1, 0), "1"),
+        ("missing_path", (1, 0), "y0"),
+        ("missing_path", (1, 0), "x1"),
+        ("wrong_weight_or_degree", (1, 0), "1"),
+        ("not_injective", (1, 1), "1"),
+        ("not_injective", (1, 1), "1"),
+        ("missing_path", (1, 1), "y0*y1"),
+        ("missing_path", (1, 1), "x0*x1"),
+        ("not_multiplicative", ("b0", "a0"), "1", "x0*y0"),
+        ("not_multiplicative", ("a1", "b1"), "1", "x1*y1"),
+        ("not_multiplicative", ("b1", "a1"), "1", "x1*y1"),
+        ("not_multiplicative", ("a0", "b0"), "1", "x0*y0"),
+    ]
+    assert main(["toric", "end", "--n", "1", "--bound", "2"]) == EXIT_FAILURE
+    assert '"ok": false' in capsys.readouterr().out
+
+
+def test_base_change_on_other_scalars_is_caught(monkeypatch):
+    # the specialised algebra is built on 2*f instead of f
+    honest = toric.tube_algebra
+
+    def doubled(n, ring, f=None):
+        if f is None:
+            return honest(n, ring)
+        return honest(n, ring, tuple(ring.const(2) * fi for fi in f))
+
+    monkeypatch.setattr(toric, "tube_algebra", doubled)
+    S = PolyRing(QQ, ("t",))
+    t = S.gen("t")
+    report = base_change_end(1, (t, t), 2)
+    assert not report.ok and not report.to_json()["ok"]
+    assert [_compact(m) for m in report.mismatches] == [
+        (("b0", "a0"), "t", "2*t*e[L0]"),
+        (("a1", "b1"), "t", "2*t*e[L0]"),
+        (("b1", "a1"), "t", "2*t*e[L1]"),
+        (("a0", "b0"), "t", "2*t*e[L1]"),
+    ]
+
+
+def test_base_change_with_swapped_variables_is_caught(monkeypatch):
+    monkeypatch.setattr(toric, "word_image", _swap_x0_x1(toric.word_image))
+    S = PolyRing(QQ, ("t",))
+    t = S.gen("t")
+    report = base_change_end(1, (t, t), 2)
+    assert not report.ok
+    assert [_compact(m) for m in report.mismatches] == [
+        (("b0", "a0"), "1", "t*e[L0]"),
+        (("a1", "b1"), "1", "t*e[L0]"),
+        (("b1", "a1"), "1", "t*e[L1]"),
+        (("a0", "b0"), "1", "t*e[L1]"),
+    ]
+
+
+def test_base_change_with_the_right_scalar_on_the_wrong_word_is_caught(monkeypatch):
+    # a0 -> x0^2: the predicted scalar still matches, but the product
+    # b0*a0 should leave x0 where the specialised algebra leaves a lazy path
+    honest = toric.word_image
+
+    def heavy_a0(word, n):
+        m = honest(word, n)
+        return WeightMonomial((m.c[0] + list(word).count("a0"),) + m.c[1:], m.d)
+
+    monkeypatch.setattr(toric, "word_image", heavy_a0)
+    S = PolyRing(QQ, ("x", "y"))
+    x, y = S.gens()
+    report = base_change_end(1, (x, y), 2)
+    assert not report.ok
+    assert [_compact(m) for m in report.mismatches] == [
+        (("b0", "a0"), "x", "x*e[L0]"),
+        (("a0", "b0"), "x", "x*e[L1]"),
+    ]
+
+
+# -- work done per comparison ---------------------------------------------------
+
+
+def _count_images_and_monomials(monkeypatch):
+    images, built = Counter(), []
+    honest_image = toric.word_image
+    honest_init = WeightMonomial.__post_init__
+
+    def counted_image(word, n):
+        images[tuple(word)] += 1
+        return honest_image(word, n)
+
+    def counted_init(self):
+        built.append(self)
+        honest_init(self)
+
+    monkeypatch.setattr(toric, "word_image", counted_image)
+    monkeypatch.setattr(WeightMonomial, "__post_init__", counted_init)
+    return images, built
+
+
+def test_end_algebra_images_each_word_once(monkeypatch):
+    images, built = _count_images_and_monomials(monkeypatch)
+    report = end_algebra(3, 12)
+    assert report.ok
+    assert report.basis_pairs_checked == 4872
+    assert images and max(images.values()) == 1
+    # word_image builds one WeightMonomial per word; nothing else builds any
+    assert len(built) == sum(images.values()) < report.basis_pairs_checked
+
+
+def test_base_change_takes_each_f_power_product_once(monkeypatch):
+    n, bound = 3, 12
+    generic = tube_algebra(n, PolyRing(QQ, tuple(f"t{k}" for k in range(n + 1))))
+    words = toric._tube_words(generic, n, bound)
+    texps = set()
+    for w1, w2 in toric._composable_pairs(words, n, bound):
+        m = word_image(w2.arrows, n) * word_image(w1.arrows, n)
+        texps.add(tuple(map(min, m.c, m.d)))
+    images, built = _count_images_and_monomials(monkeypatch)
+    powers = []
+    honest_pow = Poly.__pow__
+
+    def counted_pow(self, e):
+        powers.append(e)
+        return honest_pow(self, e)
+
+    monkeypatch.setattr(Poly, "__pow__", counted_pow)
+    S = PolyRing(QQ, ("t",))
+    t = S.gen("t")
+    report = base_change_end(n, [t] * (n + 1), bound)
+    assert report.ok
+    assert len(powers) == (n + 1) * len(texps)
+    assert len(texps) < report.products_checked
+    assert images and max(images.values()) == 1
+    assert len(built) == sum(images.values()) < report.products_checked
