@@ -14,7 +14,10 @@ agree and ``"inconclusive_at_bound"`` otherwise; a bound that was too
 small shows up in the status, never as a silently wrong number.  Both
 counts come from one pass over the enlarged window: each of its blocks
 lists the columns of the smaller window first, so one elimination per
-block gives both ranks.
+block gives both ranks.  A presentation with a contractible letter, such
+as the ``eps`` of a Drinfeld localisation, first has its unit pairs
+taken out (``unitpairs.UnitPairs``): those cells are never listed, and
+the columns left carry the reduced differential.
 
 Degree bookkeeping: arrows sit in degrees 0 and -1 and the differential
 raises degree by 1, so the interesting cohomology sits in degrees -m for
@@ -60,6 +63,7 @@ from .quivalg import (
     tube_algebra,
     tube_vertex,
 )
+from .unitpairs import UnitPairs
 
 # How far every bound is enlarged for the stability rerun.
 STABILITY_STEP = 2
@@ -71,10 +75,16 @@ STABILITY_STEP = 2
 
 
 def _window_blocks(
-    v_blocks: dict, u_blocks: dict, image_of, field: Field, with_vectors: bool
+    v_blocks: dict,
+    u_blocks: dict,
+    image_of,
+    field: Field,
+    vector_blocks: Optional[dict] = None,
 ):
-    """Yield (grade, columns, base rank, rank, generator vectors) per grade
-    of the window V, for V and for the base window inside it.
+    """Yield (grade, base columns, base rank, rank, generator vectors) per
+    grade of the window V, for V and for the base window inside it; the
+    base columns, empty without ``vector_blocks``, are those the
+    generator vectors index.
 
     ``v_blocks`` and ``u_blocks`` map a grade, which d respects, to the
     (generator, exponent) columns of the window V and of the image side
@@ -94,15 +104,18 @@ def _window_blocks(
     the second are the base's outside rank; at the end they count
     rank(d U_base), and all pivots count rank(d U).
 
-    With ``with_vectors`` the base block's kernel vectors are found and
-    set as further columns on the base image side, [U_base | K], on the
-    base window's rows; a kernel vector is a pivot column exactly when it
-    is independent of the image inside the window and of the vectors
-    before it, so the pivots past len(U_base) pick one generator vector
-    per unit of base rank.
+    ``vector_blocks`` maps a grade to the base window's columns and its
+    image side's columns, both unreduced when the blocks above are
+    reduced.  With it, the kernel vectors of the base columns are found
+    and set as further columns on the base image side, [U_base | K], on
+    the base window's rows; a kernel vector is a pivot column exactly
+    when it is independent of the image inside the window and of the
+    vectors before it, so the pivots past len(U_base) pick the generator
+    vectors.  They must number the base rank, or ``InternalError`` is
+    raised.
     """
-    for g in sorted(v_blocks):
-        cols, n_base = v_blocks[g]
+    for g in sorted(set(v_blocks) | set(vector_blocks or ())):
+        cols, n_base = v_blocks.get(g, ((), 0))
         d_rows = list(linear_rows(cols, image_of).values())
         _, pivots = echelon(d_rows, field)
         base_pivots = sum(1 for c in pivots if c < n_base)
@@ -128,30 +141,29 @@ def _window_blocks(
         rank = len(cols) - len(pivots) - (len(ech.rows) - rank_outside)
 
         found: list = []
-        if with_vectors:
+        base_cols: Sequence = ()
+        if vector_blocks is not None:
+            base_cols, base_u = vector_blocks.get(g, ((), ()))
             kernel = kernel_basis(
-                [{c: v for c, v in row.items() if c < n_base} for row in d_rows],
-                n_base, field,
+                list(linear_rows(base_cols, image_of).values()), len(base_cols), field
             )
-            # Column u_base + i holds kernel[i] on the base window's rows.
-            base_image_rows = {
-                key: {c: v for c, v in row.items() if c < u_base}
-                for key, row in image.items()
-            }
-            for k, vec in enumerate(kernel, u_base):
+            # Column len(base_u) + i holds kernel[i] on the base window's rows.
+            n_u = len(base_u)
+            base_image_rows = linear_rows(base_u, image_of)
+            for k, vec in enumerate(kernel, n_u):
                 for j, scal in vec.items():
-                    base_image_rows.setdefault(cols[j], {})[k] = scal
+                    base_image_rows.setdefault(base_cols[j], {})[k] = scal
             # The pivot columns are fixed by the rows' span, whatever
             # their order.
             ech = Echelon(field)
             for row in base_image_rows.values():
                 ech.insert(row)
-            found = [kernel[c - u_base] for c in ech.pivots if c >= u_base]
+            found = [kernel[c - n_u] for c in ech.pivots if c >= n_u]
             if len(found) != base_rank:
                 raise InternalError(
                     f"truncated cohomology: {len(found)} generators for rank {base_rank}"
                 )
-        yield g, cols, base_rank, rank, found
+        yield g, base_cols, base_rank, rank, found
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +178,7 @@ class FreeComplex:
     ``differential`` maps a generator to ``{target name: coefficient}``
     where every target sits one degree higher.  The differential must
     square to zero exactly over the coefficient ring, which is checked at
-    construction; since specialisation is a ring map, every specialised
-    complex then squares to zero for free.
+    construction.
     """
 
     def __init__(self, ring: PolyRing, generators: dict, differential: dict):
@@ -221,46 +232,6 @@ class FreeComplex:
     def ranks(self) -> dict[int, int]:
         return {d: len(names) for d, names in self.generators.items()}
 
-    def euler_characteristic(self) -> int:
-        return sum(
-            (1 if d % 2 == 0 else -1) * len(names)
-            for d, names in self.generators.items()
-        )
-
-    def specialise(self, values: Sequence) -> "FreeComplex":
-        """Evaluate every coefficient at the given variable values.
-
-        The result lives over the variable-free polynomial ring on the
-        same field, i.e. it is a complex of finite dimensional vector
-        spaces; its cohomology needs no truncation.
-        """
-        field = self.ring.field
-        vals = [field.of(v) if not isinstance(v, Poly) else v for v in values]
-        for v in vals:
-            if isinstance(v, Poly):
-                raise ValueError("specialise expects scalar values, not polynomials")
-        if len(vals) != self.ring.nvars:
-            raise ValueError(
-                f"need {self.ring.nvars} values, got {len(vals)}"
-            )
-        point = PolyRing(field, ())
-
-        def evaluate(p: Poly) -> Poly:
-            total = field.zero
-            for exp, coef in p.terms.items():
-                term = coef
-                for e, v in zip(exp, vals):
-                    for _ in range(e):
-                        term = field.mul(term, v)
-                total = field.add(total, term)
-            return Poly(point, {(): total} if total else {})
-
-        differential = {
-            src: {tgt: evaluate(p) for tgt, p in row.items()}
-            for src, row in self.differential.items()
-        }
-        return FreeComplex(point, self.generators, differential)
-
     # -- layered cohomology ---------------------------------------------------
 
     def _entry_degree(self) -> int:
@@ -313,7 +284,7 @@ class FreeComplex:
         degrees = self.degrees()
         return {
             i: {layer: rank for layer, _, _, rank, _ in _window_blocks(
-                blocks(i, 0), blocks(i - 1, s), image_of, self.ring.field, False)}
+                blocks(i, 0), blocks(i - 1, s), image_of, self.ring.field)}
             for i in range(degrees[0], degrees[-1] + 1)
         }
 
@@ -517,14 +488,25 @@ def _word_differential(pres: Presentation, cache: tuple, w: Path) -> list:
         words[w] = _flattened(
             pres.differential_of(AlgebraElement(pres, {w: pres.ring.one()}))
         )
-    field = pres.ring.field
+    field, rules = pres.ring.field, pres.rules
     for w in reversed(todo):
         a, rest = w.arrows[0], Path(w.arrows[1:], None)
+        odd = pres.arrow(a).deg % 2
+        head = _word_differential(pres, cache, Path((a,), None))
+        if not head and not any(
+            r.arrows and (a, r.arrows[0]) in rules for r, _, _ in words[rest]
+        ):
+            # d(w) = +-a*d(w'), and a in front of each term leaves it
+            # irreducible, keeps the terms distinct and keeps their order.
+            prefixed = words[w] = []
+            for q, e2, s2 in words[rest]:
+                r = Path((a,) + q.arrows, None)
+                prefixed.append((paths.setdefault(r, r), e2, field.neg(s2) if odd else s2))
+            continue
         acc: dict = {}
-        for q, e, s in _word_differential(pres, cache, Path((a,), None)):
+        for q, e, s in head:
             for r, e2, s2 in _letters_times(pres, products, q.arrows, [(rest, e, s)]):
                 _accumulate(acc, (r, e2), s2, field)
-        odd = pres.arrow(a).deg % 2
         for r, e2, s2 in _letters_times(pres, products, (a,), words[rest]):
             _accumulate(acc, (r, e2), field.neg(s2) if odd else s2, field)
         words[w] = [
@@ -591,14 +573,20 @@ def _bounded_ranks(
     contains the window, so one pass over the rerun window's blocks gives
     both ranks (``_window_blocks``): the words are enumerated once, at
     the rerun bounds, and each block lists the window's columns first.
-    Both sides split into blocks by the presentation's inferred grading
-    (``Presentation.grade``); a word's grade is shifted by each
-    monomial's grade once per word grade, so each column is one append.
-    The coefficient of a basis term never interacts with the word, so
-    each word's differential is computed once and shifted across
-    monomials.  Each generator is checked to be closed before it is
-    reported, and generators are listed in window order, word-major as
-    the window is enumerated, whatever the blocks.
+    Before that, the unit pairs of a contractible letter (``UnitPairs``)
+    are taken out: their cells are never listed, the image side's
+    columns carry the reduced differential, and columns it leaves zero
+    are dropped.  Both sides split into blocks by the presentation's
+    inferred grading (``Presentation.grade``); a word's grade is shifted
+    by each monomial's grade once per word grade, so each column is one
+    append.  The coefficient of a basis term never interacts with the
+    word, so each word's differential is computed once and shifted
+    across monomials.  Generators come from the window's unreduced
+    blocks, so their texts do not depend on the matching, and their
+    count is checked against the reduced rank.  Each generator is
+    checked to be closed before it is reported, and generators are
+    listed in window order, word-major as the window is enumerated,
+    whatever the blocks.
     """
     ring = pres.ring
     step = STABILITY_STEP
@@ -610,14 +598,17 @@ def _bounded_ranks(
     words_v = _words_of_degree(pres, source, target, length_bound + step, -m)
     mons = sorted(monomials_upto(ring.nvars, poly_bound + step), key=deglex_key)
     n_mons = sum(1 for e in mons if sum(e) <= poly_bound)
+    mon_degrees = [sum(e) for e in mons]
 
     zero_exp = (0,) * ring.nvars
     mon_grades = [pres.grade(lazy(source), e) for e in mons]
 
-    def fill_blocks(words: list, base_length: int) -> dict:
+    def fill_blocks(words: list, base_length: int, labels_of) -> dict:
         """grade -> (columns, number of window columns), the columns of
         words up to ``base_length`` letters and monomials up to
-        ``poly_bound`` first, each part word-major."""
+        ``poly_bound`` first, each part word-major.  ``labels_of(w)``
+        names the column of w at a monomial of each degree, or None to
+        leave it out."""
         blocks: dict[tuple, list] = {}
         classes: dict[tuple, list] = {}  # word grade -> block per monomial
         targets = []
@@ -629,30 +620,54 @@ def _bounded_ranks(
                     blocks.setdefault(tuple([a + b for a, b in zip(gw, ge)]), [])
                     for ge in mon_grades
                 ]
-            targets.append(per_mon)
+            labels = labels_of(w)
+            targets.append((per_mon, [labels[k] for k in mon_degrees]))
         # The words are sorted by length first, so the window's are a prefix.
         n_words = sum(1 for w in words if len(w.arrows) <= base_length)
-        for w, per_mon in zip(words[:n_words], targets):
-            for e, cols in zip(mons[:n_mons], per_mon):
-                cols.append((w, e))
+        for per_mon, labels in targets[:n_words]:
+            for e, cols, g in zip(mons[:n_mons], per_mon, labels):
+                if g is not None:
+                    cols.append((g, e))
         n_base = {g: len(cols) for g, cols in blocks.items()}
-        for i, (w, per_mon) in enumerate(zip(words, targets)):
+        for i, (per_mon, labels) in enumerate(targets):
             first = n_mons if i < n_words else 0
-            for e, cols in zip(mons[first:], per_mon[first:]):
-                cols.append((w, e))
-        return {g: (cols, n_base[g]) for g, cols in blocks.items()}
+            for e, cols, g in zip(mons[first:], per_mon[first:], labels[first:]):
+                if g is not None:
+                    cols.append((g, e))
+        return {g: (cols, n_base[g]) for g, cols in blocks.items() if cols}
 
-    cache = _differential_cache(pres)
+    u_base = length_bound + image_slack
+    matching = UnitPairs(
+        pres,
+        partial(_word_differential, pres, _differential_cache(pres)),
+        (length_bound, length_bound + step),
+        (u_base, u_base + step),
+        (poly_bound, poly_bound + step),
+        [w for w in words_u if len(w.arrows) <= u_base],
+    )
+    vector_blocks = None
+    if with_generators:
+        def unreduced(w: Path) -> list:
+            return [w] * (poly_bound + step + 1)
+
+        def base(words: list, base_length: int) -> dict:
+            return {g: cols[:n] for g, (cols, n) in
+                    fill_blocks(words, base_length, unreduced).items()}
+
+        u_cols = base(words_u, u_base)
+        vector_blocks = {
+            g: (cols, u_cols.get(g, [])) for g, cols in base(words_v, length_bound).items()
+        }
     rank = again = 0
     # (window position of the free column, text) per generator; the free
     # column is a kernel vector's largest index.
     generators: list[tuple] = []
     for _, cols, base_rank, block_rank, found in _window_blocks(
-        fill_blocks(words_v, length_bound),
-        fill_blocks(words_u, length_bound + image_slack),
-        partial(_word_differential, pres, cache),
+        fill_blocks(words_v, length_bound, matching.v_labels),
+        fill_blocks(words_u, u_base, matching.u_labels),
+        matching.image_of,
         ring.field,
-        with_generators,
+        vector_blocks,
     ):
         rank += base_rank
         again += block_rank

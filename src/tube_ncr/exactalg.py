@@ -628,10 +628,6 @@ def echelon(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
     return ech.rows, ech.pivots
 
 
-def matrix_rank(rows: list[dict], field: Field) -> int:
-    return len(echelon(rows, field)[0])
-
-
 def kernel_basis(rows: list[dict], ncols: int, field: Field) -> list[dict]:
     """Basis of the right kernel of a sparse matrix, deterministic.
 

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactalg import Field, Poly, PolyRing, add_term, kernel_basis
@@ -226,8 +227,12 @@ class Presentation:
             return path.vertex
         return self.arrow(path.arrows[0]).tgt
 
+    @cached_property
+    def _arrow_degrees(self) -> dict:
+        return {a.name: a.deg for a in self.quiver.arrows}
+
     def path_degree(self, path: Path) -> int:
-        return sum(self.arrow(a).deg for a in path.arrows)
+        return sum(map(self._arrow_degrees.__getitem__, path.arrows))
 
     def make_path(self, arrows: Sequence[str], vertex: Optional[str] = None) -> Path:
         """Validated path constructor; raises on non-composable words."""
@@ -349,16 +354,21 @@ class Presentation:
             )
         return index, functionals
 
+    @cached_property
+    def _grade_values(self) -> list:
+        """Per functional of ``_grading``: its value on each arrow name,
+        and its values on the ring variables."""
+        index, functionals = self._grading
+        n = len(index)
+        return [({a: f[i] for a, i in index.items()}, f[n:]) for f in functionals]
+
     def grade(self, path: Path, exp: tuple) -> tuple:
         """Grade of the basis term (word, monomial); () when the
         presentation admits no grading."""
-        index, functionals = self._grading
-        arrows = [index[a] for a in path.arrows]
-        n = len(index)
-        return tuple(
-            sum(f[i] for i in arrows) + sum(e * x for e, x in zip(exp, f[n:]))
-            for f in functionals
-        )
+        return tuple([
+            sum(map(on_arrows.__getitem__, path.arrows)) + sum(map(mul, exp, on_vars))
+            for on_arrows, on_vars in self._grade_values
+        ])
 
     # -- rewriting -----------------------------------------------------------
 
@@ -480,33 +490,28 @@ class Presentation:
         exactly.  Results are filtered by target/degree when given and
         sorted by (length, arrow names).
         """
-        by_src: dict[str, list[Arrow]] = {}
+        by_src: dict[str, list] = {}
         for a in self.quiver.arrows:
-            by_src.setdefault(a.src, []).append(a)
-        out: list[Path] = []
-        frontier: list[tuple] = [((), source)]
-        # Entries: (arrows tuple, current target vertex).
-        for _ in range(length_bound):
-            new_frontier = []
-            for arrows, tip in frontier:
-                for a in by_src.get(tip, []):
-                    if arrows and (a.name, arrows[0]) in self.rules:
-                        continue
-                    new_frontier.append(((a.name,) + arrows, a.tgt))
-            frontier = new_frontier
-            out.extend(Path(arrows, None) for arrows, _ in frontier)
-        words = [lazy(source)] + out
+            by_src.setdefault(a.src, []).append((a.name, a.tgt, a.deg))
+        rules = self.rules
         result = []
-        for path in words:
-            if target is not None and self.path_target(path) != target:
-                continue
-            if (
-                homological_degree is not None
-                and self.path_degree(path) != homological_degree
-            ):
-                continue
-            result.append(path)
-        result.sort(key=path_key)
+        if target in (None, source) and homological_degree in (None, 0):
+            result.append(lazy(source))
+        # Entries: (arrows tuple, current target vertex, degree); each
+        # round adds one letter, so each round is one length of the order.
+        frontier: list[tuple] = [((), source, 0)]
+        for _ in range(length_bound):
+            frontier = [
+                ((name,) + arrows, tgt, deg + shift)
+                for arrows, tip, deg in frontier
+                for name, tgt, shift in by_src.get(tip, ())
+                if not arrows or (name, arrows[0]) not in rules
+            ]
+            result.extend(Path(arrows, None) for arrows in sorted(
+                arrows for arrows, tip, deg in frontier
+                if target in (None, tip)
+                and homological_degree in (None, deg)
+            ))
         return result
 
     # -- serialisation ---------------------------------------------------------

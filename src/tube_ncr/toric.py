@@ -106,18 +106,6 @@ def one_monomial(n: int) -> WeightMonomial:
     return WeightMonomial((0,) * (n + 1), (0,) * (n + 1))
 
 
-def x_var(i: int, n: int) -> WeightMonomial:
-    return WeightMonomial(
-        tuple(1 if k == i else 0 for k in range(n + 1)), (0,) * (n + 1)
-    )
-
-
-def y_var(i: int, n: int) -> WeightMonomial:
-    return WeightMonomial(
-        (0,) * (n + 1), tuple(1 if k == i else 0 for k in range(n + 1))
-    )
-
-
 def t_monomial(exponents: Sequence[int]) -> WeightMonomial:
     e = tuple(exponents)
     return WeightMonomial(e, e)

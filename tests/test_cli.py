@@ -291,15 +291,17 @@ def test_golden_report(argv, golden, expected_code, tmp_path):
 def test_golden_report_under_python_optimize(tmp_path):
     # python -O strips assert statements; the checks must not depend on them.
     out = tmp_path / "out.json"
-    argv = ["verify", "all", "--n", "2", "--field", "q", "--bound", "8"]
-    run = subprocess.run(
-        [sys.executable, "-O", "-m", "tube_ncr.cli", *argv, "--output", str(out)],
-        capture_output=True,
-        env=_src_env(),
-        check=False,
-    )
-    assert run.returncode == EXIT_OK, run.stderr
-    assert out.read_bytes() == (GOLDEN / "verify_all_n2.json").read_bytes()
+    for argv, golden, _ in GOLDEN_RUNS:
+        if golden not in ("verify_all_n2.json", "localization_small.json"):
+            continue
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "tube_ncr.cli", *argv, "--output", str(out)],
+            capture_output=True,
+            env=_src_env(),
+            check=False,
+        )
+        assert run.returncode == EXIT_OK, run.stderr
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
     # An entry check: d(c) = b*b*a has the endpoints and degree of c but
     # is not a composable word.
     build = (

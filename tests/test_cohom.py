@@ -1,14 +1,17 @@
 """Tests for bounded cohomology: free complexes with polynomial entries,
 truncated morphism cohomology, H^0 presentations, and the worked families."""
 
+import contextlib
 import functools
 import importlib.util
+import io
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from tube_ncr import cohom, exactalg
+from tube_ncr import cohom, exactalg, unitpairs
 from tube_ncr.cli import EXIT_INTERNAL, main
 from tube_ncr.exactalg import (
     Echelon,
@@ -18,8 +21,8 @@ from tube_ncr.exactalg import (
     PolyRing,
     deglex_key,
     kernel_basis,
+    echelon,
     linear_rows,
-    matrix_rank,
     monomials_upto,
 )
 from tube_ncr.cohom import (
@@ -130,7 +133,7 @@ def test_sphere_shape():
     sph = sphere_complex()
     assert sph.degrees() == [-2, -1, 0, 1, 2, 3]
     assert sph.ranks() == SPHERE_RANKS
-    assert sph.euler_characteristic() == 0
+    assert sph.cohomology().euler_ranks() == 0
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=["rationals", "F5"])
@@ -213,22 +216,48 @@ def test_koszul_dims_match_a_sympy_layer_count(data):
 # -- free complexes: specialisation ---------------------------------------------
 
 
-def test_specialise_validates_values():
-    sph = sphere_complex()
-    with pytest.raises(ValueError):
-        sph.specialise((0,))
-    with pytest.raises(ValueError, match="scalar values"):
-        sph.specialise((sph.ring.gen("t0"), 0))
+def specialised_sphere(field, a, b):
+    """The sphere complex at t0 = a, t1 = b: a complex of vector spaces
+    over the variable-free ring, whose cohomology needs no truncation.
+    Each dimension is also checked against ranks of the evaluated
+    matrices, n_i - rank d_i - rank d_(i-1), taken with ``echelon``."""
+    sph = sphere_complex(field)
+    point = (field.of(a), field.of(b))
+    values = {}  # (source, target) -> the entry at the point
+    for src, row in sph.differential.items():
+        for tgt, p in row.items():
+            total = field.zero
+            for exp, coef in p.terms.items():
+                for e, v in zip(exp, point):
+                    for _ in range(e):
+                        coef = field.mul(coef, v)
+                total = field.add(total, coef)
+            values[src, tgt] = total
+    ring = PolyRing(field, ())
+    differential = {}
+    for (src, tgt), value in values.items():
+        differential.setdefault(src, {})[tgt] = Poly(ring, {(): value} if value else {})
+    rep = FreeComplex(ring, sph.generators, differential).cohomology()
+
+    def rank(i):
+        index = {name: j for j, name in enumerate(sph.generators.get(i + 1, []))}
+        rows = [{index[tgt]: values[src, tgt] for tgt in sph.differential.get(src, {})
+                 if values[src, tgt]} for src in sph.generators.get(i, [])]
+        return len(echelon(rows, field)[0])
+
+    for i, dim in rep.dims.items():
+        assert dim == len(sph.generators.get(i, [])) - rank(i) - rank(i - 1)
+    return rep
 
 
 def test_specialise_at_origin_kills_the_differential():
-    rep = sphere_complex().specialise((0, 0)).cohomology()
+    rep = specialised_sphere(QQ, 0, 0)
     assert rep.dims == SPHERE_RANKS
     assert rep.status == "stable"
 
 
 def test_specialise_at_smooth_point_is_exact():
-    rep = sphere_complex().specialise((3, 7)).cohomology()
+    rep = specialised_sphere(QQ, 3, 7)
     assert rep.dims == {d: 0 for d in SPHERE_DIMS}
     assert rep.status == "stable"
 
@@ -236,7 +265,7 @@ def test_specialise_at_smooth_point_is_exact():
 @given(a=st.integers(min_value=-5, max_value=5), b=st.integers(min_value=-5, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_specialised_euler_is_zero_rationals(a, b):
-    rep = sphere_complex().specialise((a, b)).cohomology()
+    rep = specialised_sphere(QQ, a, b)
     assert rep.euler_dims() == 0
     assert rep.status == "stable"
     if (a, b) != (0, 0):
@@ -246,7 +275,7 @@ def test_specialised_euler_is_zero_rationals(a, b):
 @given(a=st.integers(min_value=0, max_value=4), b=st.integers(min_value=0, max_value=4))
 @settings(max_examples=25, deadline=None)
 def test_specialised_euler_is_zero_f5(a, b):
-    rep = sphere_complex(F5).specialise((a, b)).cohomology()
+    rep = specialised_sphere(F5, a, b)
     assert rep.euler_dims() == 0
     if (a, b) != (0, 0):
         assert all(v == 0 for v in rep.dims.values())
@@ -792,7 +821,7 @@ def oracle_bounded_rank(pres, source, target, m, length_bound, poly_bound,
             dim_kernel = len(kernel)
         else:
             kernel = []
-            dim_kernel = len(cols) - matrix_rank(d_rows, field)
+            dim_kernel = len(cols) - len(echelon(d_rows, field)[0])
         u_cols = u_blocks.get(g, [])
         n_u = len(u_cols)
         image = linear_rows(u_cols, image_of)
@@ -990,3 +1019,289 @@ def test_stable_rank_is_the_true_dimension():
     v = contraction_vertex(1)
     rep = truncated_cohomology(pres, v, v, 0, 4, 6)
     assert rep.rank == 1 or rep.status == "inconclusive_at_bound"
+
+
+# -- unit pairs against the unreduced one-pass oracle -----------------------------
+
+
+def unreduced_window_blocks(v_blocks, u_blocks, image_of, field, with_vectors):
+    """The one-pass block loop as it ran before unit pairs were taken out:
+    every cell listed, expanded and eliminated."""
+    for g in sorted(v_blocks):
+        cols, n_base = v_blocks[g]
+        d_rows = list(linear_rows(cols, image_of).values())
+        _, pivots = echelon(d_rows, field)
+        base_pivots = sum(1 for c in pivots if c < n_base)
+        u_cols, u_base = u_blocks.get(g, ((), 0))
+        image = linear_rows(u_cols, image_of)
+        base_window, window = set(cols[:n_base]), set(cols)
+        groups = ([], [], [])
+        for key, row in image.items():
+            groups[(key in window) + (key in base_window)].append(row)
+        ech = Echelon(field)
+        for row in groups[0]:
+            ech.insert(row)
+        rank_outside = len(ech.rows)
+        for row in groups[1]:
+            ech.insert(row)
+        base_outside = sum(1 for c in ech.pivots if c < u_base)
+        for row in groups[2]:
+            ech.insert(row)
+        base_image = sum(1 for c in ech.pivots if c < u_base) - base_outside
+        base_rank = n_base - base_pivots - base_image
+        rank = len(cols) - len(pivots) - (len(ech.rows) - rank_outside)
+        found = []
+        if with_vectors:
+            kernel = kernel_basis(
+                [{c: v for c, v in row.items() if c < n_base} for row in d_rows],
+                n_base, field,
+            )
+            base_image_rows = {
+                key: {c: v for c, v in row.items() if c < u_base}
+                for key, row in image.items()
+            }
+            for k, vec in enumerate(kernel, u_base):
+                for j, scal in vec.items():
+                    base_image_rows.setdefault(cols[j], {})[k] = scal
+            ech = Echelon(field)
+            for row in base_image_rows.values():
+                ech.insert(row)
+            found = [kernel[c - u_base] for c in ech.pivots if c >= u_base]
+            assert len(found) == base_rank
+        yield cols, base_rank, rank, found
+
+
+def unreduced_bounded_ranks(pres, source, target, m, length_bound, poly_bound,
+                            image_slack, with_generators):
+    """``cohom._bounded_ranks`` as it ran before unit pairs were taken out."""
+    ring = pres.ring
+    step = cohom.STABILITY_STEP
+    words_u = pres.irreducible_words(
+        source, target, length_bound + step + image_slack, -(m + 1))
+    words_v = pres.irreducible_words(source, target, length_bound + step, -m)
+    mons = sorted(monomials_upto(ring.nvars, poly_bound + step), key=deglex_key)
+    n_mons = sum(1 for e in mons if sum(e) <= poly_bound)
+    zero_exp = (0,) * ring.nvars
+    mon_grades = [pres.grade(lazy(source), e) for e in mons]
+
+    def fill_blocks(words, base_length):
+        blocks = {}
+        per_word = []
+        for w in words:
+            gw = pres.grade(w, zero_exp)
+            per_word.append([blocks.setdefault(tuple(a + b for a, b in zip(gw, ge)), [])
+                             for ge in mon_grades])
+        n_words = sum(1 for w in words if len(w.arrows) <= base_length)
+        for w, per_mon in zip(words[:n_words], per_word):
+            for e, cols in zip(mons[:n_mons], per_mon):
+                cols.append((w, e))
+        n_base = {g: len(cols) for g, cols in blocks.items()}
+        for i, (w, per_mon) in enumerate(zip(words, per_word)):
+            first = n_mons if i < n_words else 0
+            for e, cols in zip(mons[first:], per_mon[first:]):
+                cols.append((w, e))
+        return {g: (cols, n_base[g]) for g, cols in blocks.items()}
+
+    cache = cohom._differential_cache(pres)
+    rank = again = 0
+    generators = []
+    for cols, base_rank, block_rank, found in unreduced_window_blocks(
+        fill_blocks(words_v, length_bound),
+        fill_blocks(words_u, length_bound + image_slack),
+        functools.partial(cohom._word_differential, pres, cache),
+        ring.field,
+        with_generators,
+    ):
+        rank += base_rank
+        again += block_rank
+        for vec in found:
+            terms = {}
+            for j, scal in sorted(vec.items()):
+                w, e = cols[j]
+                terms[w] = terms.get(w, ring.zero()) + Poly(ring, {e: scal})
+            elt = AlgebraElement(pres, {w: p for w, p in terms.items() if not p.is_zero()})
+            assert pres.differential_of(elt).is_zero()
+            w, e = cols[max(vec)]
+            generators.append(((path_key(w), deglex_key(e)), elt.to_text()))
+    return rank, again, [text for _, text in sorted(generators)]
+
+
+@st.composite
+def localised_scalars(draw, ring):
+    """n and n + 1 scalars, each a positive constant, a monomial or a sum of
+    two monomials."""
+    n = draw(st.integers(1, 2), label="n")
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: 0 < sum(e) <= 2)
+    f = []
+    for _ in range(n + 1):
+        kind = draw(st.sampled_from(["constant", "monomial", "non-monomial"]))
+        scalar = ring.const(draw(st.integers(1, 3)))
+        if kind != "constant":
+            scalar = scalar * ring.monomial(draw(exps))
+        if kind == "non-monomial":
+            scalar = scalar + ring.monomial(draw(exps.filter(
+                lambda e: e not in scalar.terms)), draw(st.integers(1, 3)))
+        f.append(scalar)
+    return n, f
+
+
+FIELD_TEXTS = {QQ: "q", Field.prime(3): "f3", F5: "f5"}
+
+
+def assert_reduced_matches_unreduced(pres, source, target, m, length, poly_bound,
+                                     with_generators):
+    slack = cohom._default_image_slack(pres)
+    expected = unreduced_bounded_ranks(
+        pres, source, target, m, length, poly_bound, slack, with_generators)
+    assert cohom._bounded_ranks(
+        pres, source, target, m, length, poly_bound, slack, with_generators) == expected
+    return expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_unit_pairs_keep_ranks_and_generator_texts(data):
+    # Taking the eps pairs out must not move the window rank, the rerun
+    # rank or a generator text.  Without rule (ii) of ``UnitPairs`` this
+    # test fails.
+    field = data.draw(st.sampled_from(list(FIELD_TEXTS)), label="field")
+    ring = xy_ring(field)
+    n, f = data.draw(localised_scalars(ring))
+    pres = drinfeld_localize(tube_algebra(n, ring, f), tube_vertex(0))
+    source = tube_vertex(data.draw(st.integers(0, n), label="source"))
+    target = tube_vertex(data.draw(st.integers(0, n), label="target"))
+    m = data.draw(st.integers(0, 2), label="m")
+    length = data.draw(st.integers(1, 6 if n == 1 else 5), label="length")
+    poly_bound = data.draw(st.integers(0, 3), label="poly_bound")
+    with_generators = data.draw(st.booleans(), label="with_generators")
+    expected = assert_reduced_matches_unreduced(
+        pres, source, target, m, length, poly_bound, with_generators)
+    if with_generators:
+        argv = ["cohom", "truncated", "--quiver", "localized", "--n", str(n),
+                "--f", *[p.to_text() for p in f], "--vars", "x", "y",
+                "--field", FIELD_TEXTS[field], "--m", str(m), "--len", str(length),
+                "--polydeg", str(poly_bound), "--source", source, "--target", target]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(argv)
+        report = json.loads(out.getvalue())
+        assert (report["rank"], report["generators"]) == (expected[0], expected[2])
+
+
+def test_unit_pairs_keep_ranks_on_frozen_cases():
+    ring = xy_ring()
+    x, y = ring.gen("x"), ring.gen("y")
+    loc = drinfeld_localize(tube_algebra(1, ring, (x, y)), tube_vertex(0))
+    v = tube_vertex(1)
+    assert assert_reduced_matches_unreduced(loc, v, v, 2, 6, 2, True)[:2] == (1, 1)
+    # A non-monomial scalar: one block, no grading to split it.
+    loc = drinfeld_localize(tube_algebra(1, ring, (x ** 2 + y ** 2, ring.const(2) * y)),
+                            tube_vertex(0))
+    assert_reduced_matches_unreduced(loc, v, v, 1, 6, 3, True)
+    # Rule (ii) of ``UnitPairs`` at work: without it the rerun rank here
+    # reads 2.
+    loc = drinfeld_localize(tube_algebra(1, ring, (x, x ** 2)), tube_vertex(0))
+    assert assert_reduced_matches_unreduced(loc, v, v, 1, 5, 0, False)[:2] == (0, 3)
+
+
+def test_unit_pairs_shrink_the_image_side(monkeypatch):
+    # The localised side of the loc-q benchmark (cohom localization --len 3
+    # --polydeg 4 --f 2*x 3*y) at m = 3: at most 60 % of the image-side
+    # columns that the unreduced blocks list are assembled.
+    ring = xy_ring()
+    x, y = ring.gens()
+    pres = drinfeld_localize(
+        tube_algebra(1, ring, (ring.const(2) * x, ring.const(3) * y)), tube_vertex(0))
+    v, m, length, poly_bound = tube_vertex(1), 3, 9, 4
+    step = cohom.STABILITY_STEP
+    words = pres.irreducible_words(
+        v, v, length + step + cohom._default_image_slack(pres), -(m + 1))
+    unreduced = len(words) * len(monomials_upto(ring.nvars, poly_bound + step))
+    assembled = []
+    honest = cohom._window_blocks
+
+    def counted(v_blocks, u_blocks, *args):
+        assembled.append(sum(len(cols) for cols, _ in u_blocks.values()))
+        return honest(v_blocks, u_blocks, *args)
+
+    monkeypatch.setattr(cohom, "_window_blocks", counted)
+    rep = truncated_cohomology(pres, v, v, m, length, poly_bound, with_generators=False)
+    assert (rep.rank, rep.status) == (0, "stable")
+    assert 0 < assembled[0] <= 0.6 * unreduced
+
+
+def interior_gap_presentation():
+    """Vertices P and Q, a: P -> Q and b: Q -> P in degree 0, a degree -1
+    loop z at P with d(z) = e[P] and a degree -1 loop y at Q with
+    d(y) = a*b, which passes through P between its ends."""
+    ring = PolyRing(QQ, ("t",))
+    quiver = Quiver(("P", "Q"), (Arrow("a", "P", "Q"), Arrow("b", "Q", "P"),
+                                 Arrow("y", "Q", "Q", -1), Arrow("z", "P", "P", -1)))
+    differential = {"y": [(ring.one(), Path(("a", "b")))], "z": [(ring.one(), lazy("P"))]}
+    return Presentation(quiver, ring, {}, differential)
+
+
+def test_contractible_letters_are_found_from_the_presentation():
+    ring = xy_ring()
+    x, y = ring.gen("x"), ring.gen("y")
+    loc = drinfeld_localize(tube_algebra(1, ring, (x, y)), tube_vertex(0))
+    assert unitpairs.contractible_letter(loc) == ("eps", tube_vertex(0))
+    assert unitpairs.contractible_letter(conifold_presentation()) is None
+    assert unitpairs.contractible_letter(interior_gap_presentation()) is None
+
+
+def test_a_pivot_that_is_not_a_constant_is_an_internal_error(monkeypatch, capsys):
+    # d(alpha) = x*e[1]: taken as contractible, alpha gives the pivot x.
+    monkeypatch.setattr(unitpairs, "contractible_letter",
+                        lambda pres: ("alpha", contraction_vertex(1)))
+    v = contraction_vertex(1)
+    with pytest.raises(InternalError, match="not a nonzero constant"):
+        truncated_cohomology(conifold_presentation(), v, v, 1, 4, 4)
+    code = main(["cohom", "truncated", "--n", "1", "--f", "x", "y",
+                 "--m", "1", "--len", "4", "--polydeg", "4"])
+    assert code == EXIT_INTERNAL
+    assert "not a nonzero constant" in capsys.readouterr().err
+
+
+def test_a_pair_that_hits_a_second_matched_row_is_an_internal_error(monkeypatch):
+    # Taken as contractible, z pairs y*a with y*a*z, whose differential
+    # a*b*a*z - y*a holds a second word that pairs, a*b*a*z.
+    monkeypatch.setattr(unitpairs, "contractible_letter", lambda pres: ("z", "P"))
+    with pytest.raises(InternalError, match="second matched row"):
+        truncated_cohomology(interior_gap_presentation(), "P", "Q", 1, 4, 0)
+
+
+# -- ranks over Q against ranks mod 2^31 - 1 --------------------------------------
+
+MERSENNE = Field.prime(2 ** 31 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_modular_ranks_never_exceed_rational_ranks(data):
+    # Small-integer localised presentations, so every run goes through the
+    # unit pairs.  A rank mod p above the rank over Q fails; one below it
+    # is allowed and counted as a hypothesis event.
+    n = data.draw(st.integers(1, 2), label="n")
+    terms = [data.draw(st.lists(
+        st.tuples(st.integers(-3, 3).filter(bool),
+                  st.tuples(st.integers(0, 2), st.integers(0, 2))),
+        min_size=1, max_size=2, unique_by=lambda t: t[1]), label=f"f{i}")
+        for i in range(n + 1)]
+    source = tube_vertex(data.draw(st.integers(0, n), label="source"))
+    target = tube_vertex(data.draw(st.integers(0, n), label="target"))
+    m = data.draw(st.integers(0, 2), label="m")
+    length = data.draw(st.integers(1, 6 if n == 1 else 5), label="length")
+    poly_bound = data.draw(st.integers(0, 3), label="poly_bound")
+    ranks = {}
+    for field in (QQ, MERSENNE):
+        ring = xy_ring(field)
+        f = [sum((ring.monomial(e, c) for c, e in scalar), ring.zero()) for scalar in terms]
+        pres = drinfeld_localize(tube_algebra(n, ring, f), tube_vertex(0))
+        ranks[field] = cohom._bounded_ranks(
+            pres, source, target, m, length, poly_bound,
+            cohom._default_image_slack(pres), False)[:2]
+    for rational, modular in zip(ranks[QQ], ranks[MERSENNE]):
+        assert modular <= rational
+        if modular < rational:
+            event("rank mod p below the rank over Q")

@@ -20,7 +20,6 @@ from tube_ncr.exactalg import (
     echelon,
     kernel_basis,
     linear_rows,
-    matrix_rank,
     membership_bound,
     monomials_upto,
     row_reduce,
@@ -277,9 +276,9 @@ def test_kernel_grows_consistently_with_bound():
         return row
 
     big_rows = [flatten(v) for v in big]
-    base_rank = matrix_rank(big_rows, QQ)
+    base_rank = len(echelon(big_rows, QQ)[0])
     for v in small:
-        assert matrix_rank(big_rows + [flatten(v)], QQ) == base_rank
+        assert len(echelon(big_rows + [flatten(v)], QQ)[0]) == base_rank
 
 
 def test_bound_is_raised_to_the_data_degree():
@@ -567,7 +566,7 @@ def oracle_solution(rows, rhs, field):
 def check_echelon_against_rref(rows, ncols, field):
     reduced, rref_pivots = rref_oracle(rows, field)
     ech_rows, ech_pivots = echelon(rows, field)
-    assert len(ech_rows) == len(reduced) == matrix_rank(rows, field)
+    assert len(ech_rows) == len(reduced)
     assert list(ech_pivots.items()) == list(rref_pivots.items())
     for col, ridx in ech_pivots.items():
         assert min(ech_rows[ridx]) == col

@@ -31,8 +31,6 @@ from tube_ncr.toric import (
     wedge_nonvanishing,
     weight,
     word_image,
-    x_var,
-    y_var,
 )
 
 QQ = Field.rationals()
@@ -41,12 +39,17 @@ QQ = Field.rationals()
 # -- weights -------------------------------------------------------------------
 
 
+def unit_exponents(i: int, n: int) -> tuple:
+    return tuple(1 if k == i else 0 for k in range(n + 1))
+
+
 def test_weight_of_generators():
     n = 3
-    assert weight(x_var(0, n), n) == (1, 0, 0)
-    assert weight(x_var(3, n), n) == (0, 0, -1)
-    assert weight(y_var(0, n), n) == (-1, 0, 0)
-    assert weight(x_var(1, n), n) == (-1, 1, 0)
+    zero = (0,) * (n + 1)
+    assert weight(WeightMonomial(unit_exponents(0, n), zero), n) == (1, 0, 0)
+    assert weight(WeightMonomial(unit_exponents(3, n), zero), n) == (0, 0, -1)
+    assert weight(WeightMonomial(zero, unit_exponents(0, n)), n) == (-1, 0, 0)
+    assert weight(WeightMonomial(unit_exponents(1, n), zero), n) == (-1, 1, 0)
     assert weight(t_monomial((1, 1, 0, 0)), n) == (0, 0, 0)
     assert weight(u_power(n), n) == (0, 0, 0)
     assert weight(v_power(n, 3), n) == (0, 0, 0)
@@ -107,7 +110,7 @@ def test_every_invariant_monomial_factors(n):
 
 def test_invariant_certificate_rejects_noninvariants():
     with pytest.raises(ValueError, match="not an invariant"):
-        invariant_certificate(x_var(0, 2), 2)
+        invariant_certificate(WeightMonomial(unit_exponents(0, 2), (0, 0, 0)), 2)
 
 
 def test_monomials_of_weight_is_sound_and_complete_small():
