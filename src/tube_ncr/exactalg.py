@@ -361,7 +361,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         field = self.ring.field
-        c = field.of(c) if not isinstance(c, (Fraction, int)) else c
+        c = field.of(c)
         if not c:
             return self.ring.zero()
         return Poly(self.ring, {e: field.mul(v, c) for e, v in self.terms.items()})
@@ -460,99 +460,66 @@ class InternalError(RuntimeError):
     """An invariant of the exact algebra failed: a bug, not bad input."""
 
 
-def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
-    """Reduced row echelon form of sparse rows (dicts col -> coefficient).
-
-    Returns (reduced nonzero rows, pivots) where pivots maps a pivot
-    column to its row index in the returned list.  Deterministic: rows
-    are processed in order, pivots chosen as the least column index.
-
-    One ``echelon`` pass, then one back-substitution sweep over the pivot
-    rows in decreasing pivot column.  A row is cleared only in the pivot
-    columns it holds, each against a row the sweep has already reduced:
-    that row is zero in every other pivot column, so clearing one pivot
-    column never refills another.  The reduced form is unique and
-    ``echelon`` finds the same pivots in the same order, so the output
-    equals that of inserting the rows one by one into a reduced form.
-    """
-    reduced, pivots = echelon(rows, field)
-    if field.p is None:
-        return _back_substitute_rationals(reduced, pivots), pivots
-    _back_substitute_prime(reduced, pivots, field.p)
-    return reduced, pivots
-
-
-def _back_substitute_prime(reduced: list[dict], pivots: dict, p: int) -> None:
-    # Echelon rows over F_p lead with 1, so each is already normalised.
-    for lead in sorted(pivots, reverse=True):
-        row = reduced[pivots[lead]]
-        for col in [c for c in row if c != lead and c in pivots]:
-            factor = row[col]
-            for c, val in reduced[pivots[col]].items():
-                s = (row.get(c, 0) - factor * val) % p
-                if s:
-                    row[c] = s
-                else:
-                    del row[c]
+def _cancel_rational(row: dict, pivot_row: dict, col: int, p: None) -> dict:
+    """row <- a*row - b*pivot_row over integer rows, with a and b coprime
+    and the content of the result divided out, cancelling ``col``; ``p``
+    is unused and keeps the signature of ``_cancel_prime``."""
+    a, b = pivot_row[col], row[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, val in pivot_row.items():
+        s = row.get(c, 0) - b * val
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+    content = math.gcd(*row.values())
+    if content > 1:
+        row = {c: v // content for c, v in row.items()}
+    return row
 
 
-def _back_substitute_rationals(reduced: list[dict], pivots: dict) -> list[dict]:
-    # Echelon rows over the rationals are integer rows; they are
-    # reduced fraction-free and divided by their leads once at the end.
-    for lead in sorted(pivots, reverse=True):
-        ridx = pivots[lead]
-        row = reduced[ridx]
-        targets = [c for c in row if c != lead and c in pivots]
-        if not targets:
-            continue
-        for col in targets:
-            pivot_row = reduced[pivots[col]]
-            # row <- a*row - b*pivot_row cancels the entry in ``col``.
-            a, b = pivot_row[col], row[col]
-            g = math.gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                row = {c: a * v for c, v in row.items()}
-            for c, val in pivot_row.items():
-                s = row.get(c, 0) - b * val
-                if s:
-                    row[c] = s
-                else:
-                    del row[c]
-        content = math.gcd(*row.values())
-        if content != 1:
-            row = {c: v // content for c, v in row.items()}
-        reduced[ridx] = row
-    out = []
-    for lead, ridx in pivots.items():
-        row = reduced[ridx]
-        den = row[lead]
-        out.append({c: Fraction(v, den) for c, v in row.items()})
-    return out
+def _cancel_prime(row: dict, pivot_row: dict, col: int, p: int) -> dict:
+    """row <- row - row[col]*pivot_row mod p, in place, cancelling ``col``
+    against a pivot row that leads with 1 there."""
+    factor = row[col]
+    for c, val in pivot_row.items():
+        s = (row.get(c, 0) - factor * val) % p
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+    return row
 
 
 class Echelon:
-    """A row echelon form grown one row at a time.
+    """A row echelon form grown one row at a time; the one elimination
+    engine of this module.
 
     ``rows`` span the rows inserted so far and ``pivots`` maps each pivot
     column, the least column of its row, to the row's index in ``rows``.
     Over F_p each row leads with 1; over the rationals each is an integer
     row (``int`` entries), eliminated fraction-free.  The pivot columns of
     an echelon form are fixed by the row space: column c is a pivot
-    exactly when it is independent of the columns left of it.
+    exactly when it is independent of the columns left of it.  Both
+    ``insert`` and ``back_substitute`` run one cancellation step per
+    field, ``_cancel_rational`` or ``_cancel_prime``.
     """
 
-    __slots__ = ("p", "rows", "pivots")
+    __slots__ = ("p", "rows", "pivots", "_cancel")
 
     def __init__(self, field: Field):
         self.p = field.p
         self.rows: list[dict] = []
         self.pivots: dict[int, int] = {}
+        self._cancel = _cancel_rational if field.p is None else _cancel_prime
 
     def insert(self, row: dict) -> bool:
         """Reduce a copy of ``row`` against the pivot rows and append what
         is left; True when the row was independent of the rows so far."""
-        p, reduced, pivots = self.p, self.rows, self.pivots
+        p, reduced, pivots, cancel = self.p, self.rows, self.pivots, self._cancel
         if p is None:
             # Clear denominators; a row and its nonzero multiples span
             # alike.  One as_integer_ratio() call per entry: numerator and
@@ -565,53 +532,66 @@ class Echelon:
                 if d != 1:
                     den = math.lcm(den, d)
             row = ints if den == 1 else {c: int(v * den) for c, v in row.items()}
-            while row:
-                lead = min(row)
-                ridx = pivots.get(lead)
-                if ridx is None:
-                    break
-                pivot_row = reduced[ridx]
-                # row <- a*row - b*pivot_row cancels the lead, in integers.
-                a, b = pivot_row[lead], row[lead]
-                g = math.gcd(a, b)
-                a, b = a // g, b // g
-                if a != 1:
-                    row = {c: a * v for c, v in row.items()}
-                for col, val in pivot_row.items():
-                    s = row.get(col, 0) - b * val
-                    if s:
-                        row[col] = s
-                    else:
-                        del row[col]
-                if row:
-                    content = math.gcd(*row.values())
-                    if content != 1:
-                        row = {c: v // content for c, v in row.items()}
-            if not row:
-                return False
         else:
             row = dict(row)
-            while row:
-                lead = min(row)
-                ridx = pivots.get(lead)
-                if ridx is None:
-                    break
-                factor = row[lead]
-                # Pivot rows lead with 1, so ``factor`` times it cancels the lead.
-                for col, val in reduced[ridx].items():
-                    s = (row.get(col, 0) - factor * val) % p
-                    if s:
-                        row[col] = s
-                    else:
-                        del row[col]
-            if not row:
-                return False
+        while row:
+            lead = min(row)
+            ridx = pivots.get(lead)
+            if ridx is None:
+                break
+            row = cancel(row, reduced[ridx], lead, p)
+        if not row:
+            return False
+        if p is not None:
             inv = pow(row[lead], -1, p)
             if inv != 1:
                 row = {c: v * inv % p for c, v in row.items()}
         pivots[lead] = len(reduced)
         reduced.append(row)
         return True
+
+    def back_substitute(self) -> None:
+        """Clear every pivot row in the other rows' pivot columns.
+
+        One sweep over the pivot rows in decreasing pivot column.  A row
+        is cleared only in the pivot columns it holds, each against a row
+        the sweep has already reduced: that row is zero in every other
+        pivot column, so clearing one pivot column never refills another.
+        The pivots and the row order stay; the rows keep their form, so
+        over the rationals they are integer rows, not yet divided by
+        their leads.
+        """
+        p, reduced, pivots, cancel = self.p, self.rows, self.pivots, self._cancel
+        for lead in sorted(pivots, reverse=True):
+            ridx = pivots[lead]
+            row = reduced[ridx]
+            for col in [c for c in row if c != lead and c in pivots]:
+                row = cancel(row, reduced[pivots[col]], col, p)
+            reduced[ridx] = row
+
+
+def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
+    """Reduced row echelon form of sparse rows (dicts col -> coefficient).
+
+    Returns (reduced nonzero rows, pivots) where pivots maps a pivot
+    column to its row index in the returned list.  Deterministic: rows
+    are processed in order, pivots chosen as the least column index.
+
+    Every row is inserted into one ``Echelon``, which then back-substitutes;
+    over the rationals each integer row is divided by its lead at the
+    end, so entries are ``Fraction``s.  The reduced form is unique and
+    ``Echelon`` finds the same pivots in the same order, so the output
+    equals that of inserting the rows one by one into a reduced form.
+    """
+    ech = Echelon(field)
+    for row in rows:
+        ech.insert(row)
+    ech.back_substitute()
+    reduced, pivots = ech.rows, ech.pivots
+    if field.p is None:
+        reduced = [{c: Fraction(v, row[lead]) for c, v in row.items()}
+                   for lead, row in zip(pivots, reduced)]
+    return reduced, pivots
 
 
 def echelon(rows: list[dict], field: Field) -> tuple[list[dict], dict]:

@@ -269,7 +269,9 @@ def section_basis(i: int, n: int, degree_bound: int) -> SectionBasis:
     """Enumerate the weight-chi_i monomials up to the degree bound and
     certify that each one is an invariant monomial times sigma_i or
     tau_i; also record the two exchange relations that present the
-    span as a module over the invariants."""
+    span as a module over the invariants.  A monomial that fails its
+    certificate is a bug in the enumeration, so it raises
+    ``InternalError``, not ``ValueError``."""
     sigma = sigma_window(i, n)
     tau = tau_window(i, n)
     needed = max(sigma.total_degree(), tau.total_degree())
@@ -286,11 +288,14 @@ def section_basis(i: int, n: int, degree_bound: int) -> SectionBasis:
         elif tau.divides(m):
             generator, gen_name = tau, "tau"
         else:
-            raise ValueError(
+            raise InternalError(
                 f"{m.to_text()} has weight chi_{i} but neither window "
                 f"monomial divides it"
             )
-        cert = invariant_certificate(m.quotient_by(generator), n)
+        try:
+            cert = invariant_certificate(m.quotient_by(generator), n)
+        except ValueError as exc:
+            raise InternalError(f"{m.to_text()} over {gen_name}: {exc}") from exc
         certificates.append(
             {"monomial": m.to_text(), "generator": gen_name, "invariant": cert}
         )

@@ -1204,6 +1204,38 @@ def test_unit_pairs_keep_ranks_on_frozen_cases():
     assert assert_reduced_matches_unreduced(loc, v, v, 1, 5, 0, False)[:2] == (0, 3)
 
 
+def test_no_base_window_image_column_hits_a_pair_outside_that_window():
+    # Rule (i) of ``UnitPairs``: a matched cell (t, e) whose pair (t+, e)
+    # lies outside U's base window must not be hit by a column of that
+    # window, else the base window's rank changes.  Brute force over the
+    # base window's unreduced columns; a cell's matching depends on its
+    # word and monomial degree only.  Without rule (i) four such
+    # (word, degree) classes are hit here.
+    ring = xy_ring()
+    x, y = ring.gens()
+    pres = drinfeld_localize(
+        tube_algebra(1, ring, (ring.const(2) * x, ring.const(3) * y)), tube_vertex(0))
+    v, m, length, poly_bound = tube_vertex(1), 2, 6, 2
+    step = cohom.STABILITY_STEP
+    u_base = length + cohom._default_image_slack(pres)
+    d = functools.partial(cohom._word_differential, pres, cohom._differential_cache(pres))
+    words_u = cohom._words_of_degree(pres, v, v, u_base + step, -(m + 1))
+    base_u = [w for w in words_u if len(w.arrows) <= u_base]
+    matching = unitpairs.UnitPairs(
+        pres, d, (length, length + step), (u_base, u_base + step),
+        (poly_bound, poly_bound + step), base_u)
+    outside = set()
+    for u in base_u:
+        for t, e, _ in d(u):
+            mask = matching.mask(t)
+            for k in range(sum(e), sum(e) + poly_bound + 1):
+                if k < len(mask) and mask[k] and (
+                        len(matching.plus(t).arrows) > u_base or k > poly_bound):
+                    outside.add((t, k))
+    assert any(True in matching.mask(t) for u in base_u for t, _, _ in d(u))
+    assert outside == set()
+
+
 def test_unit_pairs_shrink_the_image_side(monkeypatch):
     # The localised side of the loc-q benchmark (cohom localization --len 3
     # --polydeg 4 --f 2*x 3*y) at m = 3: at most 60 % of the image-side

@@ -100,6 +100,17 @@ def test_characteristic_dispatch():
         assert (plus2 - minus2).is_zero()
 
 
+def test_scale_coerces_the_scalar_into_the_field():
+    F5 = Field.prime(5)
+    x = PolyRing(F5, ("x",)).gen("x")
+    assert x.scale(5).is_zero()
+    assert x.scale(7).terms == {(1,): 2}
+    assert x.scale(-1).terms == {(1,): 4}
+    half = x.scale(Fraction(1, 2))
+    assert half.terms == {(1,): 3} and type(half.terms[(1,)]) is int
+    assert half.scale(2) == x
+
+
 def test_ring_mismatch_rejected():
     R1 = ring_qq("x")
     R2 = ring_qq("y")

@@ -372,6 +372,20 @@ def test_broken_invariant_is_an_internal_error(monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_a_section_that_fails_its_certificate_is_an_internal_error(monkeypatch, capsys):
+    # Every enumerated weight-chi_i monomial is a window monomial times an
+    # invariant; one that is not is an enumeration bug, not bad input.
+    monkeypatch.setattr(toric, "monomials_of_weight",
+                        lambda n, target, bound: [one_monomial(2)])
+    assert main(["toric", "sections", "--n", "2", "--index", "1"]) == EXIT_INTERNAL
+    assert "neither window monomial divides it" in capsys.readouterr().err
+    sigma = toric.sigma_window(1, 2)
+    monkeypatch.setattr(toric, "monomials_of_weight",
+                        lambda n, target, bound: [sigma * sigma])
+    with pytest.raises(InternalError, match="not an invariant monomial"):
+        section_basis(1, 2, 4)
+
+
 def test_broken_normal_form_is_an_internal_error(monkeypatch):
     # A product of two tube words normalises to one monomial term with
     # scalar 1; anything else is a rewriting bug, not malformed input.
