@@ -10,9 +10,13 @@ reads ``"unsupported"`` and is not run), 1 on an actual failure, 64 on
 malformed input, 70 when an internal consistency check fails (a bug,
 not bad input).
 
-Each subcommand's parser names its handler (``set_defaults``); the
-handler reads the parsed ``argparse.Namespace`` and returns the report
-and exit code, so every default is stated once, in its ``add_argument``.
+The commands are declared once, in the table ``COMMANDS``: group,
+command, help, and a function that adds the command's arguments and
+names its handler (``set_defaults``).  The handler reads the parsed
+``argparse.Namespace`` and returns the report and exit code, so every
+default is stated once, in its ``add_argument``.  ``build_parser(argv)``
+builds only the group and command that ``argv[:2]`` names, and the whole
+tree when it names none, so help and usage errors read the same.
 
 Polynomials on the command line use a small grammar with no
 parentheses::
@@ -409,71 +413,61 @@ def _add_polys(p: argparse.ArgumentParser, required=False):
                    help="variable order (default: identifiers in --f, sorted)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    root = _Parser(prog="tube-ncr", description=__doc__.splitlines()[0])
-    groups = root.add_subparsers(dest="group", required=True)
-
-    algebra = groups.add_parser("algebra", help="presentation constructors")
-    algebra_cmds = algebra.add_subparsers(dest="command", required=True)
-    p = algebra_cmds.add_parser("tube", help="cyclic quiver with central windings")
+def _algebra_tube(p):
     _add_common(p, cmd_algebra_tube, needs_n=True)
     _add_polys(p)
-    p = algebra_cmds.add_parser("contraction", help="linear quiver with end loops")
+
+
+def _algebra_contraction(p):
     _add_common(p, cmd_algebra_contraction, needs_n=True)
     _add_polys(p, required=True)
     p.add_argument("--convention", choices=("standard", "swapped"),
                    default="standard")
-    p = algebra_cmds.add_parser("localize", help="adjoin a degree -1 loop")
+
+
+def _algebra_localize(p):
     _add_common(p, cmd_algebra_localize, needs_n=True)
     _add_polys(p)
     p.add_argument("--vertex", default=None, help="vertex to localise at (default L0)")
 
-    arc = groups.add_parser("arc", help="marked arc systems on surfaces")
-    arc_cmds = arc.add_subparsers(dest="command", required=True)
-    p = arc_cmds.add_parser("annulus", help="parallel arcs across an annulus")
-    _add_common(p, cmd_arc_annulus, needs_n=True)
-    p = arc_cmds.add_parser("disc", help="parallel chords of a disc")
-    _add_common(p, cmd_arc_disc, needs_n=True)
-    p = arc_cmds.add_parser("compare", help="surface presentation round trip")
+
+def _arc_compare(p):
     _add_common(p, cmd_arc_compare, needs_n=True)
     p.add_argument("--surface", choices=("annulus", "disc"), default="annulus")
 
-    twcat = groups.add_parser("twcat", help="twisted complexes over the algebra")
-    twcat_cmds = twcat.add_subparsers(dest="command", required=True)
-    p = twcat_cmds.add_parser("verify-halftwist",
-                              help="half twist vs two-term complex, both wrappings")
-    _add_common(p, cmd_twcat_verify_halftwist, needs_n=True)
 
-    toric = groups.add_parser("toric", help="weight-graded ring comparisons")
-    toric_cmds = toric.add_subparsers(dest="command", required=True)
-    p = toric_cmds.add_parser("sections", help="weight-space basis for one character")
+def _toric_sections(p):
     _add_common(p, cmd_toric_sections, needs_n=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--degree-bound", type=nonnegative_int, default=None)
-    p = toric_cmds.add_parser("wedge", help="top wedge nonvanishing on stable points")
-    _add_common(p, cmd_toric_wedge, needs_n=True)
-    p = toric_cmds.add_parser("end", help="path algebra vs graded ring comparison")
+
+
+def _toric_end(p):
     _add_common(p, cmd_toric_end, needs_n=True)
     p.add_argument("--bound", type=nonnegative_int, default=None,
                    help="word length bound")
-    p = toric_cmds.add_parser("base-change", help="substitution compatibility")
+
+
+def _toric_base_change(p):
     _add_common(p, cmd_toric_base_change, needs_n=True)
     _add_polys(p, required=True)
     p.add_argument("--bound", type=nonnegative_int, default=None,
                    help="word length bound")
 
-    cohom = groups.add_parser("cohom", help="bounded cohomology computations")
-    cohom_cmds = cohom.add_subparsers(dest="command", required=True)
-    p = cohom_cmds.add_parser("sphere", help="six-term free complex over k[t0, t1]")
+
+def _cohom_sphere(p):
     _add_common(p, cmd_cohom_sphere)
     p.add_argument("--polydeg", type=nonnegative_int, default=8)
-    p = cohom_cmds.add_parser("contraction-h0",
-                              help="H^0 generators and relations")
+
+
+def _cohom_contraction_h0(p):
     _add_common(p, cmd_cohom_contraction_h0, needs_n=True)
     _add_polys(p, required=True)
     p.add_argument("--len", dest="length", type=nonnegative_int, default=6)
     p.add_argument("--polydeg", type=nonnegative_int, default=8)
-    p = cohom_cmds.add_parser("truncated", help="bounded morphism cohomology rank")
+
+
+def _cohom_truncated(p):
     _add_common(p, cmd_cohom_truncated, needs_n=True)
     _add_polys(p)
     p.add_argument("--quiver", choices=("contraction", "tube", "localized"),
@@ -483,20 +477,73 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None)
     p.add_argument("--len", dest="length", type=nonnegative_int, default=8)
     p.add_argument("--polydeg", type=nonnegative_int, default=8)
-    p = cohom_cmds.add_parser("localization",
-                              help="contraction vs localised tube ranks")
+
+
+def _cohom_localization(p):
     _add_common(p, cmd_cohom_localization)
     _add_polys(p)
     p.add_argument("--max-degree", type=nonnegative_int, default=4)
     p.add_argument("--len", dest="length", type=nonnegative_int, default=4)
     p.add_argument("--polydeg", type=nonnegative_int, default=4)
 
-    verify = groups.add_parser("verify", help="fixed verification suites")
-    verify_cmds = verify.add_subparsers(dest="command", required=True)
-    p = verify_cmds.add_parser("all", help="run the whole manifest")
+
+def _verify_all(p):
     _add_common(p, cmd_verify_all, default_n=2)
     p.add_argument("--bound", type=nonnegative_int, default=8)
 
+
+GROUPS = {
+    "algebra": "presentation constructors",
+    "arc": "marked arc systems on surfaces",
+    "twcat": "twisted complexes over the algebra",
+    "toric": "weight-graded ring comparisons",
+    "cohom": "bounded cohomology computations",
+    "verify": "fixed verification suites",
+}
+
+# (group, command, help, function adding the command's arguments), in the
+# order help lists them.
+COMMANDS = (
+    ("algebra", "tube", "cyclic quiver with central windings", _algebra_tube),
+    ("algebra", "contraction", "linear quiver with end loops", _algebra_contraction),
+    ("algebra", "localize", "adjoin a degree -1 loop", _algebra_localize),
+    ("arc", "annulus", "parallel arcs across an annulus",
+     lambda p: _add_common(p, cmd_arc_annulus, needs_n=True)),
+    ("arc", "disc", "parallel chords of a disc",
+     lambda p: _add_common(p, cmd_arc_disc, needs_n=True)),
+    ("arc", "compare", "surface presentation round trip", _arc_compare),
+    ("twcat", "verify-halftwist", "half twist vs two-term complex, both wrappings",
+     lambda p: _add_common(p, cmd_twcat_verify_halftwist, needs_n=True)),
+    ("toric", "sections", "weight-space basis for one character", _toric_sections),
+    ("toric", "wedge", "top wedge nonvanishing on stable points",
+     lambda p: _add_common(p, cmd_toric_wedge, needs_n=True)),
+    ("toric", "end", "path algebra vs graded ring comparison", _toric_end),
+    ("toric", "base-change", "substitution compatibility", _toric_base_change),
+    ("cohom", "sphere", "six-term free complex over k[t0, t1]", _cohom_sphere),
+    ("cohom", "contraction-h0", "H^0 generators and relations", _cohom_contraction_h0),
+    ("cohom", "truncated", "bounded morphism cohomology rank", _cohom_truncated),
+    ("cohom", "localization", "contraction vs localised tube ranks",
+     _cohom_localization),
+    ("verify", "all", "run the whole manifest", _verify_all),
+)
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The parser of ``argv``: only the group and command that ``argv[:2]``
+    names, or the whole tree when it names none (or ``argv`` is None)."""
+    wanted = None if argv is None else tuple(argv[:2])
+    rows = [row for row in COMMANDS if row[:2] == wanted]
+    # A root-level error ("unrecognized arguments") prints the root usage,
+    # which must list every group, not just the one built.
+    metavar = "{" + ",".join(GROUPS) + "}" if rows else None
+    root = _Parser(prog="tube-ncr", description=__doc__.splitlines()[0])
+    groups = root.add_subparsers(dest="group", required=True, metavar=metavar)
+    commands = {}
+    for group, command, help_text, add_arguments in rows or COMMANDS:
+        if group not in commands:
+            parser = groups.add_parser(group, help=GROUPS[group])
+            commands[group] = parser.add_subparsers(dest="command", required=True)
+        add_arguments(commands[group].add_parser(command, help=help_text))
     return root
 
 
@@ -523,17 +570,26 @@ def render_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report: dict, args: argparse.Namespace) -> None:
+def emit(report: dict, args: argparse.Namespace) -> bool:
+    """Write the report; False, after one error line, if ``--output``
+    cannot be written."""
     text = render_json(report) if args.format == "json" else render_text(report)
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(args.output, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"tube-ncr: error: cannot write {args.output}: {exc.strerror}\n")
+        return False
+    return True
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         report, code = args.handler(args)
     except (CommandError, PolyParseError, ValueError) as exc:
@@ -542,8 +598,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalError as exc:
         sys.stderr.write(f"tube-ncr: internal error: {exc}\n")
         return EXIT_INTERNAL
-    emit(report, args)
-    return code
+    return code if emit(report, args) else EXIT_USAGE
 
 
 if __name__ == "__main__":

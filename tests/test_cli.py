@@ -25,7 +25,7 @@ from tube_ncr.cli import (
     parse_field,
     parse_polynomials,
 )
-from tube_ncr import cohom, exactalg
+from tube_ncr import cli, cohom, exactalg
 from tube_ncr.exactalg import Field
 
 REPO = Path(__file__).resolve().parent.parent
@@ -70,10 +70,11 @@ def test_localization_exit_code_branches():
 # -- exit codes ------------------------------------------------------------------
 
 
-def test_unknown_group_exits_usage():
+def test_unknown_group_exits_usage(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bogus"])
     assert err.value.code == EXIT_USAGE
+    assert "error: argument group: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_missing_required_flag_exits_usage():
@@ -239,6 +240,16 @@ def test_manifest_at_n_zero_runs_what_it_supports(capsys):
     assert unsupported == ["arc.round_trips", "twcat.halftwist",
                            "toric.end_comparison"]
     assert all(c["ok"] for c in checks if c["name"] not in unsupported)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_output_exits_usage(where, tmp_path, capsys):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    assert main(["algebra", "tube", "--n", "0", "--output", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"tube-ncr: error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_manifest_rejects_negative_n(capsys):
@@ -454,6 +465,64 @@ def test_every_command_has_a_handler_and_help(capsys):
             main([*path, "--help"])
         assert err.value.code == 0, path
         assert capsys.readouterr().out.startswith("usage: tube-ncr " + " ".join(path))
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _parity_argvs():
+    argvs = [[], ["-h"], ["bogus"], ["cohom"], ["cohom", "-h"], ["cohom", "bogus"],
+             ["verify"], ["algebra", "tube", "--n", "1", "--f", "-3*x", "y"]]
+    for path, parser in _leaf_commands(build_parser()):
+        required = [word for action in parser._actions if action.required
+                    for word in (action.option_strings[0], "1")]
+        # With its required flags given, an extra positional reaches the
+        # root parser's "unrecognized arguments" error.
+        argvs += [[*path, "--help"], [*path, "--bogus"], [*path, "extra", *required]]
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _parity_argvs(), ids=lambda argv: " ".join(argv) or "-")
+def test_pruned_parser_prints_what_the_full_tree_prints(argv, monkeypatch, capsys):
+    pruned = _outcome(argv, capsys)
+    if "extra" in argv:
+        assert "tube-ncr: error: unrecognized arguments: extra" in pruned[2]
+    full_tree = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_tree())
+    assert _outcome(argv, capsys) == pruned
+
+
+def test_a_named_command_builds_only_its_own_parsers(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert main(["algebra", "tube", "--n", "0"]) == EXIT_OK
+    capsys.readouterr()
+    assert built == ["tube-ncr", "tube-ncr algebra", "tube-ncr algebra tube"]
+    built.clear()
+    build_parser()
+    assert len(built) == 23
+
+
+# The argv lists of test_documented_invocations_pass are golden argv lists.
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in GOLDEN_RUNS],
+                         ids=[g for _, g, _ in GOLDEN_RUNS])
+def test_pruned_parser_reads_an_argv_as_the_full_tree_does(argv):
+    pruned = build_parser(argv)
+    assert len(list(_leaf_commands(pruned))) == 1
+    assert vars(pruned.parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_text_format_is_flat(capsys):
