@@ -33,6 +33,7 @@ order is what exponent vectors and JSON dumps refer to).
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -586,10 +587,27 @@ def emit(report: dict, args: argparse.Namespace) -> bool:
     return True
 
 
+def unwritable_output(path: Optional[str]) -> Optional[str]:
+    """Why ``--output`` cannot be written, when that shows before the run:
+    the path is a directory or its directory is missing.  ``emit``
+    reports every other failure."""
+    if not path:
+        return None
+    if os.path.isdir(path):
+        return "Is a directory"
+    if not os.path.exists(os.path.dirname(path) or "."):
+        return "No such file or directory"
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
+    reason = unwritable_output(args.output)
+    if reason:
+        sys.stderr.write(f"tube-ncr: error: cannot write {args.output}: {reason}\n")
+        return EXIT_USAGE
     try:
         report, code = args.handler(args)
     except (CommandError, PolyParseError, ValueError) as exc:

@@ -397,25 +397,21 @@ class CohomologyReport:
         }
 
 
-# Word lists and per-word differentials are kept per presentation, since
-# a localisation comparison asks several truncated ranks of each of its
-# two presentations: a word list is enumerated once, at the largest bound
-# asked, and re-filtered for smaller ones, and a word's differential is
-# shared across degrees, bounds and monomials.  ``_DIFF_CACHE`` holds
-# three tables per presentation: d by word, which also holds the suffixes
-# that the Leibniz rule builds each word from; the normal forms of the
-# letter-times-word products that a rule rewrites, by product word; and
-# one copy of each path that a cached differential names, which the
-# differentials share.
-_WORD_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# Per-word differentials are kept per presentation, since a localisation
+# comparison asks several truncated ranks of each of its two
+# presentations, and a word's differential is shared across degrees,
+# bounds and monomials.  ``_DIFF_CACHE`` holds two tables per
+# presentation: d by word, which also holds the suffixes that the
+# Leibniz rule builds each word from; and one copy of each path that a
+# cached differential names, which the differentials share.
 _DIFF_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _differential_cache(pres: Presentation) -> tuple[dict, dict, dict]:
-    """The presentation's (d by word, reduced products, paths) tables."""
+def _differential_cache(pres: Presentation) -> tuple[dict, dict]:
+    """The presentation's (d by word, paths) tables."""
     cache = _DIFF_CACHE.get(pres)
     if cache is None:
-        cache = _DIFF_CACHE[pres] = ({}, {}, {})
+        cache = _DIFF_CACHE[pres] = ({}, {})
     return cache
 
 
@@ -434,15 +430,13 @@ def _flattened(element: AlgebraElement) -> list:
     ]
 
 
-def _letters_times(
-    pres: Presentation, products: dict, letters: tuple, terms: list
-) -> list:
+def _letters_times(pres: Presentation, letters: tuple, terms: list) -> list:
     """Normal form of the word ``letters`` times a normal-form sum of
     (path, exponent, scalar) triples, as such triples.
 
     A letter a times an irreducible word p is the word a*p itself unless
-    the new pair (a, first letter of p) is a rule's left side; such a
-    word is reduced once and its normal form cached in ``products``.
+    the new pair (a, first letter of p) is a rule's left side; only such
+    a word is reduced.
     """
     field, rules = pres.ring.field, pres.rules
     for a in reversed(letters):
@@ -452,12 +446,7 @@ def _letters_times(
             if not p.arrows or (a, p.arrows[0]) not in rules:
                 _accumulate(acc, (word, e), s, field)
                 continue
-            product = products.get(word)
-            if product is None:
-                product = products[word] = _flattened(
-                    pres.reduce_raw([(pres.ring.one(), word)])
-                )
-            for q, e2, s2 in product:
+            for q, e2, s2 in _flattened(pres.reduce_raw([(pres.ring.one(), word)])):
                 exp = tuple([x + y for x, y in zip(e, e2)])
                 _accumulate(acc, (q, exp), field.mul(s, s2), field)
         terms = [(q, e, s) for (q, e), s in acc.items() if s]
@@ -475,7 +464,7 @@ def _word_differential(pres: Presentation, cache: tuple, w: Path) -> list:
     presentation is built), so reducing the two products gives d(w).
     Only lazy paths and single letters go through ``differential_of``.
     """
-    words, products, paths = cache
+    words, paths = cache
     out = words.get(w)
     if out is not None:
         return out
@@ -505,9 +494,9 @@ def _word_differential(pres: Presentation, cache: tuple, w: Path) -> list:
             continue
         acc: dict = {}
         for q, e, s in head:
-            for r, e2, s2 in _letters_times(pres, products, q.arrows, [(rest, e, s)]):
+            for r, e2, s2 in _letters_times(pres, q.arrows, [(rest, e, s)]):
                 _accumulate(acc, (r, e2), s2, field)
-        for r, e2, s2 in _letters_times(pres, products, (a,), words[rest]):
+        for r, e2, s2 in _letters_times(pres, (a,), words[rest]):
             _accumulate(acc, (r, e2), field.neg(s2) if odd else s2, field)
         words[w] = [
             (paths.setdefault(r, r), e2, s2)
@@ -517,22 +506,6 @@ def _word_differential(pres: Presentation, cache: tuple, w: Path) -> list:
             if s2
         ]
     return words[w]
-
-
-def _words_of_degree(
-    pres: Presentation, source: str, target: str, length_bound: int, degree: int
-) -> list:
-    per = _WORD_CACHE.setdefault(pres, {})
-    entry = per.get((source, target))
-    if entry is None or entry[0] < length_bound:
-        table: dict[int, list] = {}
-        for w in pres.irreducible_words(source, target, length_bound):
-            table.setdefault(pres.path_degree(w), []).append(w)
-        entry = (length_bound, table)
-        per[(source, target)] = entry
-    if entry[0] == length_bound:
-        return entry[1].get(degree, [])
-    return [w for w in entry[1].get(degree, []) if len(w.arrows) <= length_bound]
 
 
 def _default_image_slack(pres: Presentation) -> int:
@@ -590,12 +563,10 @@ def _bounded_ranks(
     """
     ring = pres.ring
     step = STABILITY_STEP
-    # The image side first: its bound is the larger, so one enumeration
-    # serves both sides.
-    words_u = _words_of_degree(
-        pres, source, target, length_bound + step + image_slack, -(m + 1)
+    words_u = pres.irreducible_words(
+        source, target, length_bound + step + image_slack, -(m + 1)
     )
-    words_v = _words_of_degree(pres, source, target, length_bound + step, -m)
+    words_v = pres.irreducible_words(source, target, length_bound + step, -m)
     mons = sorted(monomials_upto(ring.nvars, poly_bound + step), key=deglex_key)
     n_mons = sum(1 for e in mons if sum(e) <= poly_bound)
     mon_degrees = [sum(e) for e in mons]
@@ -848,8 +819,14 @@ class H0Presentation:
         bound) by any degree-0 arrow must land back inside the window
         span.  Structurally this is how the window is built, so a failure
         here means the word enumeration or the rule set is broken, which
-        is exactly when membership answers should not be trusted.
+        is exactly when membership answers should not be trusted.  A
+        length bound below 1 leaves no inner window, so it is refused.
         """
+        if self.length_bound < 1:
+            raise ValueError(
+                f"length bound {self.length_bound} leaves no window to close "
+                f"(need at least 1)"
+            )
         inner = replace(self, length_bound=self.length_bound - 1).window
         products = []
         for u in inner:

@@ -488,12 +488,17 @@ class Presentation:
         A word stays irreducible under left extension iff the single new
         adjacent pair avoids every rule left side, so the search prunes
         exactly.  Results are filtered by target/degree when given and
-        sorted by (length, arrow names).
+        sorted by (length, arrow names).  When a degree is given and no
+        arrow has positive degree, a word's degree never rises as it
+        grows, so a word below that degree is not grown further.
         """
         by_src: dict[str, list] = {}
         for a in self.quiver.arrows:
             by_src.setdefault(a.src, []).append((a.name, a.tgt, a.deg))
         rules = self.rules
+        floor = homological_degree
+        if floor is None or any(a.deg > 0 for a in self.quiver.arrows):
+            floor = -math.inf
         result = []
         if target in (None, source) and homological_degree in (None, 0):
             result.append(lazy(source))
@@ -505,7 +510,8 @@ class Presentation:
                 ((name,) + arrows, tgt, deg + shift)
                 for arrows, tip, deg in frontier
                 for name, tgt, shift in by_src.get(tip, ())
-                if not arrows or (name, arrows[0]) not in rules
+                if deg + shift >= floor
+                and (not arrows or (name, arrows[0]) not in rules)
             ]
             result.extend(Path(arrows, None) for arrows in sorted(
                 arrows for arrows, tip, deg in frontier

@@ -117,7 +117,6 @@ class UnitPairs:
         self._images: list = []
         self._plus: dict = {}
         self._pairs: dict = {}
-        self._rules_hold: dict = {}
         self._masks: dict = {}
         # Coefficient degrees at which the base window's image side hits
         # each word that could be matched, for rule (i).
@@ -194,29 +193,25 @@ class UnitPairs:
 
     def _rules_mask(self, t: Path) -> tuple:
         """Per monomial degree, whether (t, e) meets rules (i) and (ii)."""
-        out = self._rules_hold.get(t)
-        if out is None:
-            out = self.unmatched
-            tp = self.plus(t)
-            if tp is not None:
-                _, longest, highest, _ = self._pair(t)
-                hits = self._hits.get(t, ())
-                (v0, v1), (u0, u1), (d0, d1) = self.v_lengths, self.u_lengths, self.degrees
-                flags = []
-                for k in range(d1 + 1):
-                    if len(tp.arrows) <= u0 and k <= d0:
-                        ok = True
-                    else:  # (t+, e) lies outside U's base window: rule (i)
-                        ok = len(tp.arrows) <= u1 and not any(
-                            k - d0 <= h <= k for h in hits)
-                    if len(t.arrows) <= v0 and k <= d0:  # rule (ii)
-                        ok = ok and longest <= v0 and k + highest <= d0
-                    elif len(t.arrows) <= v1:
-                        ok = ok and longest <= v1 and k + highest <= d1
-                    flags.append(ok)
-                out = tuple(flags)
-            self._rules_hold[t] = out
-        return out
+        tp = self.plus(t)
+        if tp is None:
+            return self.unmatched
+        _, longest, highest, _ = self._pair(t)
+        hits = self._hits.get(t, ())
+        (v0, v1), (u0, u1), (d0, d1) = self.v_lengths, self.u_lengths, self.degrees
+        flags = []
+        for k in range(d1 + 1):
+            if len(tp.arrows) <= u0 and k <= d0:
+                ok = True
+            else:  # (t+, e) lies outside U's base window: rule (i)
+                ok = len(tp.arrows) <= u1 and not any(
+                    k - d0 <= h <= k for h in hits)
+            if len(t.arrows) <= v0 and k <= d0:  # rule (ii)
+                ok = ok and longest <= v0 and k + highest <= d0
+            elif len(t.arrows) <= v1:
+                ok = ok and longest <= v1 and k + highest <= d1
+            flags.append(ok)
+        return tuple(flags)
 
     def mask(self, t: Path) -> tuple:
         """Per monomial degree up to the rerun bound, whether the target

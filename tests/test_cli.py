@@ -243,7 +243,12 @@ def test_manifest_at_n_zero_runs_what_it_supports(capsys):
 
 
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
-def test_unwritable_output_exits_usage(where, tmp_path, capsys):
+def test_unwritable_output_exits_usage(where, tmp_path, capsys, monkeypatch):
+    # Both cases are found before the command runs.
+    def never(args):
+        raise AssertionError("the handler ran before --output was checked")
+
+    monkeypatch.setattr(cli, "cmd_algebra_tube", never)
     out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
     assert main(["algebra", "tube", "--n", "0", "--output", str(out)]) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -12,7 +12,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tube_ncr import cohom, exactalg, unitpairs
-from tube_ncr.cli import EXIT_INTERNAL, main
+from tube_ncr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from tube_ncr.exactalg import (
     Echelon,
     Field,
@@ -450,6 +450,21 @@ def test_cusp_window_closure():
     assert result["ok"]
     assert result["checked"] == 16
     assert result["failures"] == []
+
+
+@pytest.mark.parametrize("length, code, checked", [(0, EXIT_USAGE, None), (1, EXIT_OK, 4)])
+def test_closure_check_refuses_a_length_bound_below_one(length, code, checked, capsys):
+    # At length 0 the inner window is empty, so nothing would be checked.
+    argv = ["cohom", "contraction-h0", "--n", "2", "--f", "x", "y", "x+y",
+            "--len", str(length)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if checked is None:
+        assert captured.out == ""
+        assert captured.err.startswith("tube-ncr: error: length bound 0 ")
+        assert captured.err.count("\n") == 1
+    else:
+        assert json.loads(captured.out)["closure"]["checked"] == checked
 
 
 def test_closure_check_builds_the_window_once(monkeypatch):
@@ -1219,7 +1234,7 @@ def test_no_base_window_image_column_hits_a_pair_outside_that_window():
     step = cohom.STABILITY_STEP
     u_base = length + cohom._default_image_slack(pres)
     d = functools.partial(cohom._word_differential, pres, cohom._differential_cache(pres))
-    words_u = cohom._words_of_degree(pres, v, v, u_base + step, -(m + 1))
+    words_u = pres.irreducible_words(v, v, u_base + step, -(m + 1))
     base_u = [w for w in words_u if len(w.arrows) <= u_base]
     matching = unitpairs.UnitPairs(
         pres, d, (length, length + step), (u_base, u_base + step),

@@ -254,6 +254,32 @@ def test_graded_basis_words_are_monotone():
         assert len(letters) <= 1  # pure a-run, pure b-run, or lazy
 
 
+def mixed_sign_loops():
+    # A word's degree can rise again here, so no enumeration may prune.
+    ring = PolyRing(QQ, ())
+    quiver = Quiver(("V",), (Arrow("u", "V", "V", -1), Arrow("p", "V", "V", 1)))
+    return Presentation(quiver, ring, {})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tube(2)[0],
+    lambda: contraction(2, ("x", "y"), ("x", "y", "x+y"))[0],
+    lambda: drinfeld_localize(tube(1)[0], tube_vertex(0)),
+    mixed_sign_loops,
+], ids=["tube", "contraction", "localized", "mixed-sign-loops"])
+def test_words_of_one_degree_are_the_filtered_full_list(build):
+    pres = build()
+    length = 6
+    for s in pres.quiver.vertices:
+        for t in pres.quiver.vertices:
+            full = pres.irreducible_words(s, t, length)
+            for d in range(-length - 1, length + 2):
+                assert pres.irreducible_words(s, t, length, d) == [
+                    w for w in full if pres.path_degree(w) == d], (s, t, d)
+    if build is mixed_sign_loops:
+        assert Path(("p", "u"), None) in pres.irreducible_words("V", "V", 2, 0)
+
+
 def contraction(n, names, f_texts):
     ring = PolyRing(QQ, names)
     f = [ring.parse(t) for t in f_texts]
