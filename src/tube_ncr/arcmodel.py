@@ -19,7 +19,7 @@ respectively (up to renaming vertices; see the round-trip tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactalg import Field, PolyRing
@@ -57,22 +57,6 @@ class MarkedSurface:
                 if _is_arc_end(sym) and sym[:-1] not in seen:
                     seen.append(sym[:-1])
         return seen
-
-    @property
-    def segment_names(self) -> list:
-        out = []
-        for cycle in self.boundaries:
-            for sym in cycle:
-                if not _is_arc_end(sym):
-                    out.append(sym)
-        return out
-
-    def euler_characteristic(self) -> int:
-        vertices = sum(
-            1 for c in self.boundaries for s in c if _is_arc_end(s)
-        )
-        edges = len(self.arc_names) + len(self.segment_names)
-        return vertices - edges + len(self.faces)
 
     # -- validation ----------------------------------------------------------
 
@@ -153,8 +137,6 @@ class MarkedSurface:
 @dataclass
 class GeneratedPresentation:
     presentation: Presentation
-    # face index -> {"rules": [lhs words], "diff": [chord names]}
-    provenance: dict = dc_field(default_factory=dict)
 
 
 def annulus(n: int) -> MarkedSurface:
@@ -229,10 +211,8 @@ def generate_presentation(
 
     rules: dict = {}
     differential: dict = {}
-    provenance: dict = {}
 
     for idx, face in enumerate(surface.faces):
-        entry = {"rules": [], "diff": []}
         scalar = ring.gen(f"t{face.mark}") if face.mark is not None else ring.one()
         if face.sides() == 2:
             chord = arrow_by_name[face.cycle[1]]
@@ -243,8 +223,6 @@ def generate_presentation(
                 )
             rules[(chord.name, chord.name)] = []
             differential[chord.name] = [(scalar, lazy(chord.src))]
-            entry["rules"].append((chord.name, chord.name))
-            entry["diff"].append(chord.name)
         else:
             x = arrow_by_name[face.cycle[1]]
             y = arrow_by_name[face.cycle[3]]
@@ -255,8 +233,6 @@ def generate_presentation(
                 )
             rules[(x.name, y.name)] = [(scalar, lazy(x.tgt))]
             rules[(y.name, x.name)] = [(scalar, lazy(y.tgt))]
-            entry["rules"].extend([(x.name, y.name), (y.name, x.name)])
-        provenance[idx] = entry
 
     pres = Presentation(
         Quiver(tuple(surface.arc_names), tuple(arrows)),
@@ -264,4 +240,4 @@ def generate_presentation(
         rules,
         differential,
     )
-    return GeneratedPresentation(pres, provenance)
+    return GeneratedPresentation(pres)

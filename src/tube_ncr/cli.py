@@ -34,7 +34,6 @@ order is what exponent vectors and JSON dumps refer to).
 import argparse
 import json
 import os
-import re
 import sys
 from typing import Optional, Sequence
 
@@ -46,7 +45,7 @@ from .cohom import (
     sphere_complex,
     truncated_cohomology,
 )
-from .exactalg import Field, InternalError, PolyParseError, PolyRing
+from .exactalg import IDENT_RE, Field, InternalError, PolyParseError, PolyRing
 from .quivalg import (
     contraction_quiver,
     contraction_vertex,
@@ -70,8 +69,6 @@ EXIT_FAILURE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class CommandError(ValueError):
@@ -100,7 +97,7 @@ def parse_polynomials(
     field: Field, texts: Sequence[str], variables: Optional[Sequence[str]]
 ) -> tuple[PolyRing, list]:
     if variables is None:
-        names = sorted({m.group(0) for t in texts for m in _IDENT.finditer(t)})
+        names = sorted({m.group(0) for t in texts for m in IDENT_RE.finditer(t)})
     else:
         names = list(variables)
     ring = PolyRing(field, tuple(names))
@@ -589,14 +586,17 @@ def emit(report: dict, args: argparse.Namespace) -> bool:
 
 def unwritable_output(path: Optional[str]) -> Optional[str]:
     """Why ``--output`` cannot be written, when that shows before the run:
-    the path is a directory or its directory is missing.  ``emit``
-    reports every other failure."""
+    the path is a directory, or its directory is missing or is not a
+    directory.  ``emit`` reports every other failure."""
     if not path:
         return None
     if os.path.isdir(path):
         return "Is a directory"
-    if not os.path.exists(os.path.dirname(path) or "."):
+    parent = os.path.dirname(path) or "."
+    if not os.path.exists(parent):
         return "No such file or directory"
+    if not os.path.isdir(parent):
+        return "Not a directory"
     return None
 
 

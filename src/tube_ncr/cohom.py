@@ -229,9 +229,6 @@ class FreeComplex:
     def degrees(self) -> list[int]:
         return sorted(self.generators)
 
-    def ranks(self) -> dict[int, int]:
-        return {d: len(names) for d, names in self.generators.items()}
-
     # -- layered cohomology ---------------------------------------------------
 
     def _entry_degree(self) -> int:
@@ -659,17 +656,6 @@ def _bounded_ranks(
     return rank, again, [text for _, text in sorted(generators)]
 
 
-def _require_confluent(pres: Presentation) -> None:
-    """Irreducible words are a basis, and normal forms unique, only when
-    the rules are confluent; no answer is given otherwise."""
-    if not pres.confluence.confluent:
-        raise ValueError(
-            "presentation is not confluent, so its irreducible words are not "
-            "a basis; unresolved overlaps: "
-            + ", ".join("*".join(w) for w, _, _ in pres.confluence.unresolved)
-        )
-
-
 def truncated_cohomology(
     pres: Presentation,
     source: str,
@@ -686,8 +672,7 @@ def truncated_cohomology(
     ``poly_bound``.  The same rank is taken with both bounds enlarged by
     ``STABILITY_STEP``, in the same pass; agreement is reported as
     ``"stable"``, disagreement as ``"inconclusive_at_bound"`` with the
-    smaller-bound rank.  A presentation whose rules are not confluent is
-    a ``ValueError``.
+    smaller-bound rank.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -697,7 +682,6 @@ def truncated_cohomology(
                 f"unknown vertex {vertex!r}; vertices are "
                 + ", ".join(pres.quiver.vertices)
             )
-    _require_confluent(pres)
     rank, again, generators = _bounded_ranks(
         pres, source, target, m, length_bound, poly_bound,
         _default_image_slack(pres), with_generators,
@@ -850,9 +834,7 @@ class H0Presentation:
 
 
 def h0_presentation(pres: Presentation, length_bound: int = 6) -> H0Presentation:
-    """Generators and relations for H^0 of a degree {0, -1} presentation;
-    a presentation whose rules are not confluent is a ``ValueError``."""
-    _require_confluent(pres)
+    """Generators and relations for H^0 of a degree {0, -1} presentation."""
     for a in pres.quiver.arrows:
         if a.deg not in (0, -1):
             raise ValueError(

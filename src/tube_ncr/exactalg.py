@@ -135,7 +135,7 @@ class Field:
         return {"kind": "prime", "p": self.p}
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|\^|\*|\+|-)")
 
 
@@ -157,7 +157,7 @@ class PolyRing:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names}")
         for name in names:
-            if not _IDENT_RE.fullmatch(name):
+            if not IDENT_RE.fullmatch(name):
                 raise ValueError(f"bad variable name: {name!r}")
         self.field = field
         self.names = names

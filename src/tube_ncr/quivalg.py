@@ -179,8 +179,10 @@ class Presentation:
     ``_sides`` reads both as one list of (left word, right side, degree
     shift): shift 0 for a rule, 1 for the differential of an arrow.
     Construction checks each entry on that walk (``_validate``), then
-    confluence, then that d squares to zero and descends to the
-    quotient; ``grade`` and ``same_presentation`` read the same walk.
+    confluence (irreducible words are a basis exactly when the rules are
+    confluent, so a rule set that is not is a ``ValueError``), then that
+    d squares to zero and descends to the quotient; ``grade`` and
+    ``same_presentation`` read the same walk.
 
     ``grade`` gives each basis term (word, monomial) its value in the
     finest grading for which every rule and differential entry is
@@ -195,7 +197,6 @@ class Presentation:
         ring: PolyRing,
         rules: dict,
         differential: Optional[dict] = None,
-        require_confluent: bool = True,
     ):
         self.quiver = quiver
         self.ring = ring
@@ -205,10 +206,11 @@ class Presentation:
         }
         self._validate()
         self.confluence = self.check_confluence()
-        if require_confluent and not self.confluence.confluent:
+        if not self.confluence.confluent:
             raise ValueError(
-                f"rule set not confluent; unresolved pairs: "
-                f"{[w for w, _, _ in self.confluence.unresolved]}"
+                "presentation is not confluent, so its irreducible words are "
+                "not a basis; unresolved overlaps: "
+                + ", ".join("*".join(w) for w, _, _ in self.confluence.unresolved)
             )
         self._check_differential()
 
@@ -552,18 +554,6 @@ class Presentation:
             },
         }
 
-    def to_text(self) -> str:
-        lines = [f"vertices: {', '.join(self.quiver.vertices)}"]
-        for a in self.quiver.arrows:
-            lines.append(f"arrow {a.name}: {a.src} -> {a.tgt}  deg {a.deg}")
-        for lhs, rhs in sorted(self.rules.items()):
-            rhs_el = AlgebraElement(self, {p: c for c, p in rhs})
-            lines.append(f"rule {'*'.join(lhs)} -> {rhs_el.to_text()}")
-        for name, image in sorted(self.differential.items()):
-            img_el = AlgebraElement(self, {p: c for c, p in image})
-            lines.append(f"d({name}) = {img_el.to_text()}")
-        return "\n".join(lines)
-
 
 def graded_basis(
     pres: Presentation,
@@ -611,9 +601,6 @@ def tube_algebra(
         f = list(f)
         if len(f) != n + 1:
             raise ValueError(f"need {n + 1} scalar polynomials, got {len(f)}")
-        for p in f:
-            if p.ring != ring:
-                raise ValueError("scalar polynomial outside the coefficient ring")
     m = n + 1
     vertices = [tube_vertex(i) for i in range(m)]
     arrows = []
@@ -677,9 +664,6 @@ def contraction_quiver(
     f = list(f)
     if len(f) != n + 1:
         raise ValueError(f"need {n + 1} scalar polynomials, got {len(f)}")
-    for p in f:
-        if p.ring != ring:
-            raise ValueError("scalar polynomial outside the coefficient ring")
     vertices = [contraction_vertex(i) for i in range(1, n + 1)]
     arrows = []
     for i in range(1, n):
@@ -733,44 +717,30 @@ def drinfeld_localize(pres: Presentation, vertex: str) -> Presentation:
     )
 
 
-def relabel_presentation(
-    pres: Presentation,
-    vertex_map: Optional[dict] = None,
-    arrow_map: Optional[dict] = None,
-) -> Presentation:
-    """Rename vertices and/or arrows everywhere; structure unchanged.
+def relabel_presentation(pres: Presentation, vertex_map: dict) -> Presentation:
+    """Rename vertices everywhere; structure unchanged.
 
-    Maps may be partial; unmentioned labels keep their names.
+    The map may be partial; unmentioned vertices keep their names.
     """
-    vmap = dict(vertex_map or {})
-    amap = dict(arrow_map or {})
 
     def v(name: str) -> str:
-        return vmap.get(name, name)
-
-    def a(name: str) -> str:
-        return amap.get(name, name)
-
-    def path(p: Path) -> Path:
-        if p.is_lazy:
-            return Path((), v(p.vertex))
-        return Path(tuple(a(x) for x in p.arrows), None)
+        return vertex_map.get(name, name)
 
     def pairs(ps):
-        return [(coef, path(p)) for coef, p in ps]
+        return [
+            (coef, Path((), v(p.vertex)) if p.is_lazy else p) for coef, p in ps
+        ]
 
     quiver = Quiver(
         tuple(v(x) for x in pres.quiver.vertices),
         tuple(
-            Arrow(a(ar.name), v(ar.src), v(ar.tgt), ar.deg)
+            Arrow(ar.name, v(ar.src), v(ar.tgt), ar.deg)
             for ar in pres.quiver.arrows
         ),
     )
-    rules = {
-        tuple(a(x) for x in lhs): pairs(rhs) for lhs, rhs in pres.rules.items()
-    }
-    diff = {a(name): pairs(img) for name, img in pres.differential.items()}
-    return Presentation(quiver, pres.ring, rules, diff, require_confluent=False)
+    rules = {lhs: pairs(rhs) for lhs, rhs in pres.rules.items()}
+    diff = {name: pairs(img) for name, img in pres.differential.items()}
+    return Presentation(quiver, pres.ring, rules, diff)
 
 
 def same_presentation(p: Presentation, q: Presentation) -> bool:

@@ -225,43 +225,6 @@ class AInfTable:
                     add_term(out, gname, coef * scoef)
         return out
 
-    # -- serialisation ----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        def pairs_json(pairs):
-            return [
-                {"coef": coef.to_json(), "morphism": name} for coef, name in pairs
-            ]
-
-        return {
-            "coefficients": {
-                "field": self.ring.field.to_json(),
-                "variables": list(self.ring.names),
-            },
-            "objects": list(self.objects),
-            "identities": dict(sorted(self.identities.items())),
-            "morphisms": [
-                {
-                    "name": m.name,
-                    "source": m.source,
-                    "target": m.target,
-                    "degree": m.degree,
-                }
-                for m in sorted(self.morphisms.values(), key=lambda m: m.name)
-            ],
-            "mu1": {
-                name: pairs_json(pairs) for name, pairs in sorted(self.mu1.items())
-            },
-            "mu2": [
-                {"args": list(key), "value": pairs_json(pairs)}
-                for key, pairs in sorted(self.mu2.items())
-            ],
-            "mu3": [
-                {"args": list(key), "value": pairs_json(pairs)}
-                for key, pairs in sorted(self.mu3.items())
-            ],
-        }
-
 
 @dataclass
 class AInfReport:

@@ -242,19 +242,23 @@ def test_manifest_at_n_zero_runs_what_it_supports(capsys):
     assert all(c["ok"] for c in checks if c["name"] not in unsupported)
 
 
-@pytest.mark.parametrize("where", ["directory", "missing parent"])
+@pytest.mark.parametrize("where", ["directory", "missing parent", "file parent"])
 def test_unwritable_output_exits_usage(where, tmp_path, capsys, monkeypatch):
-    # Both cases are found before the command runs.
+    # Every case is found before the command runs.
     def never(args):
         raise AssertionError("the handler ran before --output was checked")
 
     monkeypatch.setattr(cli, "cmd_algebra_tube", never)
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    (tmp_path / "plain").write_text("")
+    out, reason = {
+        "directory": (tmp_path, "Is a directory"),
+        "missing parent": (tmp_path / "missing" / "out.json", "No such file or directory"),
+        "file parent": (tmp_path / "plain" / "out.json", "Not a directory"),
+    }[where]
     assert main(["algebra", "tube", "--n", "0", "--output", str(out)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"tube-ncr: error: cannot write {out}: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"tube-ncr: error: cannot write {out}: {reason}\n"
 
 
 def test_manifest_rejects_negative_n(capsys):
@@ -372,6 +376,29 @@ def test_package_reads_every_import():
                     if name not in read:
                         found.add((path.name, name))
     assert found == set(UNREAD_IMPORTS)
+
+
+# Module-level functions and classes that no code in the package names,
+# each with the reason it stays.
+UNCALLED_DEFINITIONS = {
+    ("quivalg.py", "graded_basis"): "acceptance criterion 1 reads it",
+    ("quivalg.py", "tube_rank_closed_form"): "acceptance criterion 1 reads it",
+    ("quivalg.py", "winding_element"): "acceptance criterion 3 reads it",
+    ("exactalg.py", "solve_sparse"): "perfbench's tracer wraps it",
+    ("exactalg.py", "truncated_solve"): "perfbench's tracer wraps it",
+}
+
+
+def test_package_calls_every_definition():
+    defined, named = set(), set()
+    for path in sorted((REPO / "src" / "tube_ncr").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        named |= {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = {(filename, name) for filename, name in defined if name not in named}
+    assert found == set(UNCALLED_DEFINITIONS)
 
 
 # Functions that linearise or eliminate run on the per-field inner loops,

@@ -129,13 +129,12 @@ def test_halftwist_table_rejects_small_n():
         halftwist_tables(2, "middle")
 
 
-def test_table_json_lists_all_structure_constants():
+def test_table_lists_all_structure_constants():
     table = halftwist_tables(2, "right")
-    blob = table.to_json()
-    assert len(blob["morphisms"]) == 18
-    assert len(blob["mu2"]) == 48
-    assert len(blob["mu3"]) == 19
-    assert blob["mu1"].keys() == {"alpha", "beta"}
+    assert len(table.morphisms) == 18
+    assert len(table.mu2) == 48
+    assert len(table.mu3) == 19
+    assert table.mu1.keys() == {"alpha", "beta"}
 
 
 # A table for the entry checks: identities eX and eY, f: X -> Y in
