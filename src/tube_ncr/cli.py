@@ -18,6 +18,11 @@ default is stated once, in its ``add_argument``.  ``build_parser(argv)``
 builds only the group and command that ``argv[:2]`` names, and the whole
 tree when it names none, so help and usage errors read the same.
 
+Importing this module loads ``exactalg``, ``quivalg``, ``cohom`` and
+``unitpairs``.  The handlers of the ``arc``, ``twcat``, ``toric`` and
+``verify`` commands import ``arcmodel``, ``toric`` and ``twcat`` when
+they run, so no ``algebra`` or ``cohom`` run loads them.
+
 Polynomials on the command line use a small grammar with no
 parentheses::
 
@@ -37,7 +42,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .arcmodel import annulus, disc, generate_presentation
 from .cohom import (
     char2_pagoda_check,
     h0_presentation,
@@ -55,14 +59,6 @@ from .quivalg import (
     tube_algebra,
     tube_vertex,
 )
-from .toric import (
-    base_change_end,
-    default_degree_bound,
-    end_algebra,
-    section_basis,
-    wedge_nonvanishing,
-)
-from .twcat import HALFTWIST_MIN_N, HALFTWIST_UNSUPPORTED, verify_halftwist
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -138,16 +134,19 @@ def cmd_algebra_localize(args):
 
 
 def cmd_arc_annulus(args):
+    from .arcmodel import annulus
     return annulus(args.n).to_json(), EXIT_OK
 
 
 def cmd_arc_disc(args):
+    from .arcmodel import disc
     return disc(args.n).to_json(), EXIT_OK
 
 
 def arc_compare(field_text: str, n: int, surface: str) -> dict:
     """Round trip: the boundary-path presentation of the standard arc
     systems must reproduce the algebra constructors on the nose."""
+    from .arcmodel import annulus, disc, generate_presentation
     field = parse_field(field_text)
     ring = generic_tube_ring(field, n)
     if surface == "annulus":
@@ -169,11 +168,13 @@ def cmd_arc_compare(args):
 
 
 def cmd_twcat_verify_halftwist(args):
+    from .twcat import verify_halftwist
     rep = verify_halftwist(args.n)
     return rep.to_json(), EXIT_OK if rep.ok else EXIT_FAILURE
 
 
 def cmd_toric_sections(args):
+    from .toric import default_degree_bound, section_basis
     bound = args.degree_bound
     if bound is None:
         bound = default_degree_bound(args.n)
@@ -181,16 +182,19 @@ def cmd_toric_sections(args):
 
 
 def cmd_toric_wedge(args):
+    from .toric import wedge_nonvanishing
     rep = wedge_nonvanishing(args.n)
     return rep, EXIT_OK if rep["holds"] else EXIT_FAILURE
 
 
 def cmd_toric_end(args):
+    from .toric import end_algebra
     rep = end_algebra(args.n, args.bound)
     return rep.to_json(), EXIT_OK if rep.ok else EXIT_FAILURE
 
 
 def cmd_toric_base_change(args):
+    from .toric import base_change_end
     ring, f = parse_polynomials(parse_field(args.field), args.f, args.variables)
     rep = base_change_end(args.n, f, args.bound)
     return rep.to_json(), EXIT_OK if rep.ok else EXIT_FAILURE
@@ -270,6 +274,8 @@ END_UNSUPPORTED = "the toric comparison needs n >= 1"
 def _verify_manifest(field_text: str, n: int, bound: int) -> list:
     """Ordered suite behind ``verify all``: name, least n it supports, why
     not below that, runner.  A negative n is rejected here, by the tube."""
+    from .toric import base_change_end, end_algebra, wedge_nonvanishing
+    from .twcat import HALFTWIST_MIN_N, HALFTWIST_UNSUPPORTED, verify_halftwist
     field = parse_field(field_text)
     ring = generic_tube_ring(field, n)
     tube = tube_algebra(n, ring)

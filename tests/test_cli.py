@@ -361,20 +361,34 @@ UNREAD_IMPORTS = {
 }
 
 
+def _own_statements(scope):
+    """The nodes of a module or function body, without nested functions."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def test_package_reads_every_import():
+    # An import in a function body must be read in that function.
     found = set()
     for path in sorted((REPO / "src" / "tube_ncr").glob("*.py")):
         tree = ast.parse(path.read_text())
-        read = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    name = (alias.asname or alias.name).split(".")[0]
-                    if name not in read:
-                        found.add((path.name, name))
+        scopes = [tree] + [node for node in ast.walk(tree)
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in scopes:
+            read = {node.id for node in ast.walk(scope)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for node in _own_statements(scope):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = (alias.asname or alias.name).split(".")[0]
+                        if name not in read:
+                            found.add((path.name, name))
     assert found == set(UNREAD_IMPORTS)
 
 
@@ -571,6 +585,27 @@ def test_arc_compare_both_surfaces(capsys):
         assert json.loads(capsys.readouterr().out)["matches"] is True
 
 
+# One argv per leaf command of the arc, twcat and toric groups, whose
+# handlers import their modules when called: a name a handler forgets to
+# import fails only when it runs.
+SIDE_CHECK_RUNS = [
+    ["arc", "annulus", "--n", "2"],
+    ["arc", "disc", "--n", "2"],
+    ["arc", "compare", "--n", "2", "--surface", "disc"],
+    ["twcat", "verify-halftwist", "--n", "2"],
+    ["toric", "sections", "--n", "2", "--index", "1"],
+    ["toric", "wedge", "--n", "2"],
+    ["toric", "end", "--n", "1", "--bound", "4"],
+    ["toric", "base-change", "--n", "1", "--f", "x", "y", "--bound", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", SIDE_CHECK_RUNS, ids=" ".join)
+def test_every_side_check_command_runs(argv, capsys):
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)
+
+
 def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -592,3 +627,57 @@ def test_module_entry_point_runs():
     assert all(r.returncode == EXIT_OK for r in runs)
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["vertices"] == ["L0"]
+
+
+SIDE_CHECK_MODULES = {"tube_ncr.arcmodel", "tube_ncr.toric", "tube_ncr.twcat"}
+
+# Runs main(argv) for each argv of sys.argv[1] in this interpreter, with
+# the usage and help output swallowed, then prints the exit codes and the
+# package modules loaded.
+LOADED_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from tube_ncr.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("tube_ncr."))]))
+"""
+
+
+def _codes_and_modules(argvs):
+    """Exit codes of ``argvs`` run in one fresh interpreter, and the
+    package modules it has loaded afterwards."""
+    run = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=_src_env(), check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    codes, modules = json.loads(run.stdout)
+    return codes, set(modules)
+
+
+def _golden_argv(golden):
+    return next(argv for argv, name, _ in GOLDEN_RUNS if name == golden)
+
+
+def test_cohom_run_leaves_side_check_modules_unloaded(tmp_path):
+    out = tmp_path / "out.json"
+    argv = [*_golden_argv("contraction_h0_n2.json"), "--output", str(out)]
+    codes, modules = _codes_and_modules([["--help"], argv])
+    assert codes == [0, EXIT_OK]
+    assert out.read_bytes() == (GOLDEN / "contraction_h0_n2.json").read_bytes()
+    assert "tube_ncr.cohom" in modules
+    assert not modules & SIDE_CHECK_MODULES
+
+
+def test_verify_all_loads_side_check_modules(tmp_path):
+    out = tmp_path / "out.json"
+    argv = [*_golden_argv("verify_all_n2.json"), "--output", str(out)]
+    codes, modules = _codes_and_modules([argv])
+    assert codes == [EXIT_OK]
+    assert out.read_bytes() == (GOLDEN / "verify_all_n2.json").read_bytes()
+    assert SIDE_CHECK_MODULES <= modules
