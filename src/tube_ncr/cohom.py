@@ -8,7 +8,10 @@ never mix layers.  For a differential graded ``Presentation`` the
 morphism complex between two vertices has infinite rank, so everything is
 truncated instead: words up to a length bound, coefficient monomials up
 to a degree bound.  Both kinds split into graded blocks eliminated by one
-routine, ``_window_blocks``.  Every answer is also counted with its
+routine, ``_window_blocks``, on the integer cells of one
+``exactalg.CellIndex`` per call: a column is one int, label times the
+number of monomials plus the monomial's place, and so is a row key, so
+no key in the block loop is a tuple that hashes a word.  Every answer is also counted with its
 bounds enlarged and carries a status, ``"stable"`` when the two counts
 agree and ``"inconclusive_at_bound"`` otherwise; a bound that was too
 small shows up in the status, never as a silently wrong number.  Both
@@ -35,6 +38,7 @@ from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from .exactalg import (
+    CellIndex,
     Echelon,
     Field,
     InternalError,
@@ -77,21 +81,25 @@ STABILITY_STEP = 2
 def _window_blocks(
     v_blocks: dict,
     u_blocks: dict,
-    image_of,
+    cells: CellIndex,
     field: Field,
     vector_blocks: Optional[dict] = None,
 ):
     """Yield (grade, base columns, base rank, rank, generator vectors) per
     grade of the window V, for V and for the base window inside it; the
-    base columns, empty without ``vector_blocks``, are those the
-    generator vectors index.
+    base columns, empty without ``vector_blocks``, are the (label,
+    monomial) pairs that the generator vectors index.
 
     ``v_blocks`` and ``u_blocks`` map a grade, which d respects, to the
-    (generator, exponent) columns of the window V and of the image side
-    U, with the columns of the base window and of its image side first,
-    and to the number of those base columns; ``image_of`` is read as
-    ``linear_rows`` reads it.  A block's rank is dim ker(d on V) minus
-    the dimension of d U inside the window, and likewise for the base.
+    columns of ``cells`` of the window V and of the image side U, with
+    the columns of the base window and of its image side first, and to
+    the number of those base columns; ``cells`` has read the image of
+    every label they name.  A V column's own cell is the row that an
+    image term landing on it reaches (``CellIndex.row_keys``), so window
+    membership is tested on int keys.  A block's rank is dim ker(d on V)
+    minus the dimension of d U inside the window, and likewise for the
+    base; a rank below zero, which only a kernel or image fault gives,
+    raises ``InternalError``.
 
     One elimination per side serves both windows, because the pivot
     columns of an echelon form below k count the rank of the first k
@@ -116,13 +124,14 @@ def _window_blocks(
     """
     for g in sorted(set(v_blocks) | set(vector_blocks or ())):
         cols, n_base = v_blocks.get(g, ((), 0))
-        d_rows = list(linear_rows(cols, image_of).values())
+        d_rows = list(linear_rows(cols, cells).values())
         _, pivots = echelon(d_rows, field)
         base_pivots = sum(1 for c in pivots if c < n_base)
 
         u_cols, u_base = u_blocks.get(g, ((), 0))
-        image = linear_rows(u_cols, image_of)
-        base_window, window = set(cols[:n_base]), set(cols)
+        image = linear_rows(u_cols, cells)
+        window = cells.row_keys(cols)
+        base_window, window = set(window[:n_base]), set(window)
         groups: tuple[list, list, list] = ([], [], [])
         for key, row in image.items():
             # 0 outside V, 1 inside V only, 2 inside the base window.
@@ -139,20 +148,26 @@ def _window_blocks(
         base_image = sum(1 for c in ech.pivots if c < u_base) - base_outside
         base_rank = n_base - base_pivots - base_image
         rank = len(cols) - len(pivots) - (len(ech.rows) - rank_outside)
+        if base_rank < 0 or rank < 0:
+            raise InternalError(
+                f"truncated cohomology: block {g} has ranks {base_rank} and {rank}, "
+                f"below zero"
+            )
 
         found: list = []
         base_cols: Sequence = ()
         if vector_blocks is not None:
             base_cols, base_u = vector_blocks.get(g, ((), ()))
             kernel = kernel_basis(
-                list(linear_rows(base_cols, image_of).values()), len(base_cols), field
+                list(linear_rows(base_cols, cells).values()), len(base_cols), field
             )
             # Column len(base_u) + i holds kernel[i] on the base window's rows.
             n_u = len(base_u)
-            base_image_rows = linear_rows(base_u, image_of)
+            base_image_rows = linear_rows(base_u, cells)
+            own = cells.row_keys(base_cols)
             for k, vec in enumerate(kernel, n_u):
                 for j, scal in vec.items():
-                    base_image_rows.setdefault(base_cols[j], {})[k] = scal
+                    base_image_rows.setdefault(own[j], {})[k] = scal
             # The pivot columns are fixed by the rows' span, whatever
             # their order.
             ech = Echelon(field)
@@ -163,6 +178,7 @@ def _window_blocks(
                 raise InternalError(
                     f"truncated cohomology: {len(found)} generators for rank {base_rank}"
                 )
+            base_cols = cells.decode(base_cols)
         yield g, base_cols, base_rank, rank, found
 
 
@@ -264,25 +280,27 @@ class FreeComplex:
         """
         s = self._entry_degree()
         mons = monomials_upto(self.ring.nvars, poly_bound)
+        cells = CellIndex(mons, self.ring.field)
 
         def blocks(i: int, shift: int) -> dict:
             """Degree i's columns by the layer their image lands in."""
             out: dict[int, list] = {}
             for g in self.generators.get(i, []):
-                for e in mons:
-                    out.setdefault(sum(e) + shift, []).append((g, e))
+                first = cells.number(g) * len(mons)
+                for k, e in enumerate(mons):
+                    out.setdefault(sum(e) + shift, []).append(first + k)
             return {layer: (cols, len(cols)) for layer, cols in out.items()}
 
-        def image_of(g: str) -> list:
-            return [(tgt, exp, coef)
-                    for tgt, p in self.differential.get(g, {}).items()
-                    for exp, coef in p.terms.items()]
-
         degrees = self.degrees()
+        sides = {i: (blocks(i, 0), blocks(i - 1, s))
+                 for i in range(degrees[0], degrees[-1] + 1)}
+        cells.read_images(lambda g: [(tgt, exp, coef)
+                                     for tgt, p in self.differential.get(g, {}).items()
+                                     for exp, coef in p.terms.items()])
         return {
             i: {layer: rank for layer, _, _, rank, _ in _window_blocks(
-                blocks(i, 0), blocks(i - 1, s), image_of, self.ring.field)}
-            for i in range(degrees[0], degrees[-1] + 1)
+                v_blocks, u_blocks, cells, self.ring.field)}
+            for i, (v_blocks, u_blocks) in sides.items()
         }
 
     def cohomology(self, poly_bound: int = 8) -> "FreeComplexReport":
@@ -551,7 +569,11 @@ def _bounded_ranks(
     by each monomial's grade once per word grade, so each column is one
     append.  The coefficient of a basis term never interacts with the
     word, so each word's differential is computed once and shifted
-    across monomials.  Generators come from the window's unreduced
+    across monomials: every column is a cell of one ``CellIndex``,
+    numbered as its label (a V word, a reduced-image label of
+    ``UnitPairs``, or an unreduced word on the generator path) is first
+    seen, and once both sides are listed the index reads each label's
+    image once for the whole call.  Generators come from the window's unreduced
     blocks, so their texts do not depend on the matching, and their
     count is checked against the reduced rank.  Each generator is
     checked to be closed before it is reported, and generators are
@@ -570,13 +592,14 @@ def _bounded_ranks(
 
     zero_exp = (0,) * ring.nvars
     mon_grades = [pres.grade(lazy(source), e) for e in mons]
+    cells = CellIndex(mons, ring.field)
 
     def fill_blocks(words: list, base_length: int, labels_of) -> dict:
         """grade -> (columns, number of window columns), the columns of
         words up to ``base_length`` letters and monomials up to
         ``poly_bound`` first, each part word-major.  ``labels_of(w)``
         names the column of w at a monomial of each degree, or None to
-        leave it out."""
+        leave it out; each name is numbered in ``cells``."""
         blocks: dict[tuple, list] = {}
         classes: dict[tuple, list] = {}  # word grade -> block per monomial
         targets = []
@@ -588,20 +611,22 @@ def _bounded_ranks(
                     blocks.setdefault(tuple([a + b for a, b in zip(gw, ge)]), [])
                     for ge in mon_grades
                 ]
-            labels = labels_of(w)
-            targets.append((per_mon, [labels[k] for k in mon_degrees]))
+            firsts = [None if g is None else cells.number(g) * len(mons)
+                      for g in labels_of(w)]
+            targets.append((per_mon, [None if firsts[d] is None else firsts[d] + k
+                                      for k, d in enumerate(mon_degrees)]))
         # The words are sorted by length first, so the window's are a prefix.
         n_words = sum(1 for w in words if len(w.arrows) <= base_length)
-        for per_mon, labels in targets[:n_words]:
-            for e, cols, g in zip(mons[:n_mons], per_mon, labels):
-                if g is not None:
-                    cols.append((g, e))
+        for per_mon, columns in targets[:n_words]:
+            for cols, c in zip(per_mon[:n_mons], columns):
+                if c is not None:
+                    cols.append(c)
         n_base = {g: len(cols) for g, cols in blocks.items()}
-        for i, (per_mon, labels) in enumerate(targets):
+        for i, (per_mon, columns) in enumerate(targets):
             first = n_mons if i < n_words else 0
-            for e, cols, g in zip(mons[first:], per_mon[first:], labels[first:]):
-                if g is not None:
-                    cols.append((g, e))
+            for cols, c in zip(per_mon[first:], columns[first:]):
+                if c is not None:
+                    cols.append(c)
         return {g: (cols, n_base[g]) for g, cols in blocks.items() if cols}
 
     u_base = length_bound + image_slack
@@ -619,6 +644,8 @@ def _bounded_ranks(
             return [w] * (poly_bound + step + 1)
 
         def base(words: list, base_length: int) -> dict:
+            # Only the base window's words, so no other word is numbered.
+            words = [w for w in words if len(w.arrows) <= base_length]
             return {g: cols[:n] for g, (cols, n) in
                     fill_blocks(words, base_length, unreduced).items()}
 
@@ -626,16 +653,15 @@ def _bounded_ranks(
         vector_blocks = {
             g: (cols, u_cols.get(g, [])) for g, cols in base(words_v, length_bound).items()
         }
+    v_blocks = fill_blocks(words_v, length_bound, matching.v_labels)
+    u_blocks = fill_blocks(words_u, u_base, matching.u_labels)
+    cells.read_images(matching.image_of)
     rank = again = 0
     # (window position of the free column, text) per generator; the free
     # column is a kernel vector's largest index.
     generators: list[tuple] = []
     for _, cols, base_rank, block_rank, found in _window_blocks(
-        fill_blocks(words_v, length_bound, matching.v_labels),
-        fill_blocks(words_u, u_base, matching.u_labels),
-        matching.image_of,
-        ring.field,
-        vector_blocks,
+        v_blocks, u_blocks, cells, ring.field, vector_blocks
     ):
         rank += base_rank
         again += block_rank

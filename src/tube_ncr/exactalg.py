@@ -697,32 +697,100 @@ def solve_sparse(
 # ---------------------------------------------------------------------------
 
 
-def linear_rows(columns: Sequence[tuple], image_of) -> dict:
+class CellIndex:
+    """Integer cells of a polynomial map on a monomial-shifted basis.
+
+    A column is a generator, its label, times a monomial of ``mons``; a
+    row is a coordinate, its row word, times an exponent.  Labels and row
+    words share one numbering, made the first time each is seen
+    (``number``), so a column's own cell, its label read as a row word at
+    its monomial, has a row key too (``row_keys``).  Column k of label i
+    is the int i * len(mons) + k.  A row key is the int i * stride + x,
+    where x is the exponent's place in a list that starts with ``mons``
+    and goes on with every other sum of an image exponent and a monomial.
+    ``read_images`` fixes that list before any row key is made, and its
+    length is the stride, so the packing is injective whatever the sizes.
+    """
+
+    __slots__ = ("mons", "n", "p", "labels", "_ids", "exps", "stride", "images")
+
+    def __init__(self, mons: Sequence[tuple], field: Field):
+        self.mons, self.n, self.p = list(mons), len(mons), field.p
+        self.labels: list = []
+        self._ids: dict = {}
+        self.exps: dict[tuple, int] = {}
+        self.stride = 0
+        self.images: list = []
+
+    def number(self, label) -> int:
+        """The number of ``label``, given the first time it is seen."""
+        i = self._ids.get(label)
+        if i is None:
+            i = self._ids[label] = len(self.labels)
+            self.labels.append(label)
+        return i
+
+    def read_images(self, image_of) -> None:
+        """Read the image of every label numbered so far, once, and fix
+        the exponent list and the stride.
+
+        ``image_of(label)`` gives (row word, exponent, scalar) terms, each
+        (row word, exponent) at most once.  Each image is kept as
+        (row word * stride, sums, scalar) triples, where sums[k] is the
+        place of the exponent plus ``mons[k]``: one table row per
+        distinct image exponent.  Over the rationals an integral scalar
+        is kept as an exact int, which ``Echelon`` takes as it is.
+        """
+        read = [image_of(g) for g in self.labels]
+        exps = {e: k for k, e in enumerate(self.mons)}
+        sums: dict[tuple, list] = {}
+        for image in read:
+            for _, e, _ in image:
+                if e not in sums:
+                    sums[e] = [exps.setdefault(tuple([a + b for a, b in zip(e, m)]), len(exps))
+                               for m in self.mons]
+        self.exps, self.stride = exps, len(exps)
+        number, stride, rational = self.number, len(exps), self.p is None
+        self.images = [
+            [(number(w) * stride, sums[e],
+              c.numerator if rational and c.denominator == 1 else c)
+             for w, e, c in image]
+            for image in read
+        ]
+
+    def row_key(self, word, exp: tuple) -> Optional[int]:
+        """The row key of (word, exp), or None when no image can reach it."""
+        i, x = self._ids.get(word), self.exps.get(exp)
+        return None if i is None or x is None else i * self.stride + x
+
+    def row_keys(self, columns: Sequence[int]) -> list[int]:
+        """The row key of each column's own cell."""
+        n, shift = self.n, self.stride - self.n
+        return [c + c // n * shift for c in columns]
+
+    def decode(self, columns: Sequence[int]) -> list[tuple]:
+        """(label, monomial) of each column."""
+        labels, mons, n = self.labels, self.mons, self.n
+        return [(labels[c // n], mons[c % n]) for c in columns]
+
+
+def linear_rows(columns: Sequence[int], cells: CellIndex) -> dict:
     """Field equations of a polynomial map on a monomial-shifted basis.
 
-    ``columns`` lists pairs ``(g, m)``, a generator times the monomial
-    with exponent ``m``; ``image_of(g)`` returns the image of ``g`` as
-    ``(coordinate, exp, coef)`` terms, each ``(coordinate, exp)`` at most
-    once.  The result maps each target ``(coordinate, exp + m)`` to its
-    row, a dict column index -> coefficient, in order of first use.
-    Within a column every term hits its own target, so each cell is
-    written once.  ``image_of`` is called once per run of columns with
-    the same generator, and each ``exp + m`` is formed once per call.
+    ``columns`` lists columns of ``cells``, each a generator times a
+    monomial, whose images ``cells.read_images`` has read.  The result
+    maps the row key of each cell that an image reaches to its row, a
+    dict column index -> coefficient, in order of first use.  Within a
+    column every term hits its own row, so each cell is written once.  A
+    term's row key is its row word's offset plus one read of its
+    exponent-sum table.
     """
-    rows: dict[tuple, dict] = {}
-    shifts: dict[tuple, dict] = {}  # m -> {exp: exp + m}
-    last, image = object(), ()
-    for j, (g, m) in enumerate(columns):
-        if g != last:
-            last, image = g, image_of(g)
-        shift = shifts.get(m)
-        if shift is None:
-            shift = shifts[m] = {}
-        for coord, exp, coef in image:
-            target = shift.get(exp)
-            if target is None:
-                target = shift[exp] = tuple([a + b for a, b in zip(exp, m)])
-            key = (coord, target)
+    n, images = cells.n, cells.images
+    rows: dict[int, dict] = {}
+    for j, cell in enumerate(columns):
+        label, k = divmod(cell, n)
+        for base, sums, coef in images[label]:
+            key = base + sums[k]
             row = rows.get(key)
             if row is None:
                 rows[key] = {j: coef}
@@ -758,8 +826,10 @@ def bounded_members(
     ``columns`` and ``targets`` map coordinates to ``Poly`` entries over
     ``ring``.  The unknowns are the coefficients of ``Poly`` multipliers
     of degree at most ``bound``, one per (column j, monomial ``mons[k]``)
-    at index j * len(mons) + k; the equations are those of
-    ``linear_rows``, one per (coordinate, monomial).  Each target becomes
+    at index j * len(mons) + k, the cell of label j in a ``CellIndex``
+    that numbers the columns first; the equations are those of
+    ``linear_rows``, one per (coordinate, monomial), and a target term
+    finds its row by ``CellIndex.row_key``.  Each target becomes
     one more column on the equation rows its terms touch, after every
     unknown, and [A | B] is reduced once (Golub and Van Loan, *Matrix
     Computations*, sec. 3.2: one factorisation, many right-hand sides).
@@ -770,16 +840,17 @@ def bounded_members(
     columns as ``Poly`` vectors; a miss is ``inconclusive_at_bound``.
     """
     mons = monomials_upto(ring.nvars, bound)
-    eqs = linear_rows(
-        [(j, m) for j in range(len(columns)) for m in mons],
-        lambda j: [(c, exp, coef) for c, p in columns[j].items()
-                   for exp, coef in p.terms.items()],
-    )
+    cells = CellIndex(mons, ring.field)
+    for j in range(len(columns)):
+        cells.number(j)
+    cells.read_images(lambda j: [(c, exp, coef) for c, p in columns[j].items()
+                                 for exp, coef in p.terms.items()])
     nvars = len(columns) * len(mons)
+    eqs = linear_rows(range(nvars), cells)
     results = [TruncatedSolveResult(bound, "inconclusive_at_bound") for _ in targets]
     asked = []  # indices of the targets that get a column, in column order
     for i, target in enumerate(targets):
-        terms = [((coord, exp), b) for coord, poly in target.items()
+        terms = [(cells.row_key(coord, exp), b) for coord, poly in target.items()
                  for exp, b in poly.terms.items()]
         if all(key in eqs for key, _ in terms):
             # The rows are fresh, so they take the column in place.

@@ -419,7 +419,7 @@ def test_package_calls_every_definition():
 # never on Field.add/sub/mul/neg/inv/div per entry.
 LOOP_FUNCTIONS = {
     "exactalg.py": {"Echelon", "echelon", "row_reduce", "_cancel_prime",
-                    "_cancel_rational", "kernel_basis", "linear_rows",
+                    "_cancel_rational", "kernel_basis", "CellIndex", "linear_rows",
                     "_read_solutions", "bounded_members", "truncated_solve"},
     "cohom.py": {"_window_blocks", "_bounded_ranks"},
 }

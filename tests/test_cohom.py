@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from tube_ncr import cohom, exactalg, unitpairs
 from tube_ncr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from tube_ncr.exactalg import (
+    CellIndex,
     Echelon,
     Field,
     InternalError,
@@ -22,7 +23,6 @@ from tube_ncr.exactalg import (
     deglex_key,
     kernel_basis,
     echelon,
-    linear_rows,
     monomials_upto,
 )
 from tube_ncr.cohom import (
@@ -798,6 +798,17 @@ def test_blocked_and_unblocked_runs_agree_on_frozen_cases():
 # -- one pass against the per-window oracle --------------------------------------
 
 
+def tuple_rows(columns, image_of):
+    """The field equations of (generator, exponent) columns, keyed by
+    (coordinate, exponent): the oracles' own row builder, kept apart from
+    ``exactalg.linear_rows`` and its integer cells."""
+    rows = {}
+    for j, (g, m) in enumerate(columns):
+        for coord, exp, coef in image_of(g):
+            rows.setdefault((coord, tuple(a + b for a, b in zip(exp, m))), {})[j] = coef
+    return rows
+
+
 def oracle_word_differential(pres, w):
     """d(w) by ``Presentation.differential_of``, flattened as the block
     loop reads it."""
@@ -831,7 +842,7 @@ def oracle_bounded_rank(pres, source, target, m, length_bound, poly_bound,
     rank, generators = 0, []
     for g in sorted(v_blocks):
         cols = v_blocks[g]
-        d_rows = list(linear_rows(cols, image_of).values())
+        d_rows = list(tuple_rows(cols, image_of).values())
         if with_generators:
             kernel = kernel_basis(d_rows, len(cols), field)
             dim_kernel = len(kernel)
@@ -840,7 +851,7 @@ def oracle_bounded_rank(pres, source, target, m, length_bound, poly_bound,
             dim_kernel = len(cols) - len(echelon(d_rows, field)[0])
         u_cols = u_blocks.get(g, [])
         n_u = len(u_cols)
-        image = linear_rows(u_cols, image_of)
+        image = tuple_rows(u_cols, image_of)
         for k, vec in enumerate(kernel, n_u):
             for j, scal in vec.items():
                 image.setdefault(cols[j], {})[k] = scal
@@ -939,6 +950,17 @@ def test_generator_count_off_the_rank_profile_is_an_internal_error(monkeypatch, 
                  "--m", "2", "--len", "4", "--polydeg", "4"])
     assert code == EXIT_INTERNAL
     assert "generators for rank" in capsys.readouterr().err
+
+
+def test_a_block_rank_below_zero_is_an_internal_error():
+    # A hand-built block that no complex gives: d(v) = w is nonzero, so
+    # the kernel is 0, and the one image column, d(u) = v, lands on the
+    # window's one cell, so both ranks would read 0 - 1.
+    cells = CellIndex([(0,)], QQ)
+    v, u = cells.number("v"), cells.number("u")
+    cells.read_images({"v": [("w", (0,), QQ.one)], "u": [("v", (0,), QQ.one)]}.get)
+    with pytest.raises(InternalError, match="below zero"):
+        list(cohom._window_blocks({(): ([v], 1)}, {(): ([u], 1)}, cells, QQ))
 
 
 # -- Leibniz word differentials --------------------------------------------------
@@ -1043,11 +1065,11 @@ def unreduced_window_blocks(v_blocks, u_blocks, image_of, field, with_vectors):
     every cell listed, expanded and eliminated."""
     for g in sorted(v_blocks):
         cols, n_base = v_blocks[g]
-        d_rows = list(linear_rows(cols, image_of).values())
+        d_rows = list(tuple_rows(cols, image_of).values())
         _, pivots = echelon(d_rows, field)
         base_pivots = sum(1 for c in pivots if c < n_base)
         u_cols, u_base = u_blocks.get(g, ((), 0))
-        image = linear_rows(u_cols, image_of)
+        image = tuple_rows(u_cols, image_of)
         base_window, window = set(cols[:n_base]), set(cols)
         groups = ([], [], [])
         for key, row in image.items():

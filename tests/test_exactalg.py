@@ -4,11 +4,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tube_ncr import exactalg
 from tube_ncr.exactalg import (
+    CellIndex,
     Echelon,
     Field,
     InternalError,
@@ -218,15 +219,17 @@ def bounded_kernel(entries, bound):
     vector comes back as one ``Poly`` per entry.
     """
     ring = entries[0].ring
-    cols = [(j, m) for j in range(len(entries))
-            for m in monomials_upto(ring.nvars, bound)]
-    rows = linear_rows(cols, lambda j: [(0, exp, coef)
-                                        for exp, coef in entries[j].terms.items()])
+    cells = CellIndex(monomials_upto(ring.nvars, bound), ring.field)
+    cols = [cells.number(j) * cells.n + k for j in range(len(entries))
+            for k in range(cells.n)]
+    cells.read_images(lambda j: [(0, exp, coef) for exp, coef in entries[j].terms.items()])
+    rows = linear_rows(cols, cells)
+    decoded = cells.decode(cols)
     vectors = []
     for vec in kernel_basis(list(rows.values()), len(cols), ring.field):
         parts = [ring.zero()] * len(entries)
         for k, coef in vec.items():
-            j, m = cols[k]
+            j, m = decoded[k]
             parts[j] = parts[j] + Poly(ring, {m: coef})
         vectors.append(parts)
     return vectors
@@ -379,12 +382,23 @@ def test_truncated_solve_agrees_with_sympy(problem):
         assert all(p.total_degree() <= res.bound for p in res.witness)
 
 
+def tuple_rows(columns, image_of):
+    """The field equations of (generator, exponent) columns, keyed by
+    (coordinate, exponent): the oracle's own row builder, kept apart from
+    ``linear_rows`` and its integer cells."""
+    rows = {}
+    for j, (g, m) in enumerate(columns):
+        for coord, exp, coef in image_of(g):
+            rows.setdefault((coord, tuple(a + b for a, b in zip(exp, m))), {})[j] = coef
+    return rows
+
+
 def independent_solve(ring, columns, target, bound, solve=solve_sparse):
     """Bounded membership as one solve of its own equations: the system
     of ``bounded_members`` with the target as right-hand side, solved by
     ``solve`` (``solve_sparse`` or a function with its contract)."""
     mons = monomials_upto(ring.nvars, bound)
-    eqs = linear_rows(
+    eqs = tuple_rows(
         [(j, m) for j in range(len(columns)) for m in mons],
         lambda j: [(c, exp, coef) for c, p in columns[j].items()
                    for exp, coef in p.terms.items()],
@@ -747,28 +761,35 @@ def test_echelon_insert_clears_fractions():
 
 @st.composite
 def polynomial_maps(draw):
-    """A small polynomial matrix over F_7 in two variables, as columns
-    (generator, monomial shift) and the image of each generator."""
-    F7 = Field.prime(7)
-    ring = PolyRing(F7, ("x", "y"))
+    """A small polynomial matrix in two variables over Q or F_7, as the
+    monomials up to a bound, columns (generator, monomial) and the image
+    of each generator.  Over Q some scalars are 1/2 or -3/4.  Image
+    exponents reach degree 4, so an exponent sum can pass the bound."""
+    field = draw(st.sampled_from([QQ, Field.prime(7)]), label="field")
+    ring = PolyRing(field, ("x", "y"))
+    scalars = (st.integers(1, 6) if field.p else
+               st.sampled_from([1, -2, 3, Fraction(1, 2), Fraction(-3, 4)]))
     ngens, ncoords = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
     entries = {
-        (g, i): Poly(ring, {e: c for e, c in draw(st.dictionaries(
-            exps, st.integers(1, 6), max_size=3)).items()})
+        (g, i): Poly(ring, {e: field.of(c) for e, c in draw(st.dictionaries(
+            exps, scalars, max_size=3)).items()})
         for g in range(ngens) for i in range(ncoords)
     }
-    shifts = draw(st.lists(exps, min_size=1, max_size=4, unique=True))
+    mons = monomials_upto(2, draw(st.integers(0, 2), label="bound"))
+    shifts = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=4, unique=True))
     columns = [(g, m) for g in range(ngens) for m in shifts]
     if draw(st.booleans()):
         columns = draw(st.permutations(columns))
-    return ring, ncoords, entries, columns
+    return ring, mons, ncoords, entries, columns
 
 
 @settings(max_examples=150, deadline=None)
 @given(polynomial_maps())
 def test_linear_rows_match_a_dense_expansion(data):
-    ring, ncoords, entries, columns = data
+    ring, mons, ncoords, entries, columns = data
+    cells = CellIndex(mons, ring.field)
+    cell_of = [cells.number(g) * len(mons) + mons.index(m) for g, m in columns]
     calls = []
 
     def image_of(g):
@@ -776,18 +797,29 @@ def test_linear_rows_match_a_dense_expansion(data):
         return [(i, exp, coef) for i in range(ncoords)
                 for exp, coef in entries[(g, i)].terms.items()]
 
-    rows = linear_rows(columns, image_of)
-    # Dense reference: column j is the product entries[(g, i)] * x^m.
+    cells.read_images(image_of)
+    rows = linear_rows(cell_of, cells)
+    # Dense reference, keyed by (coordinate, exponent): column j is the
+    # product entries[(g, i)] * x^m.
     expected: dict = {}
     for j, (g, m) in enumerate(columns):
         for i in range(ncoords):
             product = entries[(g, i)] * ring.monomial(m)
             for exp, coef in product.terms.items():
                 expected.setdefault((i, exp), {})[j] = coef
-    assert rows == expected
-    runs = [g for j, (g, _) in enumerate(columns)
-            if j == 0 or columns[j - 1][0] != g]
-    assert calls == runs
+    # Every (coordinate, exponent) has its own row key, also an exponent
+    # past the monomials' bound.
+    keys = {key: cells.row_key(*key) for key in expected}
+    assert None not in keys.values() and len(set(keys.values())) == len(keys)
+    if any(sum(exp) > sum(mons[-1]) for _, exp in expected):
+        event("an exponent sum past the bound")
+    assert rows == {keys[key]: row for key, row in expected.items()}
+    # Each generator's image is read once, and over Q an integral scalar
+    # comes out as an int.
+    assert calls == list(dict.fromkeys(g for g, _ in columns))
+    if ring.field.p is None:
+        assert all(type(c) is int for row in rows.values() for c in row.values()
+                   if c.denominator == 1)
 
 
 def test_kernel_basis_vectors_and_key_order_are_fixed():
