@@ -280,7 +280,7 @@ class FreeComplex:
         """
         s = self._entry_degree()
         mons = monomials_upto(self.ring.nvars, poly_bound)
-        cells = CellIndex(mons, self.ring.field)
+        cells = CellIndex(mons)
 
         def blocks(i: int, shift: int) -> dict:
             """Degree i's columns by the layer their image lands in."""
@@ -592,7 +592,7 @@ def _bounded_ranks(
 
     zero_exp = (0,) * ring.nvars
     mon_grades = [pres.grade(lazy(source), e) for e in mons]
-    cells = CellIndex(mons, ring.field)
+    cells = CellIndex(mons)
 
     def fill_blocks(words: list, base_length: int, labels_of) -> dict:
         """grade -> (columns, number of window columns), the columns of

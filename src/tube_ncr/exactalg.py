@@ -10,9 +10,10 @@ elimination.
 
 Conventions fixed here, relied on everywhere else:
 
-* No floating point anywhere.  Rational coefficients are
-  ``fractions.Fraction``; prime-field coefficients are ints in
-  ``range(p)``.
+* No floating point anywhere.  A rational coefficient is an ``int``
+  when it is integral and a ``fractions.Fraction`` with denominator > 1
+  otherwise (the normal form of ``Field``); prime-field coefficients are
+  ints in ``range(p)``.
 * Monomial order is degree-lexicographic ("deglex") with the ring's
   declared variable order: compare total degree first, then the exponent
   vectors lexicographically.  All enumeration, text output and kernel
@@ -46,15 +47,26 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _rational(x):
+    """The normal form of a rational ``x``: its int when it is integral."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
 class Field:
     """The rationals (``p is None``) or the prime field F_p.
 
-    Elements are plain Python values: ``Fraction`` for the rationals,
-    ints reduced into ``range(p)`` for F_p.  The class only carries the
-    arithmetic, so values stay cheap to hash and compare.
+    Elements are plain Python values.  Over the rationals an element is
+    an ``int`` when it is integral and a ``Fraction`` with denominator > 1
+    otherwise, the normal form that every method returns; ``of`` brings
+    an int or Fraction into it.  Over F_p an element is an int in
+    ``range(p)``.  The class only carries the arithmetic, so values stay
+    cheap to hash and compare; ``Poly`` and ``row_reduce`` run their own
+    per-field loops and return the same normal form.
     """
 
     __slots__ = ("p",)
+    zero = 0
+    one = 1
 
     def __init__(self, p: Optional[int] = None):
         if p is not None:
@@ -89,30 +101,24 @@ class Field:
 
     def of(self, n) -> object:
         """Coerce an int or Fraction into a field element."""
+        if isinstance(n, int):
+            return int(n) if self.p is None else n % self.p
+        if not isinstance(n, Fraction):
+            raise ValueError(f"not a field scalar: {type(n).__name__}")
         if self.p is None:
-            return Fraction(n)
-        if isinstance(n, Fraction):
-            if n.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return n.numerator * pow(n.denominator, self.p - 2, self.p) % self.p
-        return n % self.p
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
+            return _rational(n)
+        if n.denominator % self.p == 0:
+            raise ZeroDivisionError(f"denominator divisible by {self.p}")
+        return n.numerator * pow(n.denominator, self.p - 2, self.p) % self.p
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _rational(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _rational(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _rational(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
@@ -121,13 +127,12 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.p is None:
-            return 1 / Fraction(a)
+            return a if a == 1 or a == -1 else _rational(1 / Fraction(a))
         return pow(a, self.p - 2, self.p)
 
     def format_scalar(self, a) -> str:
-        if self.p is None and a.denominator != 1:
-            return f"{a.numerator}/{a.denominator}"
-        return str(int(a))
+        """``n`` for an int, ``n/d`` for a Fraction."""
+        return str(a)
 
     def to_json(self) -> dict:
         if self.p is None:
@@ -280,7 +285,9 @@ class Poly:
     """An exact multivariate polynomial: map exponent vector -> coefficient.
 
     Zero coefficients are never stored.  Instances are treated as
-    immutable; operations always build fresh term maps.
+    immutable; operations always build fresh term maps.  ``+``, ``*``
+    and ``-`` keep coefficients in the normal form of ``Field`` with
+    their own per-field arithmetic, not a ``Field`` call per term.
     """
 
     __slots__ = ("ring", "terms")
@@ -305,7 +312,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.terms == other.terms
         )
 
@@ -313,37 +320,56 @@ class Poly:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_same_ring(other)
-        field = self.ring.field
+        ring = self.ring
+        if other.ring is not ring:
+            self._check_same_ring(other)
+        p = ring.field.p
         terms = dict(self.terms)
+        get = terms.get
         for exp, c in other.terms.items():
-            s = field.add(terms.get(exp, field.zero), c)
+            if p is None:
+                s = get(exp, 0) + c
+                if s.__class__ is not int and s.denominator == 1:
+                    s = s.numerator
+            else:
+                s = (get(exp, 0) + c) % p
             if s:
                 terms[exp] = s
             else:
                 terms.pop(exp, None)
-        return Poly(self.ring, terms)
+        return Poly(ring, terms)
 
     def __neg__(self) -> "Poly":
-        field = self.ring.field
-        return Poly(self.ring, {e: field.neg(c) for e, c in self.terms.items()})
+        p = self.ring.field.p
+        if p is None:
+            return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly(self.ring, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check_same_ring(other)
-        field = self.ring.field
+        ring = self.ring
+        if other.ring is not ring:
+            self._check_same_ring(other)
+        p = ring.field.p
         terms: dict = {}
+        get = terms.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = field.add(terms.get(exp, field.zero), field.mul(c1, c2))
+            for e2, c2 in right:
+                exp = tuple([a + b for a, b in zip(e1, e2)])
+                if p is None:
+                    s = get(exp, 0) + c1 * c2
+                    if s.__class__ is not int and s.denominator == 1:
+                        s = s.numerator
+                else:
+                    s = (get(exp, 0) + c1 * c2) % p
                 if s:
                     terms[exp] = s
                 else:
                     terms.pop(exp, None)
-        return Poly(self.ring, terms)
+        return Poly(ring, terms)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -360,11 +386,7 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        field = self.ring.field
-        c = field.of(c)
-        if not c:
-            return self.ring.zero()
-        return Poly(self.ring, {e: field.mul(v, c) for e, v in self.terms.items()})
+        return self.ring.const(c) * self
 
     def sorted_terms(self) -> list:
         """Terms in descending deglex order (leading term first)."""
@@ -522,14 +544,15 @@ class Echelon:
         p, reduced, pivots, cancel = self.p, self.rows, self.pivots, self._cancel
         if p is None:
             # Clear denominators; a row and its nonzero multiples span
-            # alike.  One as_integer_ratio() call per entry: numerator and
-            # denominator are Python-level properties of Fraction.  Most
-            # rows are integral.
+            # alike.  An int entry is taken as it is; a Fraction gives up
+            # its ratio in one as_integer_ratio() call, since numerator and
+            # denominator are Python-level properties of Fraction.
             ints, den = {}, 1
             for c, v in row.items():
-                n, d = v.as_integer_ratio()
-                ints[c] = n
-                if d != 1:
+                if v.__class__ is int:
+                    ints[c] = v
+                else:
+                    ints[c], d = v.as_integer_ratio()
                     den = math.lcm(den, d)
             row = ints if den == 1 else {c: int(v * den) for c, v in row.items()}
         else:
@@ -579,9 +602,10 @@ def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
 
     Every row is inserted into one ``Echelon``, which then back-substitutes;
     over the rationals each integer row is divided by its lead at the
-    end, so entries are ``Fraction``s.  The reduced form is unique and
-    ``Echelon`` finds the same pivots in the same order, so the output
-    equals that of inserting the rows one by one into a reduced form.
+    end, so entries are in the normal form of ``Field``.  The reduced
+    form is unique and ``Echelon`` finds the same pivots in the same
+    order, so the output equals that of inserting the rows one by one
+    into a reduced form.
     """
     ech = Echelon(field)
     for row in rows:
@@ -589,8 +613,12 @@ def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
     ech.back_substitute()
     reduced, pivots = ech.rows, ech.pivots
     if field.p is None:
-        reduced = [{c: Fraction(v, row[lead]) for c, v in row.items()}
-                   for lead, row in zip(pivots, reduced)]
+        for lead, ridx in pivots.items():
+            row = reduced[ridx]
+            d = row[lead]
+            if d != 1:
+                reduced[ridx] = {c: v // d if v % d == 0 else Fraction(v, d)
+                                 for c, v in row.items()}
     return reduced, pivots
 
 
@@ -712,10 +740,10 @@ class CellIndex:
     length is the stride, so the packing is injective whatever the sizes.
     """
 
-    __slots__ = ("mons", "n", "p", "labels", "_ids", "exps", "stride", "images")
+    __slots__ = ("mons", "n", "labels", "_ids", "exps", "stride", "images")
 
-    def __init__(self, mons: Sequence[tuple], field: Field):
-        self.mons, self.n, self.p = list(mons), len(mons), field.p
+    def __init__(self, mons: Sequence[tuple]):
+        self.mons, self.n = list(mons), len(mons)
         self.labels: list = []
         self._ids: dict = {}
         self.exps: dict[tuple, int] = {}
@@ -738,8 +766,8 @@ class CellIndex:
         (row word, exponent) at most once.  Each image is kept as
         (row word * stride, sums, scalar) triples, where sums[k] is the
         place of the exponent plus ``mons[k]``: one table row per
-        distinct image exponent.  Over the rationals an integral scalar
-        is kept as an exact int, which ``Echelon`` takes as it is.
+        distinct image exponent.  Scalars are kept as they are: in the
+        normal form of ``Field``, which ``Echelon`` takes as it is.
         """
         read = [image_of(g) for g in self.labels]
         exps = {e: k for k, e in enumerate(self.mons)}
@@ -750,13 +778,9 @@ class CellIndex:
                     sums[e] = [exps.setdefault(tuple([a + b for a, b in zip(e, m)]), len(exps))
                                for m in self.mons]
         self.exps, self.stride = exps, len(exps)
-        number, stride, rational = self.number, len(exps), self.p is None
-        self.images = [
-            [(number(w) * stride, sums[e],
-              c.numerator if rational and c.denominator == 1 else c)
-             for w, e, c in image]
-            for image in read
-        ]
+        number, stride = self.number, len(exps)
+        self.images = [[(number(w) * stride, sums[e], c) for w, e, c in image]
+                       for image in read]
 
     def row_key(self, word, exp: tuple) -> Optional[int]:
         """The row key of (word, exp), or None when no image can reach it."""
@@ -840,7 +864,7 @@ def bounded_members(
     columns as ``Poly`` vectors; a miss is ``inconclusive_at_bound``.
     """
     mons = monomials_upto(ring.nvars, bound)
-    cells = CellIndex(mons, ring.field)
+    cells = CellIndex(mons)
     for j in range(len(columns)):
         cells.number(j)
     cells.read_images(lambda j: [(c, exp, coef) for c, p in columns[j].items()

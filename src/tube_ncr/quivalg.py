@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -347,7 +346,7 @@ class Presentation:
                     row.subtract(index[a] for a in path.arrows)
                     for v, e in enumerate(exp, len(index)):
                         row[v] -= e
-                    relations.append({c: Fraction(x) for c, x in row.items() if x})
+                    relations.append({c: x for c, x in row.items() if x})
         functionals = []
         for vec in kernel_basis(relations, nsymbols, Field.rationals()):
             scale = math.lcm(*(x.denominator for x in vec.values()))

@@ -415,12 +415,12 @@ def test_package_calls_every_definition():
     assert found == set(UNCALLED_DEFINITIONS)
 
 
-# Functions that linearise or eliminate run on the per-field inner loops,
-# never on Field.add/sub/mul/neg/inv/div per entry.
+# Functions that linearise or eliminate, and Poly's term loops, run on the
+# per-field inner loops, never on Field.add/sub/mul/neg/inv/div per entry.
 LOOP_FUNCTIONS = {
     "exactalg.py": {"Echelon", "echelon", "row_reduce", "_cancel_prime",
                     "_cancel_rational", "kernel_basis", "CellIndex", "linear_rows",
-                    "_read_solutions", "bounded_members", "truncated_solve"},
+                    "_read_solutions", "bounded_members", "truncated_solve", "Poly"},
     "cohom.py": {"_window_blocks", "_bounded_ranks"},
 }
 FIELD_OPS = {"add", "sub", "mul", "neg", "inv", "div"}
@@ -452,6 +452,23 @@ def test_elimination_and_linearisation_make_no_field_calls():
                     found.append(f"{filename}:{node.lineno} in {name}")
     assert found == []
     assert seen == set().union(*LOOP_FUNCTIONS.values())
+
+
+def test_true_division_only_inverts_a_rational():
+    # Scalars are ints where they are integral, so a "/" anywhere else
+    # would make a float.
+    found = []
+    for path in sorted((REPO / "src" / "tube_ncr").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "exactalg.py":
+            allowed = {id(node) for name, definition in _named_definitions(tree)
+                       if name == "Field.inv" for node in ast.walk(definition)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div) and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -956,7 +956,7 @@ def test_a_block_rank_below_zero_is_an_internal_error():
     # A hand-built block that no complex gives: d(v) = w is nonzero, so
     # the kernel is 0, and the one image column, d(u) = v, lands on the
     # window's one cell, so both ranks would read 0 - 1.
-    cells = CellIndex([(0,)], QQ)
+    cells = CellIndex([(0,)])
     v, u = cells.number("v"), cells.number("u")
     cells.read_images({"v": [("w", (0,), QQ.one)], "u": [("v", (0,), QQ.one)]}.get)
     with pytest.raises(InternalError, match="below zero"):

@@ -57,6 +57,21 @@ def test_rational_scalar_format():
     assert QQ.format_scalar(Fraction(-2, 5)) == "-2/5"
 
 
+def in_rational_normal_form(v) -> bool:
+    """An int when integral, otherwise a Fraction with denominator > 1."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+@pytest.mark.parametrize("field", [QQ, Field.prime(7)], ids=repr)
+def test_field_scalars_are_ints_or_fractions(field):
+    for bad in (2.5, 0.5, 1.0, "3"):
+        with pytest.raises(ValueError, match=type(bad).__name__):
+            field.of(bad)
+        with pytest.raises(ValueError, match=type(bad).__name__):
+            PolyRing(field, ("x",)).const(bad)
+    assert field.of(Fraction(4, 2)) == 2 and type(field.of(Fraction(4, 2))) is int
+
+
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic
 # ---------------------------------------------------------------------------
@@ -119,6 +134,22 @@ def test_ring_mismatch_rejected():
         R1.parse("x") + R2.parse("y")
 
 
+def test_equal_rings_act_as_one_and_unequal_rings_raise():
+    R1, R2 = ring_qq("x", "y"), ring_qq("x", "y")
+    assert R1 is not R2 and R1 == R2
+    p, q, q1 = R1.parse("x + 2*y"), R2.parse("x - y^2"), R1.parse("x - y^2")
+    assert (p + q).terms == (p + q1).terms
+    assert (p * q).terms == (p * q1).terms
+    assert p == R2.parse("x + 2*y") and q == q1
+    for other in (ring_qq("y", "x"), PolyRing(Field.prime(7), ("x", "y"))):
+        r = other.parse("x")
+        assert p != other.parse("x + 2*y")
+        with pytest.raises(ValueError, match="ring mismatch"):
+            p + r
+        with pytest.raises(ValueError, match="ring mismatch"):
+            p * r
+
+
 def test_parse_errors():
     R = ring_qq("x", "y")
     with pytest.raises(PolyParseError):
@@ -166,6 +197,73 @@ def test_poly_ring_axioms(p, q, r):
     assert (p * q) == (q * p)
     assert (p * (q + r)) == (p * q + p * r)
     assert ((p * q) * r) == (p * (q * r))
+
+
+# Small values, so that sums, products and inverses are often integral.
+RATIONALS = st.one_of(st.integers(-12, 12),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+
+
+def fraction_product(s: dict, t: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in s.items():
+        for e2, c2 in t.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([None, None, 2, 7, 32003]), st.data())
+def test_field_and_poly_results_are_in_normal_form(p, data):
+    """Each result equals a plain-Fraction reference; over the rationals it
+    is an int exactly when integral, over F_p an int in range(p)."""
+    field = Field(p)
+    scalars = RATIONALS if p is None else RATIONALS.filter(
+        lambda x: Fraction(x).denominator % p)
+
+    def normal(v) -> bool:
+        return in_rational_normal_form(v) if p is None else type(v) is int and 0 <= v < p
+
+    def check(got, want):
+        # Fraction -> field is a ring map on these denominators, so the
+        # field result is the image of the Fraction result.
+        assert got == field.of(want) and normal(got)
+
+    check(field.zero, Fraction(0))
+    check(field.one, Fraction(1))
+    xs = data.draw(st.lists(scalars, min_size=1, max_size=6))
+    for x in xs:
+        a, fa = field.of(x), Fraction(x)
+        check(a, fa)
+        check(field.neg(a), -fa)
+        if a:
+            check(field.inv(a), 1 / fa)
+        for y in xs:
+            b, fb = field.of(y), Fraction(y)
+            check(field.add(a, b), fa + fb)
+            check(field.sub(a, b), fa - fb)
+            check(field.mul(a, b), fa * fb)
+
+    ring = PolyRing(field, ("x", "y"))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    # Reference term maps, without the terms that vanish in the field.
+    rf, rg = ({e: Fraction(c) for e, c in data.draw(
+        st.dictionaries(exps, scalars, max_size=4)).items() if field.of(c)}
+        for _ in range(2))
+    f, g = (Poly(ring, {e: field.of(c) for e, c in ref.items()}) for ref in (rf, rg))
+    k = data.draw(st.integers(0, 3))
+    power = {(0, 0): Fraction(1)}
+    for _ in range(k):
+        power = fraction_product(power, rf)
+    for poly, ref in [(f + g, {e: rf.get(e, 0) + rg.get(e, 0) for e in rf.keys() | rg}),
+                      (f - g, {e: rf.get(e, 0) - rg.get(e, 0) for e in rf.keys() | rg}),
+                      (-f, {e: -c for e, c in rf.items()}),
+                      (f * g, fraction_product(rf, rg)),
+                      (f.scale(xs[0]), {e: c * Fraction(xs[0]) for e, c in rf.items()}),
+                      (f ** k, power)]:
+        assert poly.terms == {e: field.of(c) for e, c in ref.items() if field.of(c)}
+        assert all(normal(c) for c in poly.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +317,7 @@ def bounded_kernel(entries, bound):
     vector comes back as one ``Poly`` per entry.
     """
     ring = entries[0].ring
-    cells = CellIndex(monomials_upto(ring.nvars, bound), ring.field)
+    cells = CellIndex(monomials_upto(ring.nvars, bound))
     cols = [cells.number(j) * cells.n + k for j in range(len(entries))
             for k in range(cells.n)]
     cells.read_images(lambda j: [(0, exp, coef) for exp, coef in entries[j].terms.items()])
@@ -615,7 +713,7 @@ def check_row_reduce_against_oracle(rows, field):
     assert reduced == expected
     assert list(pivots.items()) == list(expected_pivots.items())
     if field.p is None:
-        assert all(type(v) is Fraction for row in reduced for v in row.values())
+        assert all(in_rational_normal_form(v) for row in reduced for v in row.values())
 
 
 def check_solve_against_oracle(rows, rhs, field):
@@ -788,7 +886,7 @@ def polynomial_maps(draw):
 @given(polynomial_maps())
 def test_linear_rows_match_a_dense_expansion(data):
     ring, mons, ncoords, entries, columns = data
-    cells = CellIndex(mons, ring.field)
+    cells = CellIndex(mons)
     cell_of = [cells.number(g) * len(mons) + mons.index(m) for g, m in columns]
     calls = []
 
