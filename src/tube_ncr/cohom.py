@@ -10,17 +10,18 @@ truncated instead: words up to a length bound, coefficient monomials up
 to a degree bound.  Both kinds split into graded blocks eliminated by one
 routine, ``_window_blocks``, on the integer cells of one
 ``exactalg.CellIndex`` per call: a column is one int, label times the
-number of monomials plus the monomial's place, and so is a row key, so
-no key in the block loop is a tuple that hashes a word.  Every answer is also counted with its
-bounds enlarged and carries a status, ``"stable"`` when the two counts
-agree and ``"inconclusive_at_bound"`` otherwise; a bound that was too
-small shows up in the status, never as a silently wrong number.  Both
-counts come from one pass over the enlarged window: each of its blocks
-lists the columns of the smaller window first, so one elimination per
-block gives both ranks.  A presentation with a contractible letter, such
-as the ``eps`` of a Drinfeld localisation, first has its unit pairs
-taken out (``unitpairs.UnitPairs``): those cells are never listed, and
-the columns left carry the reduced differential.
+number of monomials plus the monomial's place, and so are a row key
+and a block's grade, so no key in the block loop is a tuple.  Every
+answer is also counted with its bounds enlarged and carries a status,
+``"stable"`` when the two counts agree and ``"inconclusive_at_bound"``
+otherwise; a bound that was too small shows up in the status, never as
+a silently wrong number.  Both counts come from one pass over the
+enlarged window: each of its blocks lists the columns of the smaller
+window first, so one elimination per block gives both ranks.  A
+presentation with a contractible letter, such as the ``eps`` of a
+Drinfeld localisation, first has its unit pairs taken out
+(``unitpairs.UnitPairs``): those cells are never listed, and the columns
+left carry the reduced differential.
 
 Degree bookkeeping: arrows sit in degrees 0 and -1 and the differential
 raises degree by 1, so the interesting cohomology sits in degrees -m for
@@ -565,11 +566,12 @@ def _bounded_ranks(
     are taken out: their cells are never listed, the image side's
     columns carry the reduced differential, and columns it leaves zero
     are dropped.  Both sides split into blocks by the presentation's
-    inferred grading (``Presentation.grade``); a word's grade is shifted
-    by each monomial's grade once per word grade, so each column is one
-    append.  The coefficient of a basis term never interacts with the
-    word, so each word's differential is computed once and shifted
-    across monomials: every column is a cell of one ``CellIndex``,
+    inferred grading, packed in one int (``Presentation.grade``): a block
+    key is a word's grade plus a monomial's, added once per word grade,
+    so each column is one append in one pass over the words.  The
+    coefficient of a basis term never interacts with the word, so each
+    word's differential is computed once and shifted across monomials:
+    every column is a cell of one ``CellIndex``,
     numbered as its label (a V word, a reduced-image label of
     ``UnitPairs``, or an unreduced word on the generator path) is first
     seen, and once both sides are listed the index reads each label's
@@ -599,35 +601,29 @@ def _bounded_ranks(
         words up to ``base_length`` letters and monomials up to
         ``poly_bound`` first, each part word-major.  ``labels_of(w)``
         names the column of w at a monomial of each degree, or None to
-        leave it out; each name is numbered in ``cells``."""
-        blocks: dict[tuple, list] = {}
-        classes: dict[tuple, list] = {}  # word grade -> block per monomial
-        targets = []
+        leave it out; each name is numbered in ``cells``.  A block key is
+        the int word grade plus the int monomial grade, and each block
+        keeps its window and other columns apart, so one pass fills it."""
+        blocks: dict[int, tuple] = {}  # grade -> (window columns, other columns)
+        # word grade -> per monomial, the list that takes a window word's
+        # column and the list that takes another word's
+        classes: dict[int, tuple] = {}
+        n = len(mons)
         for w in words:
             gw = pres.grade(w, zero_exp)
             per_mon = classes.get(gw)
             if per_mon is None:
-                per_mon = classes[gw] = [
-                    blocks.setdefault(tuple([a + b for a, b in zip(gw, ge)]), [])
-                    for ge in mon_grades
-                ]
-            firsts = [None if g is None else cells.number(g) * len(mons)
-                      for g in labels_of(w)]
-            targets.append((per_mon, [None if firsts[d] is None else firsts[d] + k
-                                      for k, d in enumerate(mon_degrees)]))
-        # The words are sorted by length first, so the window's are a prefix.
-        n_words = sum(1 for w in words if len(w.arrows) <= base_length)
-        for per_mon, columns in targets[:n_words]:
-            for cols, c in zip(per_mon[:n_mons], columns):
-                if c is not None:
-                    cols.append(c)
-        n_base = {g: len(cols) for g, cols in blocks.items()}
-        for i, (per_mon, columns) in enumerate(targets):
-            first = n_mons if i < n_words else 0
-            for cols, c in zip(per_mon[first:], columns[first:]):
-                if c is not None:
-                    cols.append(c)
-        return {g: (cols, n_base[g]) for g, cols in blocks.items() if cols}
+                pairs = [blocks.setdefault(gw + ge, ([], [])) for ge in mon_grades]
+                per_mon = classes[gw] = (
+                    [p[k >= n_mons] for k, p in enumerate(pairs)], [p[1] for p in pairs]
+                )
+            firsts = [None if g is None else cells.number(g) * n for g in labels_of(w)]
+            for k, (cols, d) in enumerate(zip(per_mon[len(w.arrows) > base_length],
+                                              mon_degrees)):
+                if firsts[d] is not None:
+                    cols.append(firsts[d] + k)
+        return {g: (window + other, len(window))
+                for g, (window, other) in blocks.items() if window or other}
 
     u_base = length_bound + image_slack
     matching = UnitPairs(

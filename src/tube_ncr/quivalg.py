@@ -185,9 +185,10 @@ class Presentation:
 
     ``grade`` gives each basis term (word, monomial) its value in the
     finest grading for which every rule and differential entry is
-    homogeneous.  It is computed from the rules and the differential
-    themselves, so truncated cohomology can split its linear algebra
-    into blocks for any presentation, however it was built.
+    homogeneous, packed in one int.  It is computed from the rules and
+    the differential themselves, so truncated cohomology can split its
+    linear algebra into blocks for any presentation, however it was
+    built, and a block key is one int add.
     """
 
     def __init__(
@@ -334,7 +335,8 @@ class Presentation:
         of the left side; the grading is the symbol lattice modulo the
         rational span of these relations, read through a basis of the
         functionals that vanish on them.  Ignoring torsion can only
-        merge blocks, so no answer depends on it.
+        merge blocks, so no answer depends on it; ``_weights`` packs the
+        functionals into one int per symbol.
         """
         index = {a.name: i for i, a in enumerate(self.quiver.arrows)}
         nsymbols = len(index) + self.ring.nvars
@@ -356,20 +358,29 @@ class Presentation:
         return index, functionals
 
     @cached_property
-    def _grade_values(self) -> list:
-        """Per functional of ``_grading``: its value on each arrow name,
-        and its values on the ring variables."""
+    def _weights(self) -> tuple:
+        """The packed grade of each arrow name and of each ring variable:
+        sum_i f_i * B**i over the functionals f_i of ``_grading``, B = 2**24."""
         index, functionals = self._grading
-        n = len(index)
-        return [({a: f[i] for a, i in index.items()}, f[n:]) for f in functionals]
+        packed = [sum(f[c] << 24 * i for i, f in enumerate(functionals))
+                  for c in range(len(index) + self.ring.nvars)]
+        return {a: packed[i] for a, i in index.items()}, packed[len(index):]
 
-    def grade(self, path: Path, exp: tuple) -> tuple:
-        """Grade of the basis term (word, monomial); () when the
-        presentation admits no grading."""
-        return tuple([
-            sum(map(on_arrows.__getitem__, path.arrows)) + sum(map(mul, exp, on_vars))
-            for on_arrows, on_vars in self._grade_values
-        ])
+    def grade(self, path: Path, exp: tuple) -> int:
+        """Grade of the basis term (word, monomial), packed in one int: the
+        sum of its letters' and its variables' ``_weights``.
+
+        The packed grade is a linear function of the true grade, which d
+        preserves, so a collision of two true grades could only merge
+        blocks, and no answer depends on that (the column rank profile of
+        ``cohom._window_blocks``, as for the torsion ``_grading``
+        ignores).  Distinct true grades pack apart while every |f_i| is
+        below B/2 = 2**23 on a term; it is at most f_i's largest entry
+        times the term's letters plus its degree, far below that in any
+        window the program can enumerate.  No grading gives 0: one block.
+        """
+        on_arrows, on_vars = self._weights
+        return sum(map(on_arrows.__getitem__, path.arrows)) + sum(map(mul, exp, on_vars))
 
     # -- rewriting -----------------------------------------------------------
 

@@ -6,6 +6,7 @@ import functools
 import importlib.util
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings
@@ -735,16 +736,54 @@ def test_reported_generators_are_cocycles():
 # -- blocked against unblocked ---------------------------------------------------
 
 
+def tuple_grade(pres, path, exp):
+    """The grade of (path, exp) as the tuple of the values of the
+    ``_grading`` functionals: the grade that the int block keys pack."""
+    index, functionals = pres._grading
+    symbols = Counter(index[a] for a in path.arrows)
+    symbols.update({v: e for v, e in enumerate(exp, len(index)) if e})
+    return tuple(sum(f[c] * x for c, x in symbols.items()) for f in functionals)
+
+
+def spy_window_blocks(mp):
+    """Record the arguments of every ``cohom._window_blocks`` call."""
+    calls = []
+    honest = cohom._window_blocks
+
+    def spy(*args):
+        calls.append(args)
+        return honest(*args)
+
+    mp.setattr(cohom, "_window_blocks", spy)
+    return calls
+
+
+def assert_the_seam_flattens(pres, calls):
+    """``calls`` holds a blocked ``_window_blocks`` call and then one with
+    ``Presentation.grade`` patched to 0: the patched run handed it one V
+    block, the blocked run one V block per grade that its V columns
+    carry.  Returns that number of grades."""
+    (v_blocks, _, cells, *_), (v_single, *_) = calls
+    grades = {tuple_grade(pres, w, e) for cols, _ in v_blocks.values()
+              for w, e in cells.decode(cols)}
+    assert len(v_single) == min(1, len(grades))
+    assert len(v_blocks) == len(grades)
+    return len(grades)
+
+
 def assert_blocks_change_nothing(pres, source, target, m, length, poly_bound):
     """The inferred grading's blocks against one single block: the same
-    rank, status and generator list."""
-    blocked = truncated_cohomology(pres, source, target, m, length, poly_bound)
+    rank, status and generator list.  Returns the blocked run's number
+    of V blocks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Presentation, "grade", lambda self, path, exp: ())
+        calls = spy_window_blocks(mp)
+        blocked = truncated_cohomology(pres, source, target, m, length, poly_bound)
+        mp.setattr(Presentation, "grade", lambda self, path, exp: 0)
         single = truncated_cohomology(pres, source, target, m, length, poly_bound)
     assert (blocked.rank, blocked.status, blocked.generators) == (
         single.rank, single.status, single.generators
     )
+    return assert_the_seam_flattens(pres, calls)
 
 
 @st.composite
@@ -775,7 +814,8 @@ def test_blocked_and_unblocked_runs_agree(data):
     m = data.draw(st.integers(0, 2))
     length = data.draw(st.integers(1, 4))
     poly_bound = data.draw(st.integers(0, 3))
-    assert_blocks_change_nothing(pres, source, target, m, length, poly_bound)
+    grades = assert_blocks_change_nothing(pres, source, target, m, length, poly_bound)
+    event("several V blocks" if grades > 1 else "at most one V block")
 
 
 def test_blocked_and_unblocked_runs_agree_on_frozen_cases():
@@ -783,16 +823,77 @@ def test_blocked_and_unblocked_runs_agree_on_frozen_cases():
     x, y = ring.gen("x"), ring.gen("y")
     cusp = contraction_quiver(2, ring, (x, x ** 2 + y ** 3, y))
     v = contraction_vertex(1)
-    assert_blocks_change_nothing(cusp, v, v, 2, 5, 4)
+    assert assert_blocks_change_nothing(cusp, v, v, 2, 5, 4) > 1
 
     # In block-key order these would start b1, y*b1, ...; reports list
     # them in window order.
     ring = xy_ring()
     tube = tube_algebra(1, ring, (ring.gen("x"), ring.gen("y")))
-    assert_blocks_change_nothing(tube, tube_vertex(0), tube_vertex(1), 0, 5, 4)
+    assert assert_blocks_change_nothing(tube, tube_vertex(0), tube_vertex(1), 0, 5, 4) > 1
     rep = truncated_cohomology(tube, tube_vertex(0), tube_vertex(1), 0, 5, 4)
     assert rep.rank == len(rep.generators) == 90
     assert rep.generators[:3] == ["a0", "y*a0", "x*a0"]
+
+
+class TupleGrade(tuple):
+    """A grade as its tuple of functional values, added componentwise as
+    the int block keys are added."""
+
+    def __add__(self, other):
+        return TupleGrade([a + b for a, b in zip(self, other)])
+
+
+def blocks_and_result(run, grade=None):
+    """The blocks that every ``_window_blocks`` call of ``run()`` was
+    handed, in order, and the result of ``run()``."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_window_blocks(mp)
+        if grade is not None:
+            mp.setattr(Presentation, "grade", grade)
+        result = run()
+    return [
+        (list(v_blocks.values()), list(u_blocks.values()),
+         list((vector_blocks or {}).values()))
+        for v_blocks, u_blocks, _, _, vector_blocks in calls
+    ], result
+
+
+def no_grading_rows():
+    ring = PolyRing(QQ, ())
+    pres = contraction_quiver(1, ring, (ring.one(), ring.one()))
+    assert pres._grading[1] == []
+    v = contraction_vertex(1)
+    return [truncated_cohomology(pres, v, v, m, 4, 0) for m in range(3)]
+
+
+def localised_generators():
+    ring = xy_ring()
+    pres = drinfeld_localize(tube_algebra(1, ring, ring.gens()), tube_vertex(0))
+    return truncated_cohomology(pres, tube_vertex(1), tube_vertex(1), 2, 6, 2)
+
+
+def localization_rows(f, length_bound):
+    ring = xy_ring()
+    return localization_consistency([ring.parse(p) for p in f], 3, length_bound, 4)
+
+
+@pytest.mark.parametrize("run,graded", [
+    # The localization rows of the loc-q and loc-nonmono benchmark argv
+    # lists at seed 1: both presentations at m = 0..3.
+    (functools.partial(localization_rows, ("3*x", "2*y"), 3), True),
+    (functools.partial(localization_rows, ("3*x^2+2*y^3", "5*y"), 2), True),
+    # The generator path, which also hands over the unreduced blocks.
+    (localised_generators, True),
+    (no_grading_rows, False),
+], ids=["loc-q", "loc-nonmono", "generators", "no-grading"])
+def test_int_block_keys_give_the_tuple_grade_blocks(run, graded):
+    by_tuples, expected = blocks_and_result(
+        run, lambda self, path, exp: TupleGrade(tuple_grade(self, path, exp)))
+    by_ints, result = blocks_and_result(run)
+    assert result == expected
+    assert by_ints == by_tuples
+    most_v_blocks = max(len(v_blocks) for v_blocks, _, _ in by_ints)
+    assert most_v_blocks > 1 if graded else most_v_blocks == 1
 
 
 # -- one pass against the per-window oracle --------------------------------------
@@ -832,8 +933,7 @@ def oracle_bounded_rank(pres, source, target, m, length_bound, poly_bound,
         for w in pres.irreducible_words(source, target, length, degree):
             gw = pres.grade(w, zero_exp)
             for e, ge in zip(mons, mon_grades):
-                g = tuple(a + b for a, b in zip(gw, ge))
-                blocks.setdefault(g, []).append((w, e))
+                blocks.setdefault(gw + ge, []).append((w, e))
         return blocks
 
     v_blocks = fill_blocks(length_bound, -m)
@@ -910,12 +1010,15 @@ def test_one_pass_ranks_equal_two_oracle_runs(data):
     m = data.draw(st.integers(0, 2), label="m")
     poly_bound = data.draw(st.integers(0, 3), label="poly_bound")
     with_generators = data.draw(st.booleans(), label="with_generators")
-    assert_one_pass_matches_oracle(
-        pres, source, target, m, length, poly_bound, with_generators)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Presentation, "grade", lambda self, path, exp: ())
+        calls = spy_window_blocks(mp)
         assert_one_pass_matches_oracle(
             pres, source, target, m, length, poly_bound, with_generators)
+        mp.setattr(Presentation, "grade", lambda self, path, exp: 0)
+        assert_one_pass_matches_oracle(
+            pres, source, target, m, length, poly_bound, with_generators)
+    grades = assert_the_seam_flattens(pres, calls)
+    event("several V blocks" if grades > 1 else "at most one V block")
 
 
 def test_one_pass_ranks_equal_two_oracle_runs_on_frozen_cases():
@@ -1057,6 +1160,19 @@ def test_stable_rank_is_the_true_dimension():
     assert rep.rank == 1 or rep.status == "inconclusive_at_bound"
 
 
+@pytest.mark.xfail(strict=True, reason="a stable rank can still be wrong: a class "
+                   "first seen at 6 letters is missed by the len-3 window and by "
+                   "its 5-letter rerun window, and persistence cannot see it, "
+                   "since the map 0 -> 0 is an isomorphism")
+def test_stable_zero_is_not_reported_for_a_class_past_the_rerun_window(capsys):
+    # --len 4 and 5 read 0 inconclusive, and --len 6 to 9 read rank 1
+    # stable with the generator a0*eps*b0*b1*eps*a1 + b1*eps*a1*a0*eps*b0.
+    main(["cohom", "truncated", "--n", "1", "--f", "x", "y", "--quiver", "localized",
+          "--m", "2", "--len", "3", "--polydeg", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert (report["rank"], report["status"]) != (0, "stable")
+
+
 # -- unit pairs against the unreduced one-pass oracle -----------------------------
 
 
@@ -1125,8 +1241,7 @@ def unreduced_bounded_ranks(pres, source, target, m, length_bound, poly_bound,
         per_word = []
         for w in words:
             gw = pres.grade(w, zero_exp)
-            per_word.append([blocks.setdefault(tuple(a + b for a, b in zip(gw, ge)), [])
-                             for ge in mon_grades])
+            per_word.append([blocks.setdefault(gw + ge, []) for ge in mon_grades])
         n_words = sum(1 for w in words if len(w.arrows) <= base_length)
         for w, per_mon in zip(words[:n_words], per_word):
             for e, cols in zip(mons[:n_mons], per_mon):

@@ -447,7 +447,7 @@ def test_localized_word_differential_telescopes():
 
 
 def grading_rank(pres):
-    return len(pres.grade(lazy(pres.quiver.vertices[0]), (0,) * pres.ring.nvars))
+    return len(pres._grading[1])
 
 
 def test_grading_rank_is_inferred():
@@ -480,7 +480,7 @@ def test_grading_is_homogeneous_for_rules_and_differential():
 def test_no_free_direction_gives_one_block():
     ring = PolyRing(QQ, ())
     pres = contraction_quiver(1, ring, (ring.one(), ring.one()))
-    assert pres.grade(Path(("alpha", "beta")), ()) == ()
+    assert pres.grade(Path(("alpha", "beta")), ()) == 0
 
 
 def window_terms(pres, length, degree):
