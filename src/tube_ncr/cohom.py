@@ -33,9 +33,8 @@ of the degree -1 arrows.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -413,117 +412,6 @@ class CohomologyReport:
         }
 
 
-# Per-word differentials are kept per presentation, since a localisation
-# comparison asks several truncated ranks of each of its two
-# presentations, and a word's differential is shared across degrees,
-# bounds and monomials.  ``_DIFF_CACHE`` holds two tables per
-# presentation: d by word, which also holds the suffixes that the
-# Leibniz rule builds each word from; and one copy of each path that a
-# cached differential names, which the differentials share.
-_DIFF_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _differential_cache(pres: Presentation) -> tuple[dict, dict]:
-    """The presentation's (d by word, paths) tables."""
-    cache = _DIFF_CACHE.get(pres)
-    if cache is None:
-        cache = _DIFF_CACHE[pres] = ({}, {})
-    return cache
-
-
-def _accumulate(acc: dict, key: tuple, scal, field: Field) -> None:
-    old = acc.get(key)
-    acc[key] = scal if old is None else field.add(old, scal)
-
-
-def _flattened(element: AlgebraElement) -> list:
-    """An element's (path, exponent, scalar) triples, in path order, then
-    deglex."""
-    return [
-        (path, exp, poly.terms[exp])
-        for path, poly in sorted(element.terms.items(), key=lambda t: path_key(t[0]))
-        for exp in sorted(poly.terms, key=deglex_key)
-    ]
-
-
-def _letters_times(pres: Presentation, letters: tuple, terms: list) -> list:
-    """Normal form of the word ``letters`` times a normal-form sum of
-    (path, exponent, scalar) triples, as such triples.
-
-    A letter a times an irreducible word p is the word a*p itself unless
-    the new pair (a, first letter of p) is a rule's left side; only such
-    a word is reduced.
-    """
-    field, rules = pres.ring.field, pres.rules
-    for a in reversed(letters):
-        acc: dict = {}
-        for p, e, s in terms:
-            word = Path((a,) + p.arrows, None)
-            if not p.arrows or (a, p.arrows[0]) not in rules:
-                _accumulate(acc, (word, e), s, field)
-                continue
-            for q, e2, s2 in _flattened(pres.reduce_raw([(pres.ring.one(), word)])):
-                exp = tuple([x + y for x, y in zip(e, e2)])
-                _accumulate(acc, (q, exp), field.mul(s, s2), field)
-        terms = [(q, e, s) for (q, e), s in acc.items() if s]
-    return terms
-
-
-def _word_differential(pres: Presentation, cache: tuple, w: Path) -> list:
-    """d(w) of an irreducible word, flattened to (path, exponent, scalar)
-    triples in path order, then deglex, and cached in ``cache``.
-
-    A word a*w' of two or more letters takes the Leibniz rule
-    d(a*w') = d(a)*w' + (-1)^|a| a*d(w') from the cached differentials
-    of the letter a and of w', which is irreducible too.  Normal forms
-    are unique and d descends to the quotient (both checked when the
-    presentation is built), so reducing the two products gives d(w).
-    Only lazy paths and single letters go through ``differential_of``.
-    """
-    words, paths = cache
-    out = words.get(w)
-    if out is not None:
-        return out
-    # The words not cached yet, each the rest of the one before it.
-    todo = []
-    while w not in words and len(w.arrows) > 1:
-        todo.append(w)
-        w = Path(w.arrows[1:], None)
-    if w not in words:
-        words[w] = _flattened(
-            pres.differential_of(AlgebraElement(pres, {w: pres.ring.one()}))
-        )
-    field, rules = pres.ring.field, pres.rules
-    for w in reversed(todo):
-        a, rest = w.arrows[0], Path(w.arrows[1:], None)
-        odd = pres.arrow(a).deg % 2
-        head = _word_differential(pres, cache, Path((a,), None))
-        if not head and not any(
-            r.arrows and (a, r.arrows[0]) in rules for r, _, _ in words[rest]
-        ):
-            # d(w) = +-a*d(w'), and a in front of each term leaves it
-            # irreducible, keeps the terms distinct and keeps their order.
-            prefixed = words[w] = []
-            for q, e2, s2 in words[rest]:
-                r = Path((a,) + q.arrows, None)
-                prefixed.append((paths.setdefault(r, r), e2, field.neg(s2) if odd else s2))
-            continue
-        acc: dict = {}
-        for q, e, s in head:
-            for r, e2, s2 in _letters_times(pres, q.arrows, [(rest, e, s)]):
-                _accumulate(acc, (r, e2), s2, field)
-        for r, e2, s2 in _letters_times(pres, (a,), words[rest]):
-            _accumulate(acc, (r, e2), field.neg(s2) if odd else s2, field)
-        words[w] = [
-            (paths.setdefault(r, r), e2, s2)
-            for (r, e2), s2 in sorted(
-                acc.items(), key=lambda t: (path_key(t[0][0]), deglex_key(t[0][1]))
-            )
-            if s2
-        ]
-    return words[w]
-
-
 def _default_image_slack(pres: Presentation) -> int:
     """How far past the kernel window the image window must reach.
 
@@ -570,7 +458,8 @@ def _bounded_ranks(
     key is a word's grade plus a monomial's, added once per word grade,
     so each column is one append in one pass over the words.  The
     coefficient of a basis term never interacts with the word, so each
-    word's differential is computed once and shifted across monomials:
+    word's differential is read once, from the presentation's own
+    ``word_differential``, and shifted across monomials:
     every column is a cell of one ``CellIndex``,
     numbered as its label (a V word, a reduced-image label of
     ``UnitPairs``, or an unreduced word on the generator path) is first
@@ -628,7 +517,6 @@ def _bounded_ranks(
     u_base = length_bound + image_slack
     matching = UnitPairs(
         pres,
-        partial(_word_differential, pres, _differential_cache(pres)),
         (length_bound, length_bound + step),
         (u_base, u_base + step),
         (poly_bound, poly_bound + step),

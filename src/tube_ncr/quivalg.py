@@ -31,7 +31,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactalg import Field, Poly, PolyRing, add_term, kernel_basis
+from .exactalg import Field, Poly, PolyRing, add_term, deglex_key, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,6 @@ class Quiver:
             if a.src not in vset or a.tgt not in vset:
                 raise ValueError(f"arrow {a.name} has endpoints outside the quiver")
         self.by_name = {a.name: a for a in self.arrows}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Quiver)
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-        )
 
 
 class Path(NamedTuple):
@@ -94,6 +87,24 @@ def joined(arrows: tuple, vertex: Optional[str]) -> Path:
 def path_key(path: Path) -> tuple:
     """The path order: by length, then arrow names, then vertex."""
     return (len(path.arrows), path.arrows, path.vertex or "")
+
+
+def flattened(element: AlgebraElement) -> list:
+    """An element's flat terms, (path, exponent, scalar) triples, in path
+    order, then deglex."""
+    return [
+        (path, exp, poly.terms[exp])
+        for path, poly in sorted(element.terms.items(), key=lambda t: path_key(t[0]))
+        for exp in sorted(poly.terms, key=deglex_key)
+    ]
+
+
+def add_flat_term(acc: dict, key: tuple, scal, field: Field) -> None:
+    """Add ``scal`` at ``key``, a (path, exponent) pair, of a sum of flat
+    terms; read the sum back with ``(p, e, s) for (p, e), s in acc.items()
+    if s``."""
+    old = acc.get(key)
+    acc[key] = scal if old is None else field.add(old, scal)
 
 
 class AlgebraElement:
@@ -189,6 +200,10 @@ class Presentation:
     the differential themselves, so truncated cohomology can split its
     linear algebra into blocks for any presentation, however it was
     built, and a block key is one int add.
+
+    ``word_differential`` gives d of an irreducible word as flat terms,
+    built by the Leibniz rule and kept in the presentation's own tables;
+    ``differential_of`` stays the reference it is checked against.
     """
 
     def __init__(
@@ -410,13 +425,13 @@ class Presentation:
             [(coef, path) for path, coef in element.terms.items()]
         )
 
-    def normal_form(self, word, coef: Optional[Poly] = None) -> AlgebraElement:
+    def normal_form(self, word) -> AlgebraElement:
         """Normal form of a word (sequence of arrow names) or a Path."""
         if isinstance(word, Path):
             path = word
         else:
             path = self.make_path(word)
-        return self.reduce_raw([(coef if coef is not None else self.ring.one(), path)])
+        return self.reduce_raw([(self.ring.one(), path)])
 
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         """Product x*y, composing right-to-left (y acts first)."""
@@ -450,6 +465,95 @@ class Presentation:
                         pairs.append((coef * dcoef * sign, new_path))
                 sign_deg += self.arrow(name).deg
         return self.reduce_raw(pairs)
+
+    @cached_property
+    def _word_tables(self) -> tuple:
+        """(d by word, paths) for ``word_differential``: the flat d(w) of
+        each word asked so far and of the suffixes the Leibniz rule built
+        it from, and one copy of each path those differentials name,
+        which they share.  They live as long as the presentation, since
+        a localisation comparison asks several truncated ranks of each
+        of its presentations, and a word's differential is shared across
+        degrees, bounds and monomials."""
+        return {}, {}
+
+    def _letters_times(self, letters: tuple, terms: list) -> list:
+        """Normal form of the word ``letters`` times a normal-form sum of
+        flat terms, as flat terms.
+
+        A letter a times an irreducible word p is the word a*p itself unless
+        the new pair (a, first letter of p) is a rule's left side; only such
+        a word is reduced.
+        """
+        field, rules = self.ring.field, self.rules
+        for a in reversed(letters):
+            acc: dict = {}
+            for p, e, s in terms:
+                word = Path((a,) + p.arrows, None)
+                if not p.arrows or (a, p.arrows[0]) not in rules:
+                    add_flat_term(acc, (word, e), s, field)
+                    continue
+                for q, e2, s2 in flattened(self.reduce_raw([(self.ring.one(), word)])):
+                    exp = tuple([x + y for x, y in zip(e, e2)])
+                    add_flat_term(acc, (q, exp), field.mul(s, s2), field)
+            terms = [(q, e, s) for (q, e), s in acc.items() if s]
+        return terms
+
+    def word_differential(self, w: Path) -> list:
+        """d(w) of an irreducible word as flat terms, in path order, then
+        deglex; kept in ``_word_tables``, so a second call returns the
+        same list.
+
+        A word a*w' of two or more letters takes the Leibniz rule
+        d(a*w') = d(a)*w' + (-1)^|a| a*d(w') from the kept differentials
+        of the letter a and of w', which is irreducible too.  Normal forms
+        are unique and d descends to the quotient (both checked when the
+        presentation is built), so reducing the two products gives d(w).
+        Only lazy paths and single letters go through ``differential_of``.
+        """
+        words, paths = self._word_tables
+        out = words.get(w)
+        if out is not None:
+            return out
+        # The words not kept yet, each the rest of the one before it.
+        todo = []
+        while w not in words and len(w.arrows) > 1:
+            todo.append(w)
+            w = Path(w.arrows[1:], None)
+        if w not in words:
+            words[w] = flattened(
+                self.differential_of(AlgebraElement(self, {w: self.ring.one()}))
+            )
+        field, rules = self.ring.field, self.rules
+        for w in reversed(todo):
+            a, rest = w.arrows[0], Path(w.arrows[1:], None)
+            odd = self.arrow(a).deg % 2
+            head = self.word_differential(Path((a,), None))
+            if not head and not any(
+                r.arrows and (a, r.arrows[0]) in rules for r, _, _ in words[rest]
+            ):
+                # d(w) = +-a*d(w'), and a in front of each term leaves it
+                # irreducible, keeps the terms distinct and keeps their order.
+                prefixed = words[w] = []
+                for q, e2, s2 in words[rest]:
+                    r = Path((a,) + q.arrows, None)
+                    prefixed.append(
+                        (paths.setdefault(r, r), e2, field.neg(s2) if odd else s2))
+                continue
+            acc: dict = {}
+            for q, e, s in head:
+                for r, e2, s2 in self._letters_times(q.arrows, [(rest, e, s)]):
+                    add_flat_term(acc, (r, e2), s2, field)
+            for r, e2, s2 in self._letters_times((a,), words[rest]):
+                add_flat_term(acc, (r, e2), field.neg(s2) if odd else s2, field)
+            words[w] = [
+                (paths.setdefault(r, r), e2, s2)
+                for (r, e2), s2 in sorted(
+                    acc.items(), key=lambda t: (path_key(t[0][0]), deglex_key(t[0][1]))
+                )
+                if s2
+            ]
+        return words[w]
 
     # -- confluence ----------------------------------------------------------
 

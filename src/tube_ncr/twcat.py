@@ -245,7 +245,7 @@ class AInfReport:
         }
 
 
-def _element_text(el: dict, ring) -> str:
+def _element_text(el: dict) -> str:
     if not el:
         return "0"
     parts = []
@@ -315,7 +315,7 @@ def ainf_check(table: AInfTable, max_arity: int) -> AInfReport:
                 skipped += 1
                 continue
             if acc:
-                violations.append((k, chain, _element_text(acc, table.ring)))
+                violations.append((k, chain, _element_text(acc)))
     return AInfReport(not violations, checked, skipped, violations)
 
 
@@ -448,7 +448,7 @@ def _matrix_text(mat: dict, table: AInfTable) -> str:
     for (row, col) in sorted(mat):
         el = mat[(row, col)]
         if el:
-            parts.append(f"({row},{col}): {_element_text(el, table.ring)}")
+            parts.append(f"({row},{col}): {_element_text(el)}")
     return "; ".join(parts) if parts else "0"
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .exactalg import InternalError
-from .quivalg import Path, Presentation, joined, lazy
+from .quivalg import Path, Presentation, add_flat_term, joined, lazy
 
 
 def _word_text(w: Path) -> str:
@@ -89,17 +89,16 @@ class UnitPairs:
     differential, which is kept for the call.  Without a contractible
     letter nothing is matched.
 
-    ``d`` gives a word's differential as (word, exponent, scalar)
-    triples.  ``v_lengths`` and ``u_lengths`` are the (base, rerun)
-    word-length bounds of the window V and of the image side U, and
-    ``degrees`` their (base, rerun) monomial-degree bounds;
+    A word's differential is ``pres.word_differential``'s (word,
+    exponent, scalar) triples.  ``v_lengths`` and ``u_lengths`` are the
+    (base, rerun) word-length bounds of the window V and of the image
+    side U, and ``degrees`` their (base, rerun) monomial-degree bounds;
     ``base_u_words`` are the words of U's base window.
     """
 
     def __init__(
         self,
         pres: Presentation,
-        d,
         v_lengths: tuple,
         u_lengths: tuple,
         degrees: tuple,
@@ -109,13 +108,12 @@ class UnitPairs:
         self.z, self.v = letter if letter is not None else (None, None)
         self.into_v = {a.name for a in pres.quiver.arrows if a.tgt == self.v}
         self.from_v = {a.name for a in pres.quiver.arrows if a.src == self.v}
-        self.rules, self.field, self.d = pres.rules, pres.ring.field, d
+        self.rules, self.field, self.d = pres.rules, pres.ring.field, pres.word_differential
         self.v_lengths, self.u_lengths, self.degrees = v_lengths, u_lengths, degrees
         # Per monomial degree up to the rerun bound, whether a cell is matched.
         self.unmatched = (False,) * (degrees[1] + 1)
         # Reduced differentials, indexed by image-side column label.
         self._images: list = []
-        self._plus: dict = {}
         self._pairs: dict = {}
         self._masks: dict = {}
         # Coefficient degrees at which the base window's image side hits
@@ -123,7 +121,7 @@ class UnitPairs:
         self._hits: dict = {}
         if letter is not None:
             for u in base_u_words:
-                for s, e, _ in d(u):
+                for s, e, _ in self.d(u):
                     if self.plus(s) is not None:
                         self._hits.setdefault(s, set()).add(sum(e))
 
@@ -137,17 +135,11 @@ class UnitPairs:
 
     def plus(self, t: Path) -> Optional[Path]:
         """t+ when t can be matched, else None."""
-        try:
-            return self._plus[t]
-        except KeyError:
-            pass
         arrows = t.arrows
         i = self._first_gap(arrows, t.vertex)
-        out = None
         if i is not None and (i == len(arrows) or arrows[i] != self.z):
-            out = Path(arrows[:i] + (self.z,) + arrows[i:], None)
-        self._plus[t] = out
-        return out
+            return Path(arrows[:i] + (self.z,) + arrows[i:], None)
+        return None
 
     def minus(self, u: Path) -> Optional[Path]:
         """The word t with t+ = u, or None."""
@@ -234,17 +226,13 @@ class UnitPairs:
         field, acc = self.field, {}
         for (s, e, c), is_hit in zip(terms, hit):
             if not is_hit:
-                new = [(s, e, c)]
-            else:
-                shift = any(e)
-                new = [
-                    (r, tuple([a + b for a, b in zip(e, e2)]) if shift else e2,
-                     field.mul(c, c2))
-                    for r, e2, c2 in self._pair(s)[0]
-                ]
-            for r, e2, c2 in new:
-                old = acc.get((r, e2))
-                acc[r, e2] = c2 if old is None else field.add(old, c2)
+                add_flat_term(acc, (s, e), c, field)
+                continue
+            shift = any(e)
+            for r, e2, c2 in self._pair(s)[0]:
+                if shift:
+                    e2 = tuple([a + b for a, b in zip(e, e2)])
+                add_flat_term(acc, (r, e2), field.mul(c, c2), field)
         return [(r, e, c) for (r, e), c in acc.items() if c]
 
     def u_labels(self, u: Path) -> list:

@@ -415,6 +415,35 @@ def test_package_calls_every_definition():
     assert found == set(UNCALLED_DEFINITIONS)
 
 
+EMPTY_CONTAINER_CALLS = {"dict", "list", "set", "WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def _is_empty_container(node) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    if isinstance(node, ast.Call) and not node.args and not node.keywords:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in EMPTY_CONTAINER_CALLS
+    return False
+
+
+def test_no_module_level_cache():
+    # A memo table belongs to the object whose values it keeps (as
+    # ``Presentation._word_tables`` does), not to a module, where it
+    # outlives its keys' owner and hides from the code that reads it.
+    # Literal tables, such as ``twcat._MU2_COMMON``, are constants.
+    found = []
+    for path in sorted((REPO / "src" / "tube_ncr").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None \
+                    and _is_empty_container(node.value):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # Functions that linearise or eliminate, and Poly's term loops, run on the
 # per-field inner loops, never on Field.add/sub/mul/neg/inv/div per entry.
 LOOP_FUNCTIONS = {

@@ -1104,13 +1104,12 @@ def leibniz_cases():
 @pytest.mark.parametrize("build", leibniz_cases())
 def test_leibniz_differential_equals_differential_of(build):
     pres = build()
-    cache = cohom._differential_cache(pres)
     words = [w for v in pres.quiver.vertices for w in pres.irreducible_words(v, None, 6)]
     odd = {a.name for a in pres.quiver.arrows if a.deg % 2}
     assert any(w.arrows and w.arrows[0] in odd and len(w.arrows) > 2 for w in words)
     # Longest first, so that each word builds its chain of suffixes.
     for w in sorted(words, key=path_key, reverse=True):
-        assert cohom._word_differential(pres, cache, w) == oracle_word_differential(pres, w)
+        assert pres.word_differential(w) == oracle_word_differential(pres, w)
 
 
 def test_differential_of_is_called_only_for_short_words(monkeypatch):
@@ -1125,10 +1124,30 @@ def test_differential_of_is_called_only_for_short_words(monkeypatch):
         return honest(self, x)
 
     monkeypatch.setattr(Presentation, "differential_of", counted)
-    cache = cohom._differential_cache(pres)
     for w in pres.irreducible_words(tube_vertex(1), tube_vertex(1), 8):
-        cohom._word_differential(pres, cache, w)
+        pres.word_differential(w)
     assert calls and max(calls) <= 1
+
+
+def test_word_differentials_are_kept_per_presentation():
+    ring = xy_ring()
+
+    def build():
+        return drinfeld_localize(
+            tube_algebra(1, ring, (ring.gen("x"), ring.gen("y"))), tube_vertex(0))
+
+    pres, again = build(), build()
+    w = next(w for w in pres.irreducible_words(tube_vertex(1), tube_vertex(1), 5)
+             if len(w.arrows) == 5)
+    first = pres.word_differential(w)
+    assert first and pres.word_differential(w) is first
+    words, _ = pres._word_tables
+    assert w in words and Path(w.arrows[1:], None) in words
+    # Built from the same arguments, but with tables of its own.
+    assert again._word_tables is not pres._word_tables
+    assert again._word_tables == ({}, {})
+    assert again.word_differential(w) == first
+    assert again.word_differential(w) is not first
 
 
 # -- confluence, and a stable rank that is wrong ---------------------------------
@@ -1253,13 +1272,12 @@ def unreduced_bounded_ranks(pres, source, target, m, length_bound, poly_bound,
                 cols.append((w, e))
         return {g: (cols, n_base[g]) for g, cols in blocks.items()}
 
-    cache = cohom._differential_cache(pres)
     rank = again = 0
     generators = []
     for cols, base_rank, block_rank, found in unreduced_window_blocks(
         fill_blocks(words_v, length_bound),
         fill_blocks(words_u, length_bound + image_slack),
-        functools.partial(cohom._word_differential, pres, cache),
+        pres.word_differential,
         ring.field,
         with_generators,
     ):
@@ -1369,11 +1387,11 @@ def test_no_base_window_image_column_hits_a_pair_outside_that_window():
     v, m, length, poly_bound = tube_vertex(1), 2, 6, 2
     step = cohom.STABILITY_STEP
     u_base = length + cohom._default_image_slack(pres)
-    d = functools.partial(cohom._word_differential, pres, cohom._differential_cache(pres))
+    d = pres.word_differential
     words_u = pres.irreducible_words(v, v, u_base + step, -(m + 1))
     base_u = [w for w in words_u if len(w.arrows) <= u_base]
     matching = unitpairs.UnitPairs(
-        pres, d, (length, length + step), (u_base, u_base + step),
+        pres, (length, length + step), (u_base, u_base + step),
         (poly_bound, poly_bound + step), base_u)
     outside = set()
     for u in base_u:

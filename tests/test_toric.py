@@ -391,8 +391,8 @@ def test_broken_normal_form_is_an_internal_error(monkeypatch):
     # scalar 1; anything else is a rewriting bug, not malformed input.
     honest = Presentation.normal_form
 
-    def doubled(self, word, coef=None):
-        element = honest(self, word, coef)
+    def doubled(self, word):
+        element = honest(self, word)
         return element + element
 
     monkeypatch.setattr(Presentation, "normal_form", doubled)
