@@ -17,7 +17,11 @@ answer is also counted with its bounds enlarged and carries a status,
 otherwise; a bound that was too small shows up in the status, never as
 a silently wrong number.  Both counts come from one pass over the
 enlarged window: each of its blocks lists the columns of the smaller
-window first, so one elimination per block gives both ranks.  A
+window first, so one elimination per block gives both ranks.  The
+image side skips the rows on the cells of the kernel side's pivot
+columns, which a closed image fixes; one Freivalds probe per block
+(``Echelon.probe``) checks that they lie in the span of the rows kept,
+so an image that is not closed is still an internal error.  A
 presentation with a contractible letter, such as the ``eps`` of a
 Drinfeld localisation, first has its unit pairs taken out
 (``unitpairs.UnitPairs``): those cells are never listed, and the columns
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from random import Random
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -72,10 +77,31 @@ from .unitpairs import UnitPairs
 # How far every bound is enlarged for the stability rerun.
 STABILITY_STEP = 2
 
+# The seed of the draws of each ``_window_blocks`` call's probes.
+_PROBE_SEED = 1
+
 
 # ---------------------------------------------------------------------------
 # Shared linear-algebra helpers
 # ---------------------------------------------------------------------------
+
+
+def _image_counts(groups: Sequence[list], field: Field, u_base: int) -> tuple:
+    """The image side's ``Echelon`` after the three groups of rows of
+    ``_window_blocks``, in turn, and its counts: (rank after the first
+    group, rank, pivots below ``u_base`` after the second group, and at
+    the end)."""
+    ech = Echelon(field)
+    for row in groups[0]:
+        ech.insert(row)
+    outside = len(ech.rows)
+    for row in groups[1]:
+        ech.insert(row)
+    base_outside = sum(1 for c in ech.pivots if c < u_base)
+    for row in groups[2]:
+        ech.insert(row)
+    return ech, (outside, len(ech.rows), base_outside,
+                 sum(1 for c in ech.pivots if c < u_base))
 
 
 def _window_blocks(
@@ -98,8 +124,7 @@ def _window_blocks(
     image term landing on it reaches (``CellIndex.row_keys``), so window
     membership is tested on int keys.  A block's rank is dim ker(d on V)
     minus the dimension of d U inside the window, and likewise for the
-    base; a rank below zero, which only a kernel or image fault gives,
-    raises ``InternalError``.
+    base.
 
     One elimination per side serves both windows, because the pivot
     columns of an echelon form below k count the rank of the first k
@@ -112,6 +137,35 @@ def _window_blocks(
     the second are the base's outside rank; at the end they count
     rank(d U_base), and all pivots count rank(d U).
 
+    The rows on the cells of the kernel side's pivot columns P are not
+    inserted, and no count moves.  Every image is closed: d(d u) = 0,
+    and an image column of ``UnitPairs`` carries d'(u) = d(u - sum
+    (c/c_t) t+), a boundary too.  So an image with no coordinate outside
+    V lies in ker(d on V).  A vector of that kernel is fixed by its free
+    coordinates, and a pivot coordinate by the coordinates right of it,
+    so with the base columns first a pivot coordinate outside the base
+    window depends only on free coordinates outside it.  Hence an
+    element of the span of U whose image is zero on the rows kept
+    outside V and on V's free cells has a zero image on the skipped rows
+    too, and an element of the span of U_base whose image is zero on the
+    rows kept outside the base window is zero on the skipped rows there.
+    The kept rows thus cut out the same elements as all the rows, at
+    each point where a count is read: the rank after the outside rows
+    (nothing is skipped there), the base pivots after the second group
+    (on the first u_base columns) and the final pivots.
+
+    The skipped rows were the only check that the images are closed, so
+    one ``Echelon.probe`` per block keeps it: a random kernel vector of
+    the kept rows must annihilate every skipped row.  Over the rationals
+    it is drawn mod 2^31 - 1, once; over F_p it is drawn in F_p,
+    repeatedly, until p^r >= 2^31 - 1.  On a miss the block is
+    eliminated again with every row, in the same groups, and its counts
+    are those.  When a skipped row is independent of the kept ones the
+    images are not closed, and ``InternalError`` is raised; a rank below
+    zero, which only a kernel or image fault gives, is raised first.  A
+    miss with no such row (a lead that the probe's prime divides) just
+    goes on.
+
     ``vector_blocks`` maps a grade to the base window's columns and its
     image side's columns, both unreduced when the blocks above are
     reduced.  With it, the kernel vectors of the base columns are found
@@ -122,6 +176,7 @@ def _window_blocks(
     vectors.  They must number the base rank, or ``InternalError`` is
     raised.
     """
+    rng = Random(_PROBE_SEED)
     for g in sorted(set(v_blocks) | set(vector_blocks or ())):
         cols, n_base = v_blocks.get(g, ((), 0))
         d_rows = list(linear_rows(cols, cells).values())
@@ -130,28 +185,34 @@ def _window_blocks(
 
         u_cols, u_base = u_blocks.get(g, ((), 0))
         image = linear_rows(u_cols, cells)
-        window = cells.row_keys(cols)
-        base_window, window = set(window[:n_base]), set(window)
-        groups: tuple[list, list, list] = ([], [], [])
+        # A row's group: 0 outside V, 1 inside V only, 2 inside the base
+        # window; 3 and 4 are groups 1 and 2 on the cell of a P column.
+        own = cells.row_keys(cols)
+        group = dict.fromkeys(own[n_base:], 1)
+        group.update(dict.fromkeys(own[:n_base], 2))
+        for c in pivots:
+            group[own[c]] += 2
+        rows: tuple[list, ...] = ([], [], [], [], [])
         for key, row in image.items():
-            # 0 outside V, 1 inside V only, 2 inside the base window.
-            groups[(key in window) + (key in base_window)].append(row)
-        ech = Echelon(field)
-        for row in groups[0]:
-            ech.insert(row)
-        rank_outside = len(ech.rows)
-        for row in groups[1]:
-            ech.insert(row)
-        base_outside = sum(1 for c in ech.pivots if c < u_base)
-        for row in groups[2]:
-            ech.insert(row)
-        base_image = sum(1 for c in ech.pivots if c < u_base) - base_outside
-        base_rank = n_base - base_pivots - base_image
-        rank = len(cols) - len(pivots) - (len(ech.rows) - rank_outside)
+            rows[group.get(key, 0)].append(row)
+        kept, skipped = rows[:3], rows[3:]
+        ech, counts = _image_counts(kept, field, u_base)
+        closed = True
+        if not ech.probe(skipped[0] + skipped[1], len(u_cols), rng):
+            every = [kept[0], kept[1] + skipped[0], kept[2] + skipped[1]]
+            full, counts = _image_counts(every, field, u_base)
+            closed = len(full.rows) == len(ech.rows)
+        outside, total, base_outside, base_all = counts
+        base_rank = n_base - base_pivots - (base_all - base_outside)
+        rank = len(cols) - len(pivots) - (total - outside)
         if base_rank < 0 or rank < 0:
             raise InternalError(
                 f"truncated cohomology: block {g} has ranks {base_rank} and {rank}, "
                 f"below zero"
+            )
+        if not closed:
+            raise InternalError(
+                f"truncated cohomology: the image of block {g} is not closed"
             )
 
         found: list = []

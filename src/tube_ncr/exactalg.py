@@ -484,11 +484,14 @@ class InternalError(RuntimeError):
 
 def _cancel_rational(row: dict, pivot_row: dict, col: int, p: None) -> dict:
     """row <- a*row - b*pivot_row over integer rows, with a and b coprime
-    and the content of the result divided out, cancelling ``col``; ``p``
-    is unused and keeps the signature of ``_cancel_prime``."""
+    and a > 0 and the content of the result divided out, cancelling
+    ``col``; ``p`` is unused and keeps the signature of ``_cancel_prime``.
+    A row and its negative span alike, so a lead of -1 rebuilds nothing."""
     a, b = pivot_row[col], row[col]
     g = math.gcd(a, b)
     a, b = a // g, b // g
+    if a < 0:
+        a, b = -a, -b
     if a != 1:
         row = {c: a * v for c, v in row.items()}
     for c, val in pivot_row.items():
@@ -514,6 +517,10 @@ def _cancel_prime(row: dict, pivot_row: dict, col: int, p: int) -> dict:
         else:
             del row[c]
     return row
+
+
+# The probe's modulus over the rationals: the Mersenne prime 2^31 - 1.
+_PROBE_PRIME = 2**31 - 1
 
 
 class Echelon:
@@ -571,6 +578,67 @@ class Echelon:
                 row = {c: v * inv % p for c, v in row.items()}
         pivots[lead] = len(reduced)
         reduced.append(row)
+        return True
+
+    def probe(self, rows: Sequence[dict], ncols: int, rng) -> bool:
+        """True when a random kernel vector of the rows so far annihilates
+        every row of ``rows``: a Freivalds check (Freivalds, 1977) that
+        ``rows`` lie in their span, which inserts nothing.
+
+        A row in the span annihilates every kernel vector.  A row outside
+        it annihilates a kernel vector drawn uniformly over F_q with
+        chance 1/q, since it is a nonzero functional on the kernel.  The
+        vector is drawn over F_q on the columns from the least column of
+        ``rows`` on, the only ones that those rows read: a value from
+        ``rng.getrandbits`` at each column below ``ncols``, and then each
+        pivot coordinate set by one back-substitution in decreasing lead,
+        as a row holds no column left of its lead; only the free
+        coordinates keep their draws.  Over F_p, q = p and the probe is
+        repeated until p^r >= 2^31 - 1; over the rationals q is 2^31 - 1
+        and the integer rows are read mod q, once.  False means "not
+        shown", not "independent": a lead that q divides gives False too,
+        and so does a sum whose denominator q divides; the caller then
+        decides exactly.  Each row of ``rows`` is nonempty.
+        """
+        if not rows:
+            return True
+        p, reduced, pivots = self.p, self.rows, self.pivots
+        q = p or _PROBE_PRIME
+        bits = rng.getrandbits
+        low = min(map(min, rows))
+        leads = sorted(pivots, reverse=True)
+        reach = 1
+        while reach < _PROBE_PRIME:
+            reach *= q
+            x = [0] * low
+            x += [bits(31) for _ in range(ncols - low)]
+            for lead in leads:
+                if lead < low:
+                    break
+                row = reduced[pivots[lead]]
+                s = 0
+                for c, v in row.items():
+                    s += v * x[c]
+                # s holds the lead's own draw times a: move x[lead] by -s/a.
+                a = row[lead]
+                if a == 1:
+                    x[lead] = (x[lead] - s) % q
+                elif a == -1:
+                    x[lead] = (x[lead] + s) % q
+                elif a % q:
+                    x[lead] = (x[lead] - s * pow(a, -1, q)) % q
+                else:
+                    return False
+            for row in rows:
+                s = 0
+                for c, v in row.items():
+                    s += v * x[c]
+                if s.__class__ is not int:  # a rational row: read its sum mod q
+                    s, d = s.as_integer_ratio()
+                    if not d % q:
+                        return False
+                if s % q:
+                    return False
         return True
 
     def back_substitute(self) -> None:

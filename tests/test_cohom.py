@@ -24,6 +24,7 @@ from tube_ncr.exactalg import (
     deglex_key,
     kernel_basis,
     echelon,
+    linear_rows,
     monomials_upto,
 )
 from tube_ncr.cohom import (
@@ -1064,6 +1065,151 @@ def test_a_block_rank_below_zero_is_an_internal_error():
     cells.read_images({"v": [("w", (0,), QQ.one)], "u": [("v", (0,), QQ.one)]}.get)
     with pytest.raises(InternalError, match="below zero"):
         list(cohom._window_blocks({(): ([v], 1)}, {(): ([u], 1)}, cells, QQ))
+
+
+def block_with_images(images, v_cols=("v",), u_cols=("u",)):
+    """The one-grade blocks of hand-built images over one monomial: a V
+    block and a U block, all columns base, and the cells."""
+    cells = CellIndex([(0,)])
+    v = [cells.number(name) for name in v_cols]
+    u = [cells.number(name) for name in u_cols]
+    cells.read_images(lambda name: images.get(name, []))
+    return {(): (v, len(v))}, {(): (u, len(u))}, cells
+
+
+def test_an_image_that_is_not_closed_is_an_internal_error():
+    # d(v1) = w and d(v2) = 0, so v1 is the kernel side's one pivot
+    # column, and d(u) = v1 lands on its cell: d(d(u)) = w is not zero.
+    # Inserting every image row reads rank 0 and no error; the row on
+    # v1's cell is skipped, and the probe must find it.
+    v_blocks, u_blocks, cells = block_with_images(
+        {"v1": [("w", (0,), 1)], "u": [("v1", (0,), 1)]}, ("v1", "v2"))
+    assert reference_block_ranks(v_blocks, u_blocks, cells, QQ) == [((), 0, 0)]
+    with pytest.raises(InternalError, match="image of block .* is not closed"):
+        list(cohom._window_blocks(v_blocks, u_blocks, cells, QQ))
+
+
+def test_a_lead_that_the_probe_prime_divides_is_a_false_alarm():
+    # d(v1) = d(v2) = w, so v1 is the pivot and v2 free; d(u) = P*(v1 - v2)
+    # is closed, and the kept row on v2's cell leads with -P, which the
+    # probe's prime P divides.  The probe gives up, the rows are
+    # inserted exactly, and the block reads as with every row.
+    P = exactalg._PROBE_PRIME
+    v_blocks, u_blocks, cells = block_with_images(
+        {"v1": [("w", (0,), 1)], "v2": [("w", (0,), 1)],
+         "u": [("v1", (0,), P), ("v2", (0,), -P)]}, ("v1", "v2"))
+    misses = []
+    honest = Echelon.probe
+
+    def spy(self, rows, ncols, rng):
+        misses.append(not honest(self, rows, ncols, rng))
+        return not misses[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Echelon, "probe", spy)
+        got = [(g, b, r) for g, _, b, r, _ in cohom._window_blocks(
+            v_blocks, u_blocks, cells, QQ)]
+    assert misses == [True]
+    assert got == reference_block_ranks(v_blocks, u_blocks, cells, QQ) == [((), 0, 0)]
+
+
+def test_a_lossy_unit_pair_differential_exits_internal(monkeypatch, capsys):
+    # Each pair's reduced differential loses its last other term, so some
+    # reduced image is no boundary and not closed.  Only the rows that
+    # the probe checks see it, so without the probe this run exits 0.
+    honest = unitpairs.UnitPairs._pair
+
+    def lossy(self, t):
+        rest, *others = honest(self, t)
+        return (rest[:-1], *others)
+
+    monkeypatch.setattr(unitpairs.UnitPairs, "_pair", lossy)
+    code = main(["cohom", "localization", "--max-degree", "3", "--len", "3",
+                 "--polydeg", "4", "--f", "3*x", "2*y"])
+    assert code == EXIT_INTERNAL
+    assert "truncated cohomology: block" in capsys.readouterr().err
+
+
+def reference_block_ranks(v_blocks, u_blocks, cells, field):
+    """(grade, base rank, rank) per V block with every image row
+    inserted: the rule before pivot-cell rows were skipped."""
+    out = []
+    for g in sorted(v_blocks):
+        cols, n_base = v_blocks[g]
+        _, pivots = echelon(list(linear_rows(cols, cells).values()), field)
+        u_cols, u_base = u_blocks.get(g, ((), 0))
+        own = cells.row_keys(cols)
+        base, window = set(own[:n_base]), set(own)
+        groups = ([], [], [])
+        for key, row in linear_rows(u_cols, cells).items():
+            groups[(key in window) + (key in base)].append(row)
+        ech, counts = Echelon(field), []
+        for rows in groups:
+            for row in rows:
+                ech.insert(row)
+            counts.append((len(ech.rows), sum(1 for c in ech.pivots if c < u_base)))
+        base_image = counts[2][1] - counts[1][1]
+        out.append((g, n_base - sum(1 for c in pivots if c < n_base) - base_image,
+                    len(cols) - len(pivots) - (counts[2][0] - counts[0][0])))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_skipping_pivot_cell_rows_moves_no_block_rank(data):
+    field = data.draw(st.sampled_from([QQ, F2, F5]), label="field")
+    ring = xy_ring(field)
+    if data.draw(st.booleans(), label="localised"):
+        f = [data.draw(small_scalars(ring)) for _ in range(2)]
+        pres = drinfeld_localize(tube_algebra(1, ring, f), tube_vertex(0))
+        source = target = tube_vertex(1)
+        length = data.draw(st.integers(1, 5))
+    else:
+        n = data.draw(st.integers(1, 2))
+        pres = contraction_quiver(n, ring, [data.draw(small_scalars(ring))
+                                            for _ in range(n + 1)])
+        source = contraction_vertex(data.draw(st.integers(1, n)))
+        target = contraction_vertex(data.draw(st.integers(1, n)))
+        length = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(0, 2), label="m")
+    poly_bound = data.draw(st.integers(0, 3), label="poly_bound")
+    skipped = []
+    honest = Echelon.probe
+
+    def spy(self, rows, ncols, rng):
+        skipped.append(len(rows))
+        return honest(self, rows, ncols, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_window_blocks(mp)
+        mp.setattr(Echelon, "probe", spy)
+        report = truncated_cohomology(pres, source, target, m, length, poly_bound)
+        (v_blocks, u_blocks, cells, field_, _), = calls
+        got = [(g, b, r) for g, _, b, r, _ in cohom._window_blocks(
+            v_blocks, u_blocks, cells, field_)]
+        # A probe that always misses makes every block insert every row.
+        mp.setattr(Echelon, "probe", lambda self, rows, ncols, rng: False)
+        every_row = truncated_cohomology(pres, source, target, m, length, poly_bound)
+    assert got == reference_block_ranks(v_blocks, u_blocks, cells, field_)
+    assert report.to_json() == every_row.to_json()
+    event("rows skipped" if sum(skipped) else "no row skipped")
+
+
+def test_healthy_runs_never_insert_a_skipped_row(monkeypatch):
+    missed = []
+    honest = Echelon.probe
+
+    def spy(self, rows, ncols, rng):
+        ok = honest(self, rows, ncols, rng)
+        missed.append(not ok)
+        return ok
+
+    monkeypatch.setattr(Echelon, "probe", spy)
+    assert main(["cohom", "localization", "--max-degree", "2", "--len", "2",
+                 "--polydeg", "3", "--f", "x", "y"]) == EXIT_OK
+    assert char2_pagoda_check(2).distinguishes
+    assert sphere_complex(F5).cohomology().dims == SPHERE_DIMS
+    assert len(missed) > 10 and not any(missed)
 
 
 # -- Leibniz word differentials --------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for exact fields, polynomials, elimination, and truncated solving."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -855,6 +856,70 @@ def test_echelon_insert_clears_fractions():
     assert not ech.insert({0: Fraction(5, 2), 1: Fraction(5, 3), 3: Fraction(8, 3)})
     assert ech.rows == [{1: 3, 3: 4}, {0: 15, 1: -2}]
     assert ech.pivots == {1: 0, 0: 1}
+
+
+def check_probe_against_oracle(rows, ncols, field):
+    """Insert the first half of ``rows``; the probe on the rest must say
+    whether every one of them lies in their span, as exact insertion
+    does (a probe misses an independent row with chance 2^-31 or less)."""
+    rows = [row for row in rows if row]
+    half = len(rows) // 2
+    ech, reduced, pivots = Echelon(field), [], {}
+    for row in rows[:half]:
+        ech.insert(row)
+        rref_insert(reduced, pivots, row, field)
+    spans = not any(rref_insert(reduced, pivots, row, field) for row in rows[half:])
+    rank = len(ech.rows)
+    assert ech.probe(rows[half:], ncols, random.Random(1)) is spans
+    assert len(ech.rows) == rank
+    return spans
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(QQ))
+def test_probe_matches_exact_insertion_over_rationals(data):
+    event("spans" if check_probe_against_oracle(*data, QQ) else "a row outside")
+
+
+@settings(max_examples=150, deadline=None)
+@given(PRIMES.flatmap(
+    lambda p: sparse_matrices(Field.prime(p)).map(lambda d: (p, d))
+))
+def test_probe_matches_exact_insertion_over_prime_fields(case):
+    p, (rows, ncols) = case
+    event("spans" if check_probe_against_oracle(rows, ncols, Field.prime(p))
+          else "a row outside")
+
+
+def test_probe_repeats_over_a_small_prime():
+    # Over F_2 one kernel vector misses the row x1 + x2 half the time, so
+    # the probe draws until 2^r >= 2^31 - 1: 31 vectors.
+    draws = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            draws.append(k)
+            return super().getrandbits(k)
+
+    ech = Echelon(Field.prime(2))
+    ech.insert({0: 1, 2: 1})
+    assert ech.probe([{1: 1, 2: 1}], 3, Counting(1)) is False
+    draws.clear()
+    assert ech.probe([{0: 1, 2: 1}], 3, Counting(1)) is True
+    # One draw per column, from the least column of the rows on.
+    assert len(draws) == 31 * 3
+
+
+def test_probe_gives_up_where_its_prime_divides_a_lead_or_a_denominator():
+    P = exactalg._PROBE_PRIME
+    ech = Echelon(QQ)
+    ech.insert({0: P, 1: 1})
+    assert ech.probe([{0: 2 * P, 1: 2}], 2, random.Random(1)) is False
+    ech = Echelon(QQ)
+    ech.insert({0: 1, 1: 1})
+    assert ech.probe([{0: Fraction(1, P), 1: Fraction(1, P)}], 2, random.Random(1)) is False
+    assert ech.probe([{0: Fraction(1, 3), 1: Fraction(1, 3)}], 2, random.Random(1)) is True
+    assert ech.probe([], 2, random.Random(1)) is True
 
 
 @st.composite
