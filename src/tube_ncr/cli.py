@@ -123,7 +123,7 @@ def cmd_algebra_tube(args):
 
 def cmd_algebra_contraction(args):
     ring, f = parse_polynomials(parse_field(args.field), args.f, args.variables)
-    pres = contraction_quiver(args.n, ring, f, idempotent_convention=args.convention)
+    pres = contraction_quiver(args.n, ring, f)
     return pres.to_json(), EXIT_OK
 
 
@@ -425,8 +425,6 @@ def _algebra_tube(p):
 def _algebra_contraction(p):
     _add_common(p, cmd_algebra_contraction, needs_n=True)
     _add_polys(p, required=True)
-    p.add_argument("--convention", choices=("standard", "swapped"),
-                   default="standard")
 
 
 def _algebra_localize(p):

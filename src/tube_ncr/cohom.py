@@ -6,12 +6,13 @@ and a polynomial matrix; its cohomology is computed layer by layer in the
 polynomial grading, which is exact per layer because homogeneous entries
 never mix layers.  For a differential graded ``Presentation`` the
 morphism complex between two vertices has infinite rank, so everything is
-truncated instead: words up to a length bound, coefficient monomials up
-to a degree bound.  Both kinds split into graded blocks eliminated by one
-routine, ``_window_blocks``, on the integer cells of one
-``exactalg.CellIndex`` per call: a column is one int, label times the
-number of monomials plus the monomial's place, and so are a row key
-and a block's grade, so no key in the block loop is a tuple.  Every
+truncated instead, to a ``Window``: words up to a length bound,
+coefficient monomials up to a degree bound.  Both kinds split into
+graded blocks eliminated by one routine, ``_window_blocks``, on the
+integer cells of one ``exactalg.CellIndex`` per call: a column is one
+int, label times the number of monomials plus the monomial's place,
+and so are a row key and a block's grade, so no key in the block loop
+is a tuple.  Every
 answer is also counted with its bounds enlarged and carries a status,
 ``"stable"`` when the two counts agree and ``"inconclusive_at_bound"``
 otherwise; a bound that was too small shows up in the status, never as
@@ -38,7 +39,6 @@ of the degree -1 arrows.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from random import Random
 from typing import Optional, Sequence
 
@@ -81,15 +81,43 @@ STABILITY_STEP = 2
 _PROBE_SEED = 1
 
 
+@dataclass(frozen=True)
+class Window:
+    """A truncation box: the cells (w, e) of a word of at most ``length``
+    letters and a coefficient monomial of degree at most ``degree``.
+
+    ``cap`` is the one membership test, asked per word: (w, e) lies in
+    the window when deg e <= cap(len(w)).  A negative bound is refused,
+    since an empty window would read every rank as 0, conclusively.
+    """
+
+    length: int
+    degree: int
+
+    def __post_init__(self):
+        if self.length < 0 or self.degree < 0:
+            raise ValueError(f"window bounds must be >= 0, got {self}")
+
+    @property
+    def rerun(self) -> Window:
+        """The stability rerun's window: both bounds ``STABILITY_STEP`` larger."""
+        return Window(self.length + STABILITY_STEP, self.degree + STABILITY_STEP)
+
+    def cap(self, length: int) -> int:
+        """The largest monomial degree of a cell whose word has ``length``
+        letters, or -1 when the window holds no such cell."""
+        return self.degree if length <= self.length else -1
+
+
 # ---------------------------------------------------------------------------
 # Shared linear-algebra helpers
 # ---------------------------------------------------------------------------
 
 
-def _image_counts(groups: Sequence[list], field: Field, u_base: int) -> tuple:
+def _image_counts(groups: Sequence[list], field: Field, n_base: int) -> tuple:
     """The image side's ``Echelon`` after the three groups of rows of
     ``_window_blocks``, in turn, and its counts: (rank after the first
-    group, rank, pivots below ``u_base`` after the second group, and at
+    group, rank, pivots below ``n_base`` after the second group, and at
     the end)."""
     ech = Echelon(field)
     for row in groups[0]:
@@ -97,11 +125,11 @@ def _image_counts(groups: Sequence[list], field: Field, u_base: int) -> tuple:
     outside = len(ech.rows)
     for row in groups[1]:
         ech.insert(row)
-    base_outside = sum(1 for c in ech.pivots if c < u_base)
+    base_outside = sum(1 for c in ech.pivots if c < n_base)
     for row in groups[2]:
         ech.insert(row)
     return ech, (outside, len(ech.rows), base_outside,
-                 sum(1 for c in ech.pivots if c < u_base))
+                 sum(1 for c in ech.pivots if c < n_base))
 
 
 def _window_blocks(
@@ -152,7 +180,7 @@ def _window_blocks(
     The kept rows thus cut out the same elements as all the rows, at
     each point where a count is read: the rank after the outside rows
     (nothing is skipped there), the base pivots after the second group
-    (on the first u_base columns) and the final pivots.
+    (on U_base's columns) and the final pivots.
 
     The skipped rows were the only check that the images are closed, so
     one ``Echelon.probe`` per block keeps it: a random kernel vector of
@@ -183,7 +211,7 @@ def _window_blocks(
         _, pivots = echelon(d_rows, field)
         base_pivots = sum(1 for c in pivots if c < n_base)
 
-        u_cols, u_base = u_blocks.get(g, ((), 0))
+        u_cols, n_u_base = u_blocks.get(g, ((), 0))
         image = linear_rows(u_cols, cells)
         # A row's group: 0 outside V, 1 inside V only, 2 inside the base
         # window; 3 and 4 are groups 1 and 2 on the cell of a P column.
@@ -196,11 +224,11 @@ def _window_blocks(
         for key, row in image.items():
             rows[group.get(key, 0)].append(row)
         kept, skipped = rows[:3], rows[3:]
-        ech, counts = _image_counts(kept, field, u_base)
+        ech, counts = _image_counts(kept, field, n_u_base)
         closed = True
         if not ech.probe(skipped[0] + skipped[1], len(u_cols), rng):
             every = [kept[0], kept[1] + skipped[0], kept[2] + skipped[1]]
-            full, counts = _image_counts(every, field, u_base)
+            full, counts = _image_counts(every, field, n_u_base)
             closed = len(full.rows) == len(ech.rows)
         outside, total, base_outside, base_all = counts
         base_rank = n_base - base_pivots - (base_all - base_outside)
@@ -332,15 +360,24 @@ class FreeComplex:
             )
         return degs.pop() if degs else 1
 
-    def _layer_ranks(self, poly_bound: int) -> dict[int, dict[int, int]]:
-        """Cohomology dimension per degree and polynomial layer up to the bound.
+    def cohomology(self, poly_bound: int = 8) -> "FreeComplexReport":
+        """Cohomology dimensions found in polynomial layers up to the bound.
 
         Column (g, e) of degree i sits in layer deg(e), and d maps it into
         layer deg(e) + s for the entry degree s, so each block is one
-        layer and its image stays in the window.
+        layer, its image stays in the window, and its count is exact
+        (kernel minus incoming rank).  The only question a bound leaves
+        open is whether higher layers still contribute, so the count is
+        also taken in the rerun window.  A generator is a word with no
+        letters, so the window is ``Window(0, poly_bound)``, and each
+        layer's block lies inside it or outside it whole: one pass over
+        the rerun window's layers gives both counts (``_window_blocks``).
         """
+        if not self.generators:
+            raise ValueError("complex has no generators")
+        window = Window(0, poly_bound)
         s = self._entry_degree()
-        mons = monomials_upto(self.ring.nvars, poly_bound)
+        mons = monomials_upto(self.ring.nvars, window.rerun.degree)
         cells = CellIndex(mons)
 
         def blocks(i: int, shift: int) -> dict:
@@ -350,43 +387,22 @@ class FreeComplex:
                 first = cells.number(g) * len(mons)
                 for k, e in enumerate(mons):
                     out.setdefault(sum(e) + shift, []).append(first + k)
-            return {layer: (cols, len(cols)) for layer, cols in out.items()}
+            return {layer: (cols, len(cols) if layer <= window.cap(0) else 0)
+                    for layer, cols in out.items()}
 
-        degrees = self.degrees()
-        sides = {i: (blocks(i, 0), blocks(i - 1, s))
-                 for i in range(degrees[0], degrees[-1] + 1)}
+        degrees = range(self.degrees()[0], self.degrees()[-1] + 1)
+        sides = {i: (blocks(i, 0), blocks(i - 1, s)) for i in degrees}
         cells.read_images(lambda g: [(tgt, exp, coef)
                                      for tgt, p in self.differential.get(g, {}).items()
                                      for exp, coef in p.terms.items()])
-        return {
-            i: {layer: rank for layer, _, _, rank, _ in _window_blocks(
-                v_blocks, u_blocks, cells, self.ring.field)}
-            for i, (v_blocks, u_blocks) in sides.items()
-        }
-
-    def cohomology(self, poly_bound: int = 8) -> "FreeComplexReport":
-        """Cohomology dimensions found in polynomial layers up to the bound.
-
-        Per layer the count is exact (kernel minus incoming rank); the
-        only question a bound leaves open is whether higher layers still
-        contribute, so the count is also taken at ``poly_bound +
-        STABILITY_STEP`` and compared.  Both come from one pass at the
-        larger bound: a layer at or below ``poly_bound`` has the same
-        block, with the same image side, at either bound.
-        """
-        if not self.generators:
-            raise ValueError("complex has no generators")
-        layers = self._layer_ranks(poly_bound + STABILITY_STEP)
-        dims = {
-            i: sum(rank for layer, rank in per.items() if layer <= poly_bound)
-            for i, per in layers.items()
-        }
-        again = {i: sum(per.values()) for i, per in layers.items()}
+        dims, again = dict.fromkeys(degrees, 0), dict.fromkeys(degrees, 0)
+        for i, (v_blocks, u_blocks) in sides.items():
+            for _, _, base_rank, rank, _ in _window_blocks(
+                    v_blocks, u_blocks, cells, self.ring.field):
+                dims[i] += base_rank
+                again[i] += rank
         status = "stable" if dims == again else "inconclusive_at_bound"
-        ranks = {
-            i: len(self.generators.get(i, []))
-            for i in range(self.degrees()[0], self.degrees()[-1] + 1)
-        }
+        ranks = {i: len(self.generators.get(i, [])) for i in degrees}
         return FreeComplexReport(ranks, dims, poly_bound, status)
 
 
@@ -504,102 +520,98 @@ def _bounded_ranks(
     """Bounded ranks of H^{-m}(Hom(source, target)) in the window and in
     the rerun window, and the window's generator texts.
 
-    The kernel is cut out of the window V of (irreducible word, monomial)
-    pairs by the exact differential.  The image comes from words up to
-    ``image_slack`` letters longer at the same coefficient bound.  The
-    rerun window has both bounds enlarged by ``STABILITY_STEP`` and
-    contains the window, so one pass over the rerun window's blocks gives
-    both ranks (``_window_blocks``): the words are enumerated once, at
-    the rerun bounds, and each block lists the window's columns first.
-    Before that, the unit pairs of a contractible letter (``UnitPairs``)
-    are taken out: their cells are never listed, the image side's
-    columns carry the reduced differential, and columns it leaves zero
-    are dropped.  Both sides split into blocks by the presentation's
-    inferred grading, packed in one int (``Presentation.grade``): a block
-    key is a word's grade plus a monomial's, added once per word grade,
-    so each column is one append in one pass over the words.  The
-    coefficient of a basis term never interacts with the word, so each
-    word's differential is read once, from the presentation's own
-    ``word_differential``, and shifted across monomials:
-    every column is a cell of one ``CellIndex``,
+    The kernel is cut out of the window V = ``Window(length_bound,
+    poly_bound)`` of (irreducible word, monomial) cells by the exact
+    differential.  The image comes from U, the window ``image_slack``
+    letters longer at the same coefficient bound.  The rerun windows
+    (``Window.rerun``) contain them, so one pass over the rerun windows'
+    blocks gives both ranks (``_window_blocks``): the words are
+    enumerated once, at the rerun bounds, and each block lists the
+    window's columns first.  Before that, the unit pairs of a
+    contractible letter (``UnitPairs``) are taken out: their cells are
+    never listed, the image side's columns carry the reduced
+    differential, and columns it leaves zero are dropped.  Both sides
+    split into blocks by the presentation's inferred grading, packed in
+    one int (``Presentation.grade``): a block key is a word's grade plus
+    a monomial's, added once per word grade, so each column is one
+    append in one pass over the words.  The coefficient of a basis term
+    never interacts with the word, so each word's differential is read
+    once, from the presentation's own ``word_differential``, and shifted
+    across monomials: every column is a cell of one ``CellIndex``,
     numbered as its label (a V word, a reduced-image label of
     ``UnitPairs``, or an unreduced word on the generator path) is first
     seen, and once both sides are listed the index reads each label's
-    image once for the whole call.  Generators come from the window's unreduced
-    blocks, so their texts do not depend on the matching, and their
-    count is checked against the reduced rank.  Each generator is
+    image once for the whole call.  Generators come from the window's
+    unreduced blocks, so their texts do not depend on the matching, and
+    their count is checked against the reduced rank.  Each generator is
     checked to be closed before it is reported, and generators are
     listed in window order, word-major as the window is enumerated,
     whatever the blocks.
     """
     ring = pres.ring
-    step = STABILITY_STEP
-    words_u = pres.irreducible_words(
-        source, target, length_bound + step + image_slack, -(m + 1)
-    )
-    words_v = pres.irreducible_words(source, target, length_bound + step, -m)
-    mons = sorted(monomials_upto(ring.nvars, poly_bound + step), key=deglex_key)
-    n_mons = sum(1 for e in mons if sum(e) <= poly_bound)
+    v = Window(length_bound, poly_bound)
+    u = Window(length_bound + image_slack, poly_bound)
+    words_u = pres.irreducible_words(source, target, u.rerun.length, -(m + 1))
+    words_v = pres.irreducible_words(source, target, v.rerun.length, -m)
+    mons = sorted(monomials_upto(ring.nvars, v.rerun.degree), key=deglex_key)
     mon_degrees = [sum(e) for e in mons]
 
     zero_exp = (0,) * ring.nvars
     mon_grades = [pres.grade(lazy(source), e) for e in mons]
     cells = CellIndex(mons)
 
-    def fill_blocks(words: list, base_length: int, labels_of) -> dict:
-        """grade -> (columns, number of window columns), the columns of
-        words up to ``base_length`` letters and monomials up to
-        ``poly_bound`` first, each part word-major.  ``labels_of(w)``
+    def fill_blocks(words: list, window: Window, labels_of) -> dict:
+        """grade -> (columns, number of ``window``'s columns), the columns
+        of ``window``'s cells first, each part word-major.  A word's cells
+        there are the prefix of its deglex-sorted monomials up to degree
+        ``window.cap``, counted once per word length.  ``labels_of(w)``
         names the column of w at a monomial of each degree, or None to
         leave it out; each name is numbered in ``cells``.  A block key is
         the int word grade plus the int monomial grade, and each block
         keeps its window and other columns apart, so one pass fills it."""
         blocks: dict[int, tuple] = {}  # grade -> (window columns, other columns)
-        # word grade -> per monomial, the list that takes a window word's
-        # column and the list that takes another word's
-        classes: dict[int, tuple] = {}
+        # per word length, how many of a word's monomials lie in the window,
+        # and the map shared by the lengths of each count: word grade -> per
+        # monomial, the list that takes the column
+        splits = [sum(1 for d in mon_degrees if d <= cap)
+                  for cap in map(window.cap, range(window.rerun.length + 1))]
+        by_split: dict[int, dict] = {}
+        classes = [by_split.setdefault(split, {}) for split in splits]
         n = len(mons)
         for w in words:
             gw = pres.grade(w, zero_exp)
-            per_mon = classes.get(gw)
+            length = len(w.arrows)
+            per_mon = classes[length].get(gw)
             if per_mon is None:
-                pairs = [blocks.setdefault(gw + ge, ([], [])) for ge in mon_grades]
-                per_mon = classes[gw] = (
-                    [p[k >= n_mons] for k, p in enumerate(pairs)], [p[1] for p in pairs]
-                )
+                per_mon = classes[length][gw] = [
+                    blocks.setdefault(gw + ge, ([], []))[k >= splits[length]]
+                    for k, ge in enumerate(mon_grades)
+                ]
             firsts = [None if g is None else cells.number(g) * n for g in labels_of(w)]
-            for k, (cols, d) in enumerate(zip(per_mon[len(w.arrows) > base_length],
-                                              mon_degrees)):
+            for k, (cols, d) in enumerate(zip(per_mon, mon_degrees)):
                 if firsts[d] is not None:
                     cols.append(firsts[d] + k)
-        return {g: (window + other, len(window))
-                for g, (window, other) in blocks.items() if window or other}
+        return {g: (inside + other, len(inside))
+                for g, (inside, other) in blocks.items() if inside or other}
 
-    u_base = length_bound + image_slack
-    matching = UnitPairs(
-        pres,
-        (length_bound, length_bound + step),
-        (u_base, u_base + step),
-        (poly_bound, poly_bound + step),
-        [w for w in words_u if len(w.arrows) <= u_base],
-    )
+    matching = UnitPairs(pres, v, u, [w for w in words_u if u.cap(len(w.arrows)) >= 0])
     vector_blocks = None
     if with_generators:
         def unreduced(w: Path) -> list:
-            return [w] * (poly_bound + step + 1)
+            return [w] * (v.rerun.degree + 1)
 
-        def base(words: list, base_length: int) -> dict:
-            # Only the base window's words, so no other word is numbered.
-            words = [w for w in words if len(w.arrows) <= base_length]
+        def base(words: list, window: Window) -> dict:
+            # Only the window's words, so no other word is numbered.
+            words = [w for w in words if window.cap(len(w.arrows)) >= 0]
             return {g: cols[:n] for g, (cols, n) in
-                    fill_blocks(words, base_length, unreduced).items()}
+                    fill_blocks(words, window, unreduced).items()}
 
-        u_cols = base(words_u, u_base)
+        u_cols = base(words_u, u)
         vector_blocks = {
-            g: (cols, u_cols.get(g, [])) for g, cols in base(words_v, length_bound).items()
+            g: (cols, u_cols.get(g, [])) for g, cols in base(words_v, v).items()
         }
-    v_blocks = fill_blocks(words_v, length_bound, matching.v_labels)
-    u_blocks = fill_blocks(words_u, u_base, matching.u_labels)
+    v_blocks = fill_blocks(words_v, v, matching.v_labels)
+    u_blocks = fill_blocks(words_u, u, matching.u_labels)
     cells.read_images(matching.image_of)
     rank = again = 0
     # (window position of the free column, text) per generator; the free
@@ -678,9 +690,9 @@ class H0Presentation:
     exactly one degree -1 arrow, so the image of d is exactly that
     ideal).  Membership in the ideal is decided against the bounded
     window of products x * r * y with x, y irreducible degree-0 words,
-    built once per presentation and cached as ``window``; the elements
-    asked together at one coefficient bound are answered from one
-    reduction of the window, with each element as a right-hand side.
+    which ``window`` builds on each read; the elements asked together at
+    one coefficient bound are answered from one reduction of the window,
+    with each element as a right-hand side.
     """
 
     pres: Presentation
@@ -688,7 +700,7 @@ class H0Presentation:
     relations: list        # AlgebraElements generating the ideal
     length_bound: int
 
-    @cached_property
+    @property
     def window(self) -> list:
         """Products x * r * y with len(x) + len(y) <= length_bound."""
         pres = self.pres

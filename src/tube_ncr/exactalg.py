@@ -29,6 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 
@@ -611,7 +612,7 @@ class Echelon:
         while reach < _PROBE_PRIME:
             reach *= q
             x = [0] * low
-            x += [bits(31) for _ in range(ncols - low)]
+            x += map(bits, repeat(31, ncols - low))
             for lead in leads:
                 if lead < low:
                     break

@@ -756,25 +756,18 @@ def contraction_quiver(
     n: int,
     ring: PolyRing,
     f: Sequence[Poly],
-    idempotent_convention: str = "standard",
 ) -> Presentation:
     """The linear DG quiver on vertices 1..n with degree -1 end loops.
 
-    Under the "standard" convention the degree-0 arrows run a_i: i ->
-    i+1 and b_i: i+1 -> i for i = 1..n-1, rewriting by a_i b_i -> f_i
-    e_{i+1} and b_i a_i -> f_i e_i (words compose right to left, so
-    a_i b_i is the loop at the higher vertex).  "swapped" reverses the
-    orientation of each interior pair, so the same equations read
-    a_i b_i = f_i e_i and b_i a_i = f_i e_{i+1}; the two presentations
-    are isomorphic by renaming a <-> b, and the verification suite uses
-    "standard".  Loops alpha at vertex 1 and beta at vertex n sit in
+    The degree-0 arrows run a_i: i -> i+1 and b_i: i+1 -> i for i =
+    1..n-1, rewriting by a_i b_i -> f_i e_{i+1} and b_i a_i -> f_i e_i
+    (words compose right to left, so a_i b_i is the loop at the higher
+    vertex).  Loops alpha at vertex 1 and beta at vertex n sit in
     degree -1 with alpha^2 = beta^2 = 0 and d(alpha) = f_0 e_1,
     d(beta) = f_n e_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1 (no vertices remain otherwise)")
-    if idempotent_convention not in ("standard", "swapped"):
-        raise ValueError(f"unknown idempotent convention {idempotent_convention!r}")
     f = list(f)
     if len(f) != n + 1:
         raise ValueError(f"need {n + 1} scalar polynomials, got {len(f)}")
@@ -782,23 +775,15 @@ def contraction_quiver(
     arrows = []
     for i in range(1, n):
         lo, hi = contraction_vertex(i), contraction_vertex(i + 1)
-        if idempotent_convention == "standard":
-            arrows.append(Arrow(f"a{i}", lo, hi, 0))
-            arrows.append(Arrow(f"b{i}", hi, lo, 0))
-        else:
-            arrows.append(Arrow(f"a{i}", hi, lo, 0))
-            arrows.append(Arrow(f"b{i}", lo, hi, 0))
+        arrows.append(Arrow(f"a{i}", lo, hi, 0))
+        arrows.append(Arrow(f"b{i}", hi, lo, 0))
     arrows.append(Arrow("alpha", contraction_vertex(1), contraction_vertex(1), -1))
     arrows.append(Arrow("beta", contraction_vertex(n), contraction_vertex(n), -1))
     rules = {}
     for i in range(1, n):
         lo, hi = lazy(contraction_vertex(i)), lazy(contraction_vertex(i + 1))
-        if idempotent_convention == "standard":
-            rules[(f"a{i}", f"b{i}")] = [(f[i], hi)]
-            rules[(f"b{i}", f"a{i}")] = [(f[i], lo)]
-        else:
-            rules[(f"a{i}", f"b{i}")] = [(f[i], lo)]
-            rules[(f"b{i}", f"a{i}")] = [(f[i], hi)]
+        rules[(f"a{i}", f"b{i}")] = [(f[i], hi)]
+        rules[(f"b{i}", f"a{i}")] = [(f[i], lo)]
     rules[("alpha", "alpha")] = []
     rules[("beta", "beta")] = []
     differential = {

@@ -90,40 +90,36 @@ class UnitPairs:
     letter nothing is matched.
 
     A word's differential is ``pres.word_differential``'s (word,
-    exponent, scalar) triples.  ``v_lengths`` and ``u_lengths`` are the
-    (base, rerun) word-length bounds of the window V and of the image
-    side U, and ``degrees`` their (base, rerun) monomial-degree bounds;
+    exponent, scalar) triples.  ``v`` and ``u`` are the windows
+    (``cohom.Window``) of V and of the image side U, each with its
+    ``rerun``; every rule reads them through ``cap``, per word length.
     ``base_u_words`` are the words of U's base window.
     """
 
-    def __init__(
-        self,
-        pres: Presentation,
-        v_lengths: tuple,
-        u_lengths: tuple,
-        degrees: tuple,
-        base_u_words: list,
-    ):
+    def __init__(self, pres: Presentation, v, u, base_u_words: list):
         letter = contractible_letter(pres)
         self.z, self.v = letter if letter is not None else (None, None)
         self.into_v = {a.name for a in pres.quiver.arrows if a.tgt == self.v}
         self.from_v = {a.name for a in pres.quiver.arrows if a.src == self.v}
         self.rules, self.field, self.d = pres.rules, pres.ring.field, pres.word_differential
-        self.v_lengths, self.u_lengths, self.degrees = v_lengths, u_lengths, degrees
+        # V, V's rerun, U and U's rerun, built once: _rules_mask reads all four.
+        self.windows = (v, v.rerun, u, u.rerun)
         # Per monomial degree up to the rerun bound, whether a cell is matched.
-        self.unmatched = (False,) * (degrees[1] + 1)
+        self.unmatched = (False,) * (v.rerun.degree + 1)
         # Reduced differentials, indexed by image-side column label.
         self._images: list = []
         self._pairs: dict = {}
         self._masks: dict = {}
-        # Coefficient degrees at which the base window's image side hits
-        # each word that could be matched, for rule (i).
+        # The intervals of coefficient degrees at which the base window's
+        # image side hits each word that could be matched, for rule (i).
         self._hits: dict = {}
         if letter is not None:
-            for u in base_u_words:
-                for s, e, _ in self.d(u):
+            for w in base_u_words:
+                top = u.cap(len(w.arrows))
+                for s, e, _ in self.d(w):
                     if self.plus(s) is not None:
-                        self._hits.setdefault(s, set()).add(sum(e))
+                        h = sum(e)
+                        self._hits.setdefault(s, set()).add((h, h + top))
 
     def _first_gap(self, arrows: tuple, vertex) -> Optional[int]:
         """Index of the first gap at v: gap i sits left of letter i."""
@@ -190,18 +186,22 @@ class UnitPairs:
             return self.unmatched
         _, longest, highest, _ = self._pair(t)
         hits = self._hits.get(t, ())
-        (v0, v1), (u0, u1), (d0, d1) = self.v_lengths, self.u_lengths, self.degrees
+        v, v_rerun, u, u_rerun = self.windows
+        n, n_plus = len(t.arrows), len(tp.arrows)
+        in_u, in_u_rerun = u.cap(n_plus), u_rerun.cap(n_plus)
+        in_v, in_v_rerun = v.cap(n), v_rerun.cap(n)
+        # Rule (ii) as a bound on k: k + highest <= cap(longest).
+        room, room_rerun = v.cap(longest) - highest, v_rerun.cap(longest) - highest
         flags = []
-        for k in range(d1 + 1):
-            if len(tp.arrows) <= u0 and k <= d0:
+        for k in range(len(self.unmatched)):
+            if k <= in_u:
                 ok = True
             else:  # (t+, e) lies outside U's base window: rule (i)
-                ok = len(tp.arrows) <= u1 and not any(
-                    k - d0 <= h <= k for h in hits)
-            if len(t.arrows) <= v0 and k <= d0:  # rule (ii)
-                ok = ok and longest <= v0 and k + highest <= d0
-            elif len(t.arrows) <= v1:
-                ok = ok and longest <= v1 and k + highest <= d1
+                ok = k <= in_u_rerun and not any(lo <= k <= hi for lo, hi in hits)
+            if k <= in_v:  # rule (ii)
+                ok = ok and k <= room
+            elif k <= in_v_rerun:
+                ok = ok and k <= room_rerun
             flags.append(ok)
         return tuple(flags)
 

@@ -96,6 +96,14 @@ def test_wrong_scalar_count_reports_usage(capsys):
     assert "3 scalar polynomials" in capsys.readouterr().err
 
 
+def test_algebra_contraction_has_no_convention_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["algebra", "contraction", "--n", "1", "--f", "x", "y",
+              "--convention", "swapped"])
+    assert err.value.code == EXIT_USAGE
+    assert "--convention" in capsys.readouterr().err
+
+
 def test_leading_minus_in_polynomial_is_a_value(capsys):
     argv = ["cohom", "localization", "--max-degree", "2", "--len", "2",
             "--polydeg", "4", "--f"]

@@ -1537,8 +1537,7 @@ def test_no_base_window_image_column_hits_a_pair_outside_that_window():
     words_u = pres.irreducible_words(v, v, u_base + step, -(m + 1))
     base_u = [w for w in words_u if len(w.arrows) <= u_base]
     matching = unitpairs.UnitPairs(
-        pres, (length, length + step), (u_base, u_base + step),
-        (poly_bound, poly_bound + step), base_u)
+        pres, cohom.Window(length, poly_bound), cohom.Window(u_base, poly_bound), base_u)
     outside = set()
     for u in base_u:
         for t, e, _ in d(u):
@@ -1549,6 +1548,80 @@ def test_no_base_window_image_column_hits_a_pair_outside_that_window():
                     outside.add((t, k))
     assert any(True in matching.mask(t) for u in base_u for t, _, _ in d(u))
     assert outside == set()
+
+
+def six_int_rules_mask(matching, pres, t, bounds, hits):
+    """``UnitPairs._rules_mask`` as it read the (base, rerun) word-length
+    bounds of V and U and the (base, rerun) degree bounds as six ints,
+    with ``hits`` the coefficient degrees at which U's base window hits
+    each word."""
+    (v0, v1), (u0, u1), (d0, d1) = bounds
+    tp = matching.plus(t)
+    if tp is None:
+        return (False,) * (d1 + 1)
+    terms = pres.word_differential(tp)
+    longest = max(len(r.arrows) for r, _, _ in terms)
+    highest = max(sum(e) for _, e, _ in terms)
+    flags = []
+    for k in range(d1 + 1):
+        if len(tp.arrows) <= u0 and k <= d0:
+            ok = True
+        else:
+            ok = len(tp.arrows) <= u1 and not any(k - d0 <= h <= k for h in hits.get(t, ()))
+        if len(t.arrows) <= v0 and k <= d0:
+            ok = ok and longest <= v0 and k + highest <= d0
+        elif len(t.arrows) <= v1:
+            ok = ok and longest <= v1 and k + highest <= d1
+        flags.append(ok)
+    return tuple(flags)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_unit_pairs_match_the_cells_the_six_int_rules_match(data):
+    # The windows decide exactly the pairs that the six-int rules did,
+    # on every word of both rerun windows that has a t+: a rank test
+    # cannot see a pair taken or dropped where the ranks do not move.
+    field = data.draw(st.sampled_from(list(FIELD_TEXTS)), label="field")
+    ring = xy_ring(field)
+    n, f = data.draw(localised_scalars(ring))
+    pres = drinfeld_localize(tube_algebra(n, ring, f), tube_vertex(0))
+    source = tube_vertex(data.draw(st.integers(0, n), label="source"))
+    target = tube_vertex(data.draw(st.integers(0, n), label="target"))
+    m = data.draw(st.integers(0, 2), label="m")
+    length = data.draw(st.integers(1, 6 if n == 1 else 5), label="length")
+    poly_bound = data.draw(st.integers(0, 3), label="poly_bound")
+    step = cohom.STABILITY_STEP
+    u_length = length + cohom._default_image_slack(pres)
+    words_v = pres.irreducible_words(source, target, length + step, -m)
+    words_u = pres.irreducible_words(source, target, u_length + step, -(m + 1))
+    base_u = [w for w in words_u if len(w.arrows) <= u_length]
+    matching = unitpairs.UnitPairs(
+        pres, cohom.Window(length, poly_bound), cohom.Window(u_length, poly_bound), base_u)
+    hits = {}
+    for w in base_u:
+        for s, e, _ in pres.word_differential(w):
+            hits.setdefault(s, set()).add(sum(e))
+    bounds = ((length, length + step), (u_length, u_length + step),
+              (poly_bound, poly_bound + step))
+    pairs = [t for t in words_v + words_u if matching.plus(t) is not None]
+    event(f"words with a t+: {min(len(pairs), 10)}{'+' if len(pairs) >= 10 else ''}")
+    for t in pairs:
+        assert matching.mask(t) == six_int_rules_mask(matching, pres, t, bounds, hits)
+
+
+def test_a_window_refuses_a_negative_bound():
+    # Without the check both calls read every rank as 0, "stable"; the true
+    # dimensions are 1 (H^0 of the conifold) and 1 in sphere degrees 0 and 3.
+    ring = xy_ring()
+    x, y = ring.gens()
+    with pytest.raises(ValueError, match="window bounds must be >= 0"):
+        truncated_cohomology(contraction_quiver(1, ring, (x, y)), "1", "1", 0, -3, -3)
+    with pytest.raises(ValueError, match="window bounds must be >= 0"):
+        sphere_complex().cohomology(-3)
+    window = cohom.Window(2, 3)
+    assert (window.cap(2), window.cap(3)) == (3, -1)
+    assert window.rerun == cohom.Window(2 + cohom.STABILITY_STEP, 3 + cohom.STABILITY_STEP)
 
 
 def test_unit_pairs_shrink_the_image_side(monkeypatch):

@@ -310,20 +310,13 @@ def test_contraction_conifold_commutator_differential():
     assert pres.confluence.confluent
 
 
-def test_contraction_swapped_convention_reverses_interior_arrows():
+def test_contraction_interior_loop_a_b_sits_at_the_higher_vertex():
     ring = PolyRing(QQ, ("x", "y"))
     f = [ring.parse(t) for t in ("x", "x^2+y^3", "y")]
-    std = contraction_quiver(2, ring, f, idempotent_convention="standard")
-    swp = contraction_quiver(2, ring, f, idempotent_convention="swapped")
+    std = contraction_quiver(2, ring, f)
     assert std.quiver.by_name["a1"].src == "1"
-    assert swp.quiver.by_name["a1"].src == "2"
-    # Same word a1*b1, opposite loop vertex; scalar f1 either way.
-    nf_std = std.normal_form(("a1", "b1"))
-    nf_swp = swp.normal_form(("a1", "b1"))
-    assert nf_std == std.element([(f[1], lazy("2"))])
-    assert nf_swp == swp.element([(f[1], lazy("1"))])
-    with pytest.raises(ValueError, match="convention"):
-        contraction_quiver(2, ring, f, idempotent_convention="mixed")
+    # a1*b1 is the loop at vertex 2, with scalar f1.
+    assert std.normal_form(("a1", "b1")) == std.element([(f[1], lazy("2"))])
 
 
 def test_differential_rule_compatibility_guard():
