@@ -555,6 +555,12 @@ def _bounded_ranks(
     words_v = pres.irreducible_words(source, target, v.rerun.length, -m)
     mons = sorted(monomials_upto(ring.nvars, v.rerun.degree), key=deglex_key)
     mon_degrees = [sum(e) for e in mons]
+    # Per degree, the places of the monomials of that degree, so a word
+    # costs one loop per degree it labels; deglex, so the columns keep
+    # monomial order.
+    by_degree: list = [[] for _ in range(v.rerun.degree + 1)]
+    for k, d in enumerate(mon_degrees):
+        by_degree[d].append(k)
 
     zero_exp = (0,) * ring.nvars
     mon_grades = [pres.grade(lazy(source), e) for e in mons]
@@ -587,10 +593,11 @@ def _bounded_ranks(
                     blocks.setdefault(gw + ge, ([], []))[k >= splits[length]]
                     for k, ge in enumerate(mon_grades)
                 ]
-            firsts = [None if g is None else cells.number(g) * n for g in labels_of(w)]
-            for k, (cols, d) in enumerate(zip(per_mon, mon_degrees)):
-                if firsts[d] is not None:
-                    cols.append(firsts[d] + k)
+            for g, places in zip(labels_of(w), by_degree):
+                if g is not None:
+                    first = cells.number(g) * n
+                    for k in places:
+                        per_mon[k].append(first + k)
         return {g: (inside + other, len(inside))
                 for g, (inside, other) in blocks.items() if inside or other}
 

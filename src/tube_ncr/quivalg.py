@@ -474,28 +474,56 @@ class Presentation:
         which they share.  They live as long as the presentation, since
         a localisation comparison asks several truncated ranks of each
         of its presentations, and a word's differential is shared across
-        degrees, bounds and monomials."""
+        degrees, bounds and monomials.  Each list holds its terms in path
+        order, then deglex."""
         return {}, {}
+
+    @cached_property
+    def _letters(self) -> dict:
+        """Per arrow name a: (|a| odd, the flat d(a), and per letter b with
+        (a, b) a rule's left side, that rule's right side as flat terms).
+        Built once, like ``_word_tables``, and the one place where the word
+        differentials call ``differential_of``."""
+        meets: dict = {a.name: {} for a in self.quiver.arrows}
+        for (a, b), rhs in self.rules.items():
+            meets[a][b] = [(r, e, s) for c, r in rhs for e, s in c.terms.items()]
+        return {
+            a.name: (a.deg % 2 == 1,
+                     flattened(self.differential_of(self.arrow_element(a.name))),
+                     meets[a.name])
+            for a in self.quiver.arrows
+        }
+
+    def _letter_times(self, acc: dict, a: str, p: Path, e: tuple, s) -> None:
+        """Add the normal form of the letter a times the flat term (p, e, s)
+        to ``acc``, a sum of flat terms (``add_flat_term``); p is irreducible.
+
+        The junction step: a*p is irreducible unless (a, first letter of
+        p) is a rule's left side, and then each right-side term c*r of the
+        rule gives c times r in front of the rest of p.  A lazy r leaves
+        the rest as it is; a letter r meets at most the next letter, so
+        the step repeats there and nowhere else."""
+        arrows = p.arrows
+        rhs = self._letters[a][2].get(arrows[0]) if arrows else None
+        if rhs is None:
+            add_flat_term(acc, (Path((a,) + arrows, None), e), s, self.ring.field)
+            return
+        field, rest = self.ring.field, arrows[1:]
+        for r, e2, s2 in rhs:
+            exp = tuple([x + y for x, y in zip(e, e2)])
+            if r.arrows:
+                self._letter_times(acc, r.arrows[0], Path(rest, None), exp, field.mul(s, s2))
+            else:
+                add_flat_term(acc, (joined(rest, r.vertex), exp), field.mul(s, s2), field)
 
     def _letters_times(self, letters: tuple, terms: list) -> list:
         """Normal form of the word ``letters`` times a normal-form sum of
-        flat terms, as flat terms.
-
-        A letter a times an irreducible word p is the word a*p itself unless
-        the new pair (a, first letter of p) is a rule's left side; only such
-        a word is reduced.
-        """
-        field, rules = self.ring.field, self.rules
+        flat terms, as flat terms in no set order: the letters go in
+        front one at a time, right to left, each by ``_letter_times``."""
         for a in reversed(letters):
             acc: dict = {}
             for p, e, s in terms:
-                word = Path((a,) + p.arrows, None)
-                if not p.arrows or (a, p.arrows[0]) not in rules:
-                    add_flat_term(acc, (word, e), s, field)
-                    continue
-                for q, e2, s2 in flattened(self.reduce_raw([(self.ring.one(), word)])):
-                    exp = tuple([x + y for x, y in zip(e, e2)])
-                    add_flat_term(acc, (q, exp), field.mul(s, s2), field)
+                self._letter_times(acc, a, p, e, s)
             terms = [(q, e, s) for (q, e), s in acc.items() if s]
         return terms
 
@@ -505,11 +533,16 @@ class Presentation:
         same list.
 
         A word a*w' of two or more letters takes the Leibniz rule
-        d(a*w') = d(a)*w' + (-1)^|a| a*d(w') from the kept differentials
-        of the letter a and of w', which is irreducible too.  Normal forms
-        are unique and d descends to the quotient (both checked when the
-        presentation is built), so reducing the two products gives d(w).
-        Only lazy paths and single letters go through ``differential_of``.
+        d(a*w') = d(a)*w' + (-1)^|a| a*d(w') from the letter's row of
+        ``_letters`` and the kept d(w'), w' being irreducible too.  Normal
+        forms are unique and d descends to the quotient (both checked when
+        the presentation is built), so the normal form of the two products
+        is d(w), and it is built in one accumulation by the junction step
+        of ``_letter_times``: a term of d(w') whose first letter does not
+        meet a gets a in front, one that does is rewritten where the two
+        meet, and a head term c*q of d(a) puts q in front of w'.  Only a
+        letter's d goes through ``differential_of``, and no whole word is
+        reduced.
         """
         words, paths = self._word_tables
         out = words.get(w)
@@ -521,37 +554,34 @@ class Presentation:
             todo.append(w)
             w = Path(w.arrows[1:], None)
         if w not in words:
-            words[w] = flattened(
-                self.differential_of(AlgebraElement(self, {w: self.ring.one()}))
-            )
-        field, rules = self.ring.field, self.rules
+            words[w] = self._letters[w.arrows[0]][1] if w.arrows else []
+        field = self.ring.field
         for w in reversed(todo):
             a, rest = w.arrows[0], Path(w.arrows[1:], None)
-            odd = self.arrow(a).deg % 2
-            head = self.word_differential(Path((a,), None))
-            if not head and not any(
-                r.arrows and (a, r.arrows[0]) in rules for r, _, _ in words[rest]
-            ):
+            odd, head, meets = self._letters[a]
+            tail = words[rest]
+            if not head and not any(q.arrows and q.arrows[0] in meets for q, _, _ in tail):
                 # d(w) = +-a*d(w'), and a in front of each term leaves it
                 # irreducible, keeps the terms distinct and keeps their order.
                 prefixed = words[w] = []
-                for q, e2, s2 in words[rest]:
+                for q, e, s in tail:
                     r = Path((a,) + q.arrows, None)
-                    prefixed.append(
-                        (paths.setdefault(r, r), e2, field.neg(s2) if odd else s2))
+                    prefixed.append((paths.setdefault(r, r), e, field.neg(s) if odd else s))
                 continue
             acc: dict = {}
             for q, e, s in head:
-                for r, e2, s2 in self._letters_times(q.arrows, [(rest, e, s)]):
-                    add_flat_term(acc, (r, e2), s2, field)
-            for r, e2, s2 in self._letters_times((a,), words[rest]):
-                add_flat_term(acc, (r, e2), field.neg(s2) if odd else s2, field)
+                if q.arrows:
+                    for r, e2, s2 in self._letters_times(q.arrows, [(rest, e, s)]):
+                        add_flat_term(acc, (r, e2), s2, field)
+                else:
+                    add_flat_term(acc, (rest, e), s, field)
+            for q, e, s in tail:
+                self._letter_times(acc, a, q, e, field.neg(s) if odd else s)
             words[w] = [
-                (paths.setdefault(r, r), e2, s2)
-                for (r, e2), s2 in sorted(
-                    acc.items(), key=lambda t: (path_key(t[0][0]), deglex_key(t[0][1]))
-                )
-                if s2
+                (paths.setdefault(r, r), e, s)
+                for (r, e), s in sorted(
+                    acc.items(), key=lambda t: (path_key(t[0][0]), deglex_key(t[0][1])))
+                if s
             ]
         return words[w]
 

@@ -190,9 +190,10 @@ def _t_exponents_by_room(n: int, degree_bound: int) -> list:
     return [texps[: comb(r + n + 1, n + 1)] for r in range(degree_bound // 2 + 1)]
 
 
-def _weight_exponents(n: int, target: tuple, degree_bound: int) -> list:
+def _weight_exponents(n: int, target: tuple, degree_bound: int, texps: list) -> list:
     """The (c, d) exponent pairs of all monomials of the given weight with
-    total degree <= bound, sorted by (total degree, c, d).
+    total degree <= bound, sorted by (total degree, c, d); ``texps`` is
+    ``_t_exponents_by_room(n, degree_bound)``, built once by the caller.
 
     Complete by construction: the weight equations determine the
     profile g_i = c_i - d_i up to one free integer s (g_n = s,
@@ -205,7 +206,6 @@ def _weight_exponents(n: int, target: tuple, degree_bound: int) -> list:
     h = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
         h[k] = h[k + 1] + target[k]
-    texps = _t_exponents_by_room(n, degree_bound)
     out = []
     lo = -degree_bound - max(h)
     hi = degree_bound - min(h)
@@ -229,7 +229,8 @@ def _weight_exponents(n: int, target: tuple, degree_bound: int) -> list:
 def monomials_of_weight(n: int, target: tuple, degree_bound: int) -> list:
     """All monomials of the given weight with total degree <= bound,
     sorted by (total degree, c, d)."""
-    return [WeightMonomial(c, d) for c, d in _weight_exponents(n, target, degree_bound)]
+    texps = _t_exponents_by_room(n, degree_bound)
+    return [WeightMonomial(c, d) for c, d in _weight_exponents(n, target, degree_bound, texps)]
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +505,7 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
         for j in range(n + 1):
             chi_j = character(j, n)
             target = tuple(b - a for a, b in zip(chi_i, chi_j))
-            cox_side = _weight_exponents(n, target, bound)
+            cox_side = _weight_exponents(n, target, bound, texps)
             seen = {}
             for path in words[(i, j)]:
                 base = images[path.arrows]

@@ -13,6 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tube_ncr import cohom, exactalg, unitpairs
+from tube_ncr.arcmodel import annulus, disc, generate_presentation
 from tube_ncr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from tube_ncr.exactalg import (
     CellIndex,
@@ -1215,18 +1216,46 @@ def test_healthy_runs_never_insert_a_skipped_row(monkeypatch):
 # -- Leibniz word differentials --------------------------------------------------
 
 
-def odd_first_presentation(field):
+def odd_first_presentation(field, rule=(2, 1), dz=(1, 0)):
     """One vertex, degree-0 loops x and y with x*x = (t + 2)*y and every
     other product of two of them zero, and a degree -1 loop z with
     d(z) = x: d of a word leading with z multiplies x into the rest, and
-    a rule can rewrite that to a letter which meets the next one."""
+    a rule can rewrite that to the letter y, which a letter put in front
+    of it later meets (``junction_chain_presentation`` has a rewrite that
+    meets the next letter at once).
+    ``rule`` and ``dz`` give other scalars, (c0, c1) for c0 + c1*t, in
+    place of t + 2 and 1."""
     ring = PolyRing(field, ("t",))
     t = ring.gen("t")
+
+    def scalar(pair):
+        return ring.const(pair[0]) + ring.const(pair[1]) * t
+
     quiver = Quiver(("P",), (Arrow("x", "P", "P"), Arrow("y", "P", "P"),
                              Arrow("z", "P", "P", -1)))
-    rules = {("x", "x"): [(t + ring.const(2), Path(("y",)))],
+    rules = {("x", "x"): [(scalar(rule), Path(("y",)))],
              ("x", "y"): [], ("y", "x"): [], ("y", "y"): []}
-    return Presentation(quiver, ring, rules, {"z": [(ring.one(), Path(("x",)))]})
+    return Presentation(quiver, ring, rules, {"z": [(scalar(dz), Path(("x",)))]})
+
+
+def junction_chain_presentation(field, p=(1, 1), q=(2, 0), dz=(1, 0)):
+    """Loops a and, in degree -1, z at P, arrows b, c: Q -> P and d: P -> Q,
+    with a*b = p*c, c*d = q*a and d(z) = a.  No two left sides overlap, so
+    the rules are confluent, yet a rewrite can leave a letter that meets
+    the next one: d(z*b*d*b*d) = a*b*d*b*d = p*q*p*q*a, one junction
+    step after another.  Each scalar is (c0, c1) for c0 + c1*t."""
+    ring = PolyRing(field, ("t",))
+    t = ring.gen("t")
+
+    def scalar(pair):
+        return ring.const(pair[0]) + ring.const(pair[1]) * t
+
+    quiver = Quiver(("P", "Q"), (Arrow("a", "P", "P"), Arrow("b", "Q", "P"),
+                                 Arrow("c", "Q", "P"), Arrow("d", "P", "Q"),
+                                 Arrow("z", "P", "P", -1)))
+    rules = {("a", "b"): [(scalar(p), Path(("c",)))],
+             ("c", "d"): [(scalar(q), Path(("a",)))]}
+    return Presentation(quiver, ring, rules, {"z": [(scalar(dz), Path(("a",)))]})
 
 
 def leibniz_cases():
@@ -1256,6 +1285,77 @@ def test_leibniz_differential_equals_differential_of(build):
     # Longest first, so that each word builds its chain of suffixes.
     for w in sorted(words, key=path_key, reverse=True):
         assert pres.word_differential(w) == oracle_word_differential(pres, w)
+
+
+def drawn_presentation(data):
+    """A presentation of one of these families, with drawn scalars over Q
+    or F_p: the localised tube (n = 1, 2), the contraction quiver, the
+    odd-first loops, the junction chain, and the arc-model annulus and
+    disc."""
+    field = data.draw(st.sampled_from([QQ, Field.prime(3), F5, Field.prime(7)]), label="field")
+    family = data.draw(st.sampled_from(
+        ["localized", "contraction", "odd-first", "chain", "annulus", "disc"]),
+        label="family")
+    ring = xy_ring(field)
+    x, y = ring.gen("x"), ring.gen("y")
+    parts = (ring.one(), x, y, x * y, y ** 2, x ** 2 + y ** 3)
+    coefs = st.integers(min_value=-4, max_value=4)
+
+    def scalar():
+        # c1*p1 + c2*p2 for drawn parts; zero is allowed.
+        return sum((ring.const(data.draw(coefs)) * data.draw(st.sampled_from(parts))
+                    for _ in range(2)), ring.zero())
+
+    if family == "localized":
+        n = data.draw(st.integers(min_value=1, max_value=2), label="n")
+        return drinfeld_localize(
+            tube_algebra(n, ring, [scalar() for _ in range(n + 1)]), tube_vertex(0))
+    if family == "contraction":
+        n = data.draw(st.integers(min_value=1, max_value=3), label="n")
+        return contraction_quiver(n, ring, [scalar() for _ in range(n + 1)])
+    pair = st.tuples(coefs, coefs)
+    if family == "odd-first":
+        return odd_first_presentation(field, data.draw(pair), data.draw(pair))
+    if family == "chain":
+        return junction_chain_presentation(
+            field, data.draw(pair), data.draw(pair), data.draw(pair))
+    surface = (annulus(data.draw(st.integers(min_value=0, max_value=2), label="n"))
+               if family == "annulus"
+               else disc(data.draw(st.integers(min_value=1, max_value=3), label="n")))
+    return generate_presentation(surface, field).presentation
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_leibniz_differential_equals_differential_of_at_drawn_scalars(data):
+    pres = drawn_presentation(data)
+    words = [w for v in pres.quiver.vertices for w in pres.irreducible_words(v, None, 7)]
+    # Longest first, so that each word builds its chain of suffixes.
+    for w in sorted(words, key=path_key, reverse=True):
+        assert pres.word_differential(w) == oracle_word_differential(pres, w)
+
+
+def test_no_word_longer_than_a_letter_is_reduced(monkeypatch):
+    # The junction step rewrites where a letter meets a word, so building
+    # the word differentials reduces no whole word: only a letter's d,
+    # through differential_of, reaches reduce_raw.
+    ring = xy_ring()
+    pres = drinfeld_localize(
+        tube_algebra(1, ring, (ring.gen("x"), ring.gen("y"))), tube_vertex(0))
+    seen = []
+    honest = Presentation.reduce_raw
+
+    def counted(self, pairs):
+        pairs = list(pairs)
+        seen.extend(len(path.arrows) for _, path in pairs)
+        return honest(self, pairs)
+
+    monkeypatch.setattr(Presentation, "reduce_raw", counted)
+    words = [w for v in pres.quiver.vertices for w in pres.irreducible_words(v, None, 8)]
+    assert any(len(w.arrows) == 8 for w in words)
+    for w in sorted(words, key=path_key, reverse=True):
+        pres.word_differential(w)
+    assert seen and max(seen) <= 1
 
 
 def test_differential_of_is_called_only_for_short_words(monkeypatch):

@@ -158,18 +158,21 @@ def test_weight_exponents_match_brute_force_in_order():
     n, top = 2, 6
     brute = _brute_force_exponents(n, top)
     for bound in range(top + 1):
+        # One table serves every weight, as in end_algebra.
+        texps = toric._t_exponents_by_room(n, bound)
         for target in _hom_targets(n):
             expected = [
                 (c, d) for c, d in brute.get(target, []) if sum(c) + sum(d) <= bound
             ]
-            assert toric._weight_exponents(n, target, bound) == expected
+            assert toric._weight_exponents(n, target, bound, texps) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_monomials_of_weight_wraps_the_exponent_enumerator(n):
     for bound in (0, 1, 2, 5, default_degree_bound(n)):
+        texps = toric._t_exponents_by_room(n, bound)
         for target in _hom_targets(n):
-            pairs = toric._weight_exponents(n, target, bound)
+            pairs = toric._weight_exponents(n, target, bound, texps)
             monomials = monomials_of_weight(n, target, bound)
             assert [(m.c, m.d) for m in monomials] == pairs
             assert all(weight(m, n) == target for m in monomials)
