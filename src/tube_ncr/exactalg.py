@@ -115,9 +115,6 @@ class Field:
     def add(self, a, b):
         return _rational(a + b) if self.p is None else (a + b) % self.p
 
-    def sub(self, a, b):
-        return _rational(a - b) if self.p is None else (a - b) % self.p
-
     def mul(self, a, b):
         return _rational(a * b) if self.p is None else (a * b) % self.p
 

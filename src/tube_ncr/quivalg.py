@@ -89,16 +89,6 @@ def path_key(path: Path) -> tuple:
     return (len(path.arrows), path.arrows, path.vertex or "")
 
 
-def flattened(element: AlgebraElement) -> list:
-    """An element's flat terms, (path, exponent, scalar) triples, in path
-    order, then deglex."""
-    return [
-        (path, exp, poly.terms[exp])
-        for path, poly in sorted(element.terms.items(), key=lambda t: path_key(t[0]))
-        for exp in sorted(poly.terms, key=deglex_key)
-    ]
-
-
 def add_flat_term(acc: dict, key: tuple, scal, field: Field) -> None:
     """Add ``scal`` at ``key``, a (path, exponent) pair, of a sum of flat
     terms; read the sum back with ``(p, e, s) for (p, e), s in acc.items()
@@ -232,7 +222,10 @@ class Presentation:
     # -- structural helpers -------------------------------------------------
 
     def arrow(self, name: str) -> Arrow:
-        return self.quiver.by_name[name]
+        try:
+            return self.quiver.by_name[name]
+        except KeyError:
+            raise ValueError(f"unknown arrow {name!r}") from None
 
     def path_source(self, path: Path) -> str:
         if path.is_lazy:
@@ -259,8 +252,7 @@ class Presentation:
                 raise ValueError("lazy path needs a vertex of the quiver")
             return Path((), vertex)
         for name in arrows:
-            if name not in self.quiver.by_name:
-                raise ValueError(f"unknown arrow {name!r}")
+            self.arrow(name)
         for left, right in zip(arrows, arrows[1:]):
             if self.arrow(right).tgt != self.arrow(left).src:
                 raise ValueError(
@@ -279,7 +271,7 @@ class Presentation:
         return AlgebraElement(self, {})
 
     def arrow_element(self, name: str) -> AlgebraElement:
-        return AlgebraElement(self, {Path((name,), None): self.ring.one()})
+        return AlgebraElement(self, {self.make_path((name,)): self.ring.one()})
 
     def one(self) -> AlgebraElement:
         """Sum of all lazy paths (the algebra unit)."""
@@ -479,53 +471,63 @@ class Presentation:
         return {}, {}
 
     @cached_property
-    def _letters(self) -> dict:
-        """Per arrow name a: (|a| odd, the flat d(a), and per letter b with
-        (a, b) a rule's left side, that rule's right side as flat terms).
-        Built once, like ``_word_tables``, and the one place where the word
-        differentials call ``differential_of``."""
+    def _meets(self) -> dict:
+        """Per arrow name a, per letter b with (a, b) a rule's left side:
+        that rule's right side as flat terms."""
         meets: dict = {a.name: {} for a in self.quiver.arrows}
         for (a, b), rhs in self.rules.items():
             meets[a][b] = [(r, e, s) for c, r in rhs for e, s in c.terms.items()]
-        return {
-            a.name: (a.deg % 2 == 1,
-                     flattened(self.differential_of(self.arrow_element(a.name))),
-                     meets[a.name])
-            for a in self.quiver.arrows
-        }
+        return meets
 
-    def _letter_times(self, acc: dict, a: str, p: Path, e: tuple, s) -> None:
-        """Add the normal form of the letter a times the flat term (p, e, s)
-        to ``acc``, a sum of flat terms (``add_flat_term``); p is irreducible.
-
-        The junction step: a*p is irreducible unless (a, first letter of
-        p) is a rule's left side, and then each right-side term c*r of the
-        rule gives c times r in front of the rest of p.  A lazy r leaves
-        the rest as it is; a letter r meets at most the next letter, so
-        the step repeats there and nowhere else."""
-        arrows = p.arrows
-        rhs = self._letters[a][2].get(arrows[0]) if arrows else None
-        if rhs is None:
-            add_flat_term(acc, (Path((a,) + arrows, None), e), s, self.ring.field)
-            return
-        field, rest = self.ring.field, arrows[1:]
-        for r, e2, s2 in rhs:
-            exp = tuple([x + y for x, y in zip(e, e2)])
-            if r.arrows:
-                self._letter_times(acc, r.arrows[0], Path(rest, None), exp, field.mul(s, s2))
-            else:
-                add_flat_term(acc, (joined(rest, r.vertex), exp), field.mul(s, s2), field)
-
-    def _letters_times(self, letters: tuple, terms: list) -> list:
-        """Normal form of the word ``letters`` times a normal-form sum of
-        flat terms, as flat terms in no set order: the letters go in
-        front one at a time, right to left, each by ``_letter_times``."""
-        for a in reversed(letters):
+    @cached_property
+    def _letters(self) -> dict:
+        """Per arrow name a: (|a| odd, the flat d(a), and its row of
+        ``_meets``).  Built once, like ``_word_tables``, d(a) by
+        ``_word_times`` from the entries of ``differential``."""
+        letters = {}
+        for a in self.quiver.arrows:
             acc: dict = {}
-            for p, e, s in terms:
-                self._letter_times(acc, a, p, e, s)
-            terms = [(q, e, s) for (q, e), s in acc.items() if s]
-        return terms
+            for c, q in self.differential.get(a.name, ()):
+                for e, s in c.terms.items():
+                    self._word_times(acc, q.arrows, lazy(self.path_source(q)), e, s)
+            letters[a.name] = (a.deg % 2 == 1, self._kept(acc), self._meets[a.name])
+        return letters
+
+    def _kept(self, acc: dict) -> list:
+        """A sum of flat terms as a ``_word_tables`` list."""
+        paths = self._word_tables[1]
+        return [
+            (paths.setdefault(r, r), e, s)
+            for (r, e), s in sorted(
+                acc.items(), key=lambda t: (path_key(t[0][0]), deglex_key(t[0][1])))
+            if s
+        ]
+
+    def _word_times(self, acc: dict, letters: tuple, p: Path, e: tuple, s) -> None:
+        """Add the normal form of the word ``letters`` times the flat term
+        (p, e, s) to ``acc``, a sum of flat terms (``add_flat_term``); p is
+        irreducible.
+
+        The junction step: the letters go in front of p one at a time,
+        right to left.  A letter a in front of an irreducible word is
+        irreducible unless (a, its first letter) is a rule's left side, and
+        then each right-side term c*r of the rule gives c times r in front
+        of the rest of the word.  A lazy r leaves the rest as it is, and a
+        letter r joins the letters still to go, so the step repeats only
+        where the next letter meets the word."""
+        arrows = p.arrows
+        for i in range(len(letters) - 1, -1, -1):
+            a = letters[i]
+            rhs = self._meets[a].get(arrows[0]) if arrows else None
+            if rhs is not None:
+                field, rest = self.ring.field, arrows[1:]
+                for r, e2, s2 in rhs:
+                    self._word_times(acc, letters[:i] + r.arrows, joined(rest, r.vertex),
+                                     tuple([x + y for x, y in zip(e, e2)]),
+                                     field.mul(s, s2))
+                return
+            arrows = (a,) + arrows
+        add_flat_term(acc, (Path(arrows, None) if letters else p, e), s, self.ring.field)
 
     def word_differential(self, w: Path) -> list:
         """d(w) of an irreducible word as flat terms, in path order, then
@@ -537,27 +539,27 @@ class Presentation:
         ``_letters`` and the kept d(w'), w' being irreducible too.  Normal
         forms are unique and d descends to the quotient (both checked when
         the presentation is built), so the normal form of the two products
-        is d(w), and it is built in one accumulation by the junction step
-        of ``_letter_times``: a term of d(w') whose first letter does not
-        meet a gets a in front, one that does is rewritten where the two
-        meet, and a head term c*q of d(a) puts q in front of w'.  Only a
-        letter's d goes through ``differential_of``, and no whole word is
-        reduced.
+        is d(w), built in one accumulation by ``_word_times``: each head
+        term c*q of d(a) puts q in front of w' (a lazy q is the empty
+        word), and each term of d(w') gets a in front.  No word
+        differential reaches ``differential_of`` or ``reduce_raw``, the
+        reference they are checked against.
         """
         words, paths = self._word_tables
         out = words.get(w)
         if out is not None:
             return out
-        # The words not kept yet, each the rest of the one before it.
+        # The words not kept yet, each with its rest, the word after it.
         todo = []
         while w not in words and len(w.arrows) > 1:
-            todo.append(w)
-            w = Path(w.arrows[1:], None)
+            rest = Path(w.arrows[1:], None)
+            todo.append((w, rest))
+            w = rest
         if w not in words:
             words[w] = self._letters[w.arrows[0]][1] if w.arrows else []
         field = self.ring.field
-        for w in reversed(todo):
-            a, rest = w.arrows[0], Path(w.arrows[1:], None)
+        for w, rest in reversed(todo):
+            a = w.arrows[0]
             odd, head, meets = self._letters[a]
             tail = words[rest]
             if not head and not any(q.arrows and q.arrows[0] in meets for q, _, _ in tail):
@@ -570,19 +572,10 @@ class Presentation:
                 continue
             acc: dict = {}
             for q, e, s in head:
-                if q.arrows:
-                    for r, e2, s2 in self._letters_times(q.arrows, [(rest, e, s)]):
-                        add_flat_term(acc, (r, e2), s2, field)
-                else:
-                    add_flat_term(acc, (rest, e), s, field)
+                self._word_times(acc, q.arrows, rest, e, s)
             for q, e, s in tail:
-                self._letter_times(acc, a, q, e, field.neg(s) if odd else s)
-            words[w] = [
-                (paths.setdefault(r, r), e, s)
-                for (r, e), s in sorted(
-                    acc.items(), key=lambda t: (path_key(t[0][0]), deglex_key(t[0][1])))
-                if s
-            ]
+                self._word_times(acc, (a,), q, e, field.neg(s) if odd else s)
+            words[w] = self._kept(acc)
         return words[w]
 
     # -- confluence ----------------------------------------------------------

@@ -43,7 +43,7 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from .exactalg import Field, InternalError, Poly, PolyRing, monomials_upto
-from .quivalg import Presentation, tube_algebra, tube_vertex
+from .quivalg import Path, Presentation, tube_algebra, tube_vertex
 
 
 @dataclass(frozen=True)
@@ -435,7 +435,8 @@ def _tube_words(pres: Presentation, n: int, bound: int) -> dict:
 
 def _composable_pairs(words: dict, n: int, bound: int):
     """Pairs (w1, w2) of non-lazy words, w1 from L_i to L_j and w2 from
-    L_j to L_k, of combined length <= bound, in (i, j, k) order."""
+    L_j to L_k, of combined length <= bound, in (i, j, k) order: w2*w1
+    composes, so its ``Path`` needs no second check."""
     for i in range(n + 1):
         for j in range(n + 1):
             for k in range(n + 1):
@@ -546,7 +547,7 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
             report.rank_table[(i, j)] = degrees
     # multiplicativity on composable pairs of words
     for w1, w2 in _composable_pairs(words, n, bound):
-        product = tube.normal_form(w2.arrows + w1.arrows)
+        product = tube.normal_form(Path(w2.arrows + w1.arrows, None))
         terms = [
             (path, texp, scalar)
             for path, coef in product.terms.items()
@@ -626,7 +627,7 @@ def base_change_end(
             for fi, e in zip(f, texp):
                 predicted = predicted * fi**e
             f_powers[texp] = predicted
-        actual = specialised.normal_form(w2.arrows + w1.arrows)
+        actual = specialised.normal_form(Path(w2.arrows + w1.arrows, None))
         report.products_checked += 1
         if predicted.is_zero():
             good = actual.is_zero()

@@ -413,6 +413,14 @@ def test_entry_checks_reject_malformed_rules_and_differentials(
         Presentation(CHECK_QUIVER, CHECK_RING, rules, differential)
 
 
+def test_an_unknown_arrow_name_is_a_value_error():
+    tube = tube_algebra(1, PolyRing(QQ, ("t0", "t1")))
+    with pytest.raises(ValueError, match="unknown arrow 'zz'"):
+        tube.arrow("zz")
+    with pytest.raises(ValueError, match="unknown arrow 'zz'"):
+        tube.multiply(tube.arrow_element("zz"), tube.one())
+
+
 def test_localize_adds_free_loop():
     pres, ring = tube(1)
     loc = drinfeld_localize(pres, "L0")

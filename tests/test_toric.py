@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tube_ncr import toric
 from tube_ncr.cli import EXIT_FAILURE, EXIT_INTERNAL, EXIT_USAGE, main
 from tube_ncr.exactalg import Field, InternalError, Poly, PolyRing
-from tube_ncr.quivalg import Presentation, tube_algebra
+from tube_ncr.quivalg import Path, Presentation, tube_algebra
 from tube_ncr.toric import (
     WeightMonomial,
     base_change_end,
@@ -425,6 +425,24 @@ def test_bound_two_already_checks_products():
     t = S.gen("t")
     assert end_algebra(1, 2).products_checked > 0
     assert base_change_end(0, (t,), 2).products_checked > 0
+
+
+@pytest.mark.parametrize("n, bound", [(0, 4), (1, 5), (2, 6)])
+def test_composable_pairs_are_the_words_within_the_bound(n, bound):
+    # end_algebra and base_change_end normalise w2*w1 as a Path that
+    # nothing re-checks, so each pair must compose within the bound.
+    tube = tube_algebra(n, PolyRing(QQ, tuple(f"t{k}" for k in range(n + 1))))
+    table = toric._tube_words(tube, n, bound)
+    pairs = list(toric._composable_pairs(table, n, bound))
+    for w1, w2 in pairs:
+        word = w2.arrows + w1.arrows
+        assert w1.arrows and w2.arrows and len(word) <= bound
+        assert tube.make_path(word) == Path(word, None)
+    words = [w for ws in table.values() for w in ws if w.arrows]
+    every = {(w1, w2) for w1 in words for w2 in words
+             if len(w1.arrows) + len(w2.arrows) <= bound
+             and tube.path_source(w2) == tube.path_target(w1)}
+    assert len(pairs) == len(every) > 0 and set(pairs) == every
 
 
 @pytest.mark.parametrize("argv", [
