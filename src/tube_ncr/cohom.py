@@ -553,7 +553,7 @@ def _bounded_ranks(
     u = Window(length_bound + image_slack, poly_bound)
     words_u = pres.irreducible_words(source, target, u.rerun.length, -(m + 1))
     words_v = pres.irreducible_words(source, target, v.rerun.length, -m)
-    mons = sorted(monomials_upto(ring.nvars, v.rerun.degree), key=deglex_key)
+    mons = monomials_upto(ring.nvars, v.rerun.degree)
     mon_degrees = [sum(e) for e in mons]
     # Per degree, the places of the monomials of that degree, so a word
     # costs one loop per degree it labels; deglex, so the columns keep

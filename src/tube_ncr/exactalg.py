@@ -383,9 +383,6 @@ class Poly:
                 base = base * base
         return result
 
-    def scale(self, c) -> "Poly":
-        return self.ring.const(c) * self
-
     def sorted_terms(self) -> list:
         """Terms in descending deglex order (leading term first)."""
         return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]), reverse=True)

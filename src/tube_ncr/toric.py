@@ -608,12 +608,10 @@ def base_change_end(
     _check_bound(bound)
     ring = f[0].ring
     specialised = tube_algebra(n, ring, tuple(f))
-    generic_ring = PolyRing(Field.rationals(), tuple(f"t{k}" for k in range(n + 1)))
-    generic = tube_algebra(n, generic_ring)
     report = BaseChangeReport(
         n, bound, True, [p.to_text() for p in f]
     )
-    words = _tube_words(generic, n, bound)
+    words = _tube_words(specialised, n, bound)
     images = _WordImages(n)
     f_powers = {}  # t-exponent -> prod f_i^e_i
     for w1, w2 in _composable_pairs(words, n, bound):

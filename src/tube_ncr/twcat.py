@@ -7,8 +7,7 @@ binary product (mu2), and a ternary product (mu3), all valued in a
 polynomial ring.  ``AInfTable.mu_of`` is the one structure-constant
 lookup: it takes a composable chain of basis names and dispatches on
 its length, and a chain longer than ``TOP_ARITY`` has none (every
-shipped table has mu4 and higher identically zero).  ``apply_mu``
-extends it multilinearly to elements.
+shipped table has mu4 and higher identically zero).
 
 ``ainf_check`` verifies the A-infinity relations sign-free up to arity
 4.  For each composable chain x_k..x_1 it forms one relation sum: over
@@ -204,27 +203,6 @@ class AInfTable:
         except KeyError:
             raise MissingProduct(chain) from None
 
-    def apply_mu(self, args: Sequence[dict]) -> dict:
-        """mu_k on elements (dict name -> Poly), args last-acting first:
-        ``mu_of`` extended multilinearly over the composable chains of
-        basis names the arguments expand into."""
-        chains = [((), ())]
-        for el in args:
-            chains = [
-                (names + (name,), coefs + (coef,))
-                for names, coefs in chains
-                for name, coef in el.items()
-                if not names or self.composable(names[-1], name)
-            ]
-        out: dict = {}
-        for names, coefs in chains:
-            pairs = self.mu_of(names)
-            if pairs:
-                coef = reduce(mul, coefs)
-                for scoef, gname in pairs:
-                    add_term(out, gname, coef * scoef)
-        return out
-
 
 @dataclass
 class AInfReport:
@@ -284,18 +262,13 @@ def ainf_check(table: AInfTable, max_arity: int) -> AInfReport:
             pairs = memo[chain] = table.mu_of(chain)
         return pairs
 
-    def chains(k):
-        """All composable k-tuples, last-acting first."""
-        if k == 1:
-            for n in names:
-                yield (n,)
-            return
-        for tail in chains(k - 1):
-            for n in names:
-                if table.composable(n, tail[0]):
-                    yield (n,) + tail
-
+    chains = [()]
     for k in range(1, max_arity + 1):
+        # The composable k-tuples, last-acting first, grown from level k - 1.
+        chains = [
+            (n,) + tail for tail in chains for n in names
+            if not tail or table.composable(n, tail[0])
+        ]
         # (i, j): the inner product takes chain[i:i + j]
         blocks = [
             (i, j)
@@ -303,7 +276,7 @@ def ainf_check(table: AInfTable, max_arity: int) -> AInfReport:
             for i in range(k - j + 1)
             if k - j + 1 <= TOP_ARITY
         ]
-        for chain in chains(k):
+        for chain in chains:
             checked[k] += 1
             acc: dict = {}
             try:
@@ -350,7 +323,7 @@ class TwComplex:
         if curvature:
             raise ValueError(
                 "connection fails the flatness identity: "
-                f"{_matrix_text(curvature, table)}"
+                f"{_matrix_text(curvature)}"
             )
 
     def identity(self) -> "TwMorphism":
@@ -366,7 +339,8 @@ class TwComplex:
 
 class TwMorphism:
     """Matrix of table morphisms between two twisted complexes, of one
-    uniform total degree."""
+    uniform total degree.  ``entries`` stores no zero coefficient and
+    no empty entry, so equal morphisms have equal ``entries``."""
 
     def __init__(
         self,
@@ -380,10 +354,10 @@ class TwMorphism:
         self.source = source
         self.target = target
         self.degree = degree
-        self.entries = {
-            k: dict(v) for k, v in entries.items() if any(not c.is_zero() for c in v.values())
+        entries = {
+            k: v for k, v in entries.items() if any(not c.is_zero() for c in v.values())
         }
-        for (row, col), el in self.entries.items():
+        for (row, col), el in entries.items():
             if not (0 <= row < len(target.slots) and 0 <= col < len(source.slots)):
                 raise ValueError(f"entry at ({row},{col}) is outside the slot range")
             src_obj, src_shift = source.slots[col]
@@ -401,12 +375,13 @@ class TwMorphism:
                         f"entry {name} at ({row},{col}) has total degree "
                         f"{total}, expected {degree}"
                     )
+        self.entries = {
+            k: {name: c for name, c in el.items() if not c.is_zero()}
+            for k, el in entries.items()
+        }
 
     def is_zero(self) -> bool:
-        return not any(
-            any(not c.is_zero() for c in el.values())
-            for el in self.entries.values()
-        )
+        return not self.entries
 
     def __add__(self, other: "TwMorphism") -> "TwMorphism":
         if (
@@ -422,16 +397,14 @@ class TwMorphism:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwMorphism):
             return NotImplemented
-        if self.source is not other.source or self.target is not other.target:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        for k in keys:
-            if self.entries.get(k, {}) != other.entries.get(k, {}):
-                return False
-        return True
+        return (
+            self.source is other.source
+            and self.target is other.target
+            and self.entries == other.entries
+        )
 
     def to_text(self) -> str:
-        return _matrix_text(self.entries, self.source.table)
+        return _matrix_text(self.entries)
 
 
 def _matrix_accumulate(into: dict, other: dict) -> None:
@@ -443,38 +416,41 @@ def _matrix_accumulate(into: dict, other: dict) -> None:
         del into[key]
 
 
-def _matrix_text(mat: dict, table: AInfTable) -> str:
-    parts = []
-    for (row, col) in sorted(mat):
-        el = mat[(row, col)]
-        if el:
-            parts.append(f"({row},{col}): {_element_text(el)}")
+def _matrix_text(mat: dict) -> str:
+    parts = [f"({r},{c}): {_element_text(mat[(r, c)])}" for r, c in sorted(mat)]
     return "; ".join(parts) if parts else "0"
 
 
 def matrix_mu(table: AInfTable, mats: Sequence[dict]) -> dict:
-    """Apply mu_k entrywise to a chain of matrices, summing over all
-    index paths.  ``mats`` are listed last-acting first, matching the
-    mu argument order."""
-    ordered = list(reversed(mats))  # first-acting first
-    chains = [((col, row), [el]) for (row, col), el in ordered[0].items()]
-    for mat in ordered[1:]:
-        new = []
-        for (col0, row0), els in chains:
-            for (row, col), el in mat.items():
-                if col == row0:
-                    new.append(((col0, row), els + [el]))
-        chains = new
+    """Apply mu_k entrywise to a chain of matrices, ``mats`` listed
+    last-acting first, matching the mu argument order.  One sum over the
+    paths of (slot, basis name) through the matrices whose names compose:
+    each path adds ``mu_of`` of its names, times the product of its
+    coefficients, into the entry (last slot, first slot)."""
+    # (first slot, last slot, names last-acting first, coefficients)
+    paths = [
+        (col, row, (name,), (coef,))
+        for (row, col), el in mats[-1].items()
+        for name, coef in el.items()
+    ]
+    for mat in reversed(mats[:-1]):
+        paths = [
+            (first, row, (name,) + names, (coef,) + coefs)
+            for first, last, names, coefs in paths
+            for (row, col), el in mat.items()
+            if col == last
+            for name, coef in el.items()
+            if table.composable(name, names[0])
+        ]
     out: dict = {}
-    for (col0, row_last), els in chains:
-        value = table.apply_mu(list(reversed(els)))
-        if value:
-            target = out.setdefault((row_last, col0), {})
-            for name, coef in value.items():
-                add_term(target, name, coef)
-    for key in [k for k, el in out.items() if not el]:
-        del out[key]
-    return out
+    for first, last, names, coefs in paths:
+        pairs = table.mu_of(names)
+        if pairs:
+            coef = reduce(mul, coefs)
+            target = out.setdefault((last, first), {})
+            for scoef, gname in pairs:
+                add_term(target, gname, coef * scoef)
+    return {key: el for key, el in out.items() if el}
 
 
 def _insertion_sum(
@@ -760,9 +736,7 @@ def verify_halftwist(n: int) -> HalfTwistReport:
         # receiving chord spaces have no degree-1 part.
         direct_a = matrix_mu(table, [q2.entries, q1.entries])
         direct_b = matrix_mu(table, [q1.entries, q2.entries])
-        entry["direct_routes_vanish"] = not any(direct_a.values()) and not any(
-            direct_b.values()
-        )
+        entry["direct_routes_vanish"] = not direct_a and not direct_b
         # Routes through four chords would be mu4 insertions; the
         # tables stop at mu3, so there are none to sum.
         entry["quaternary_routes"] = "none (tables end at the ternary level)"

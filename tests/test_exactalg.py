@@ -19,6 +19,7 @@ from tube_ncr.exactalg import (
     PolyRing,
     bounded_members,
     data_degree,
+    deglex_key,
     echelon,
     kernel_basis,
     linear_rows,
@@ -119,13 +120,14 @@ def test_characteristic_dispatch():
 
 def test_scale_coerces_the_scalar_into_the_field():
     F5 = Field.prime(5)
-    x = PolyRing(F5, ("x",)).gen("x")
-    assert x.scale(5).is_zero()
-    assert x.scale(7).terms == {(1,): 2}
-    assert x.scale(-1).terms == {(1,): 4}
-    half = x.scale(Fraction(1, 2))
+    ring = PolyRing(F5, ("x",))
+    x = ring.gen("x")
+    assert (ring.const(5) * x).is_zero()
+    assert (ring.const(7) * x).terms == {(1,): 2}
+    assert (ring.const(-1) * x).terms == {(1,): 4}
+    half = ring.const(Fraction(1, 2)) * x
     assert half.terms == {(1,): 3} and type(half.terms[(1,)]) is int
-    assert half.scale(2) == x
+    assert ring.const(2) * half == x
 
 
 def test_ring_mismatch_rejected():
@@ -260,7 +262,7 @@ def test_field_and_poly_results_are_in_normal_form(p, data):
                       (f - g, {e: rf.get(e, 0) - rg.get(e, 0) for e in rf.keys() | rg}),
                       (-f, {e: -c for e, c in rf.items()}),
                       (f * g, fraction_product(rf, rg)),
-                      (f.scale(xs[0]), {e: c * Fraction(xs[0]) for e, c in rf.items()}),
+                      (ring.const(xs[0]) * f, {e: c * Fraction(xs[0]) for e, c in rf.items()}),
                       (f ** k, power)]:
         assert poly.terms == {e: field.of(c) for e, c in ref.items() if field.of(c)}
         assert all(normal(c) for c in poly.terms.values())
@@ -590,6 +592,11 @@ def test_a_target_in_the_span_of_an_earlier_one_is_not_a_member():
 def test_monomials_upto_deglex_order():
     mons = monomials_upto(2, 2)
     assert mons == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    # Callers rely on this order without sorting again.
+    for nvars in range(1, 5):
+        for bound in range(6):
+            mons = monomials_upto(nvars, bound)
+            assert mons == sorted(mons, key=deglex_key)
 
 
 # ---------------------------------------------------------------------------

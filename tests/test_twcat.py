@@ -4,10 +4,14 @@ verification."""
 import hashlib
 import json
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tube_ncr.exactalg import Field, InternalError, PolyRing
+from tube_ncr.exactalg import Field, InternalError, PolyRing, add_term
 from tube_ncr.quivalg import Presentation, contraction_quiver, tube_algebra
 from tube_ncr.twcat import (
     WRAPPINGS,
@@ -384,6 +388,89 @@ def test_morphism_degree_bookkeeping():
     # a negative index must not wrap round to the last slot
     with pytest.raises(ValueError, match="slot range"):
         TwMorphism(two_term, w_cx, 0, {(0, -1): {"p": one}})
+
+
+def test_morphism_drops_zero_coefficients_after_checking_them():
+    table = halftwist_tables(2, "left")
+    one, zero = table.ring.one(), table.ring.zero()
+    src = TwComplex(table, [("L0", 0)], {})
+    tgt = TwComplex(table, [("W", 0)], {})
+    alpha = TwMorphism(src, tgt, 0, {(0, 0): {"alpha": one}})
+    # alpha + 0*beta is alpha, whether written out or added
+    padded = TwMorphism(src, tgt, 0, {(0, 0): {"alpha": one, "beta": zero}})
+    zero_beta = TwMorphism(src, tgt, 0, {(0, 0): {"beta": zero}})
+    for f in (padded, alpha + zero_beta):
+        assert f == alpha and f.entries == alpha.entries
+        assert f.is_zero() == alpha.is_zero() is False
+    # an all-zero entry is the zero morphism
+    empty = TwMorphism(src, tgt, 0, {})
+    assert zero_beta.is_zero() and zero_beta == empty and not zero_beta.entries
+    # a zero coefficient beside a nonzero one is still checked
+    with pytest.raises(ValueError, match="unknown morphism 'nope'"):
+        TwMorphism(src, tgt, 0, {(0, 0): {"alpha": one, "nope": zero}})
+    with pytest.raises(ValueError, match="does not map slot"):
+        TwMorphism(src, tgt, 0, {(0, 0): {"alpha": one, "a0": zero}})
+
+
+def two_stage_matrix_mu(table: AInfTable, mats) -> dict:
+    """Reference ``matrix_mu`` in two stages: the index paths through
+    the matrices first, then each path's chain of elements expanded into
+    its composable chains of basis names."""
+
+    def apply_mu(args):
+        chains = [((), ())]
+        for el in args:
+            chains = [
+                (names + (name,), coefs + (coef,))
+                for names, coefs in chains
+                for name, coef in el.items()
+                if not names or table.composable(names[-1], name)
+            ]
+        out: dict = {}
+        for names, coefs in chains:
+            pairs = table.mu_of(names)
+            if pairs:
+                coef = reduce(mul, coefs)
+                for scoef, gname in pairs:
+                    add_term(out, gname, coef * scoef)
+        return out
+
+    ordered = list(reversed(mats))
+    chains = [((col, row), [el]) for (row, col), el in ordered[0].items()]
+    for mat in ordered[1:]:
+        chains = [
+            ((col0, row), els + [el])
+            for (col0, row0), els in chains
+            for (row, col), el in mat.items()
+            if col == row0
+        ]
+    out: dict = {}
+    for (col0, row_last), els in chains:
+        value = apply_mu(list(reversed(els)))
+        if value:
+            target = out.setdefault((row_last, col0), {})
+            for name, coef in value.items():
+                add_term(target, name, coef)
+    return {key: el for key, el in out.items() if el}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_mu_matches_the_two_stage_expansion(data):
+    wrapping = data.draw(st.sampled_from(WRAPPINGS))
+    table = halftwist_tables(2, wrapping)
+    ring = table.ring
+    t0, t2 = ring.gen("t0"), ring.gen("t2")
+    # zero coefficients and every name, so most neighbours do not compose
+    coefs = st.sampled_from([ring.zero(), ring.one(), t0, t2, t0 + t2, t0 * t2])
+    element = st.dictionaries(
+        st.sampled_from(sorted(table.morphisms)), coefs, min_size=1, max_size=3
+    )
+    matrix = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), element, max_size=4
+    )
+    mats = data.draw(st.lists(matrix, min_size=1, max_size=3))
+    assert matrix_mu(table, mats) == two_stage_matrix_mu(table, mats)
 
 
 def test_mu_tw_with_zero_connection_is_entrywise():
