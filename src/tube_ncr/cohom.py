@@ -716,6 +716,7 @@ class H0Presentation:
             words.extend(
                 pres.irreducible_words(v, None, self.length_bound, homological_degree=0)
             )
+        one = pres.ring.one()
         out = []
         for r in self.relations:
             some_path = next(iter(r.terms))
@@ -724,13 +725,13 @@ class H0Presentation:
             rights = [w for w in words if pres.path_target(w) == rsrc]
             lefts = [w for w in words if pres.path_source(w) == rtgt]
             for y in rights:
-                ry = pres.multiply(r, pres.normal_form(y))
+                ry = pres.multiply(r, AlgebraElement(pres, {y: one}))
                 if ry.is_zero():
                     continue
                 for x in lefts:
                     if len(x.arrows) + len(y.arrows) > self.length_bound:
                         continue
-                    xry = pres.multiply(pres.normal_form(x), ry)
+                    xry = pres.multiply(AlgebraElement(pres, {x: one}), ry)
                     if not xry.is_zero():
                         out.append(xry)
         return out
@@ -784,7 +785,7 @@ class H0Presentation:
         self, lhs: AlgebraElement, rhs: AlgebraElement, poly_bound: int = 8
     ) -> TruncatedSolveResult:
         """Do lhs and rhs agree in H^0?  Ideal membership of lhs - rhs."""
-        return self.contains(self.pres.reduce(lhs - rhs), poly_bound)
+        return self.contains(lhs - rhs, poly_bound)
 
     def closure_check(self, poly_bound: int = 8) -> dict:
         """Two-sidedness guard for the membership window.

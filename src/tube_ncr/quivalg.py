@@ -261,11 +261,16 @@ class Presentation:
         return Path(arrows, None)
 
     def element(self, pairs: Iterable) -> AlgebraElement:
-        """Element from (coef, Path) pairs, normalised."""
-        terms: dict = {}
+        """Element from (coef, Path) pairs, normalised: the letters of each
+        word but its last go in front of its last letter (``_add_times``)."""
+        out: dict = {}
         for coef, path in pairs:
-            add_term(terms, path, coef)
-        return self.reduce(AlgebraElement(self, terms))
+            arrows = path.arrows
+            if arrows:
+                self._add_times(out, coef, arrows[:-1], Path(arrows[-1:], None))
+            else:
+                add_term(out, path, coef)
+        return AlgebraElement(self, out)
 
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, {})
@@ -392,7 +397,12 @@ class Presentation:
     # -- rewriting -----------------------------------------------------------
 
     def reduce_raw(self, pairs: Iterable) -> AlgebraElement:
-        """Reduce (coef, Path) pairs to normal form (worklist rewriting)."""
+        """Reduce (coef, Path) pairs to normal form (worklist rewriting).
+
+        Each step rescans a whole word from the left for a rule's left
+        side.  This is the reference that ``_word_times``, the one product
+        of the run-time paths, is checked against; only the construction
+        checks (``check_confluence``, ``differential_of``) call it."""
         out: dict = {}
         stack = [(coef, path) for coef, path in pairs if not coef.is_zero()]
         while stack:
@@ -413,29 +423,30 @@ class Presentation:
         return AlgebraElement(self, out)
 
     def reduce(self, element: AlgebraElement) -> AlgebraElement:
-        return self.reduce_raw(
-            [(coef, path) for path, coef in element.terms.items()]
-        )
-
-    def normal_form(self, word) -> AlgebraElement:
-        """Normal form of a word (sequence of arrow names) or a Path."""
-        if isinstance(word, Path):
-            path = word
-        else:
-            path = self.make_path(word)
-        return self.reduce_raw([(self.ring.one(), path)])
+        return self.element((coef, path) for path, coef in element.terms.items())
 
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        """Product x*y, composing right-to-left (y acts first)."""
+        """Product x*y of two normal-form elements, composing right-to-left
+        (y acts first): per pair of terms, x's word goes in front of y's
+        (``_add_times``) with the product of their coefficients."""
         if x.pres is not self or y.pres is not self:
             raise ValueError("elements of a different presentation")
-        pairs = []
+        out: dict = {}
         for px, cx in x.terms.items():
+            src = self.path_source(px)
             for py, cy in y.terms.items():
-                if self.path_source(px) != self.path_target(py):
-                    continue  # concatenate-or-die: mismatched endpoints give 0
-                pairs.append((cx * cy, joined(px.arrows + py.arrows, px.vertex)))
-        return self.reduce_raw(pairs)
+                if src == self.path_target(py):  # else concatenate-or-die: 0
+                    self._add_times(out, cx * cy, px.arrows, py)
+        return AlgebraElement(self, out)
+
+    def word_product(self, x: Path, y: Path) -> list:
+        """x*y of two irreducible words as flat terms (path, exponent,
+        scalar), y acting first; [] when x does not start where y ends."""
+        if self.path_source(x) != self.path_target(y):
+            return []
+        acc: dict = {}
+        self._word_times(acc, x.arrows, y, (0,) * self.ring.nvars, self.ring.field.one)
+        return [(q, e, s) for (q, e), s in acc.items() if s]
 
     def differential_of(self, x: AlgebraElement) -> AlgebraElement:
         """Leibniz extension of the arrow differential: coefficients are
@@ -506,7 +517,10 @@ class Presentation:
     def _word_times(self, acc: dict, letters: tuple, p: Path, e: tuple, s) -> None:
         """Add the normal form of the word ``letters`` times the flat term
         (p, e, s) to ``acc``, a sum of flat terms (``add_flat_term``); p is
-        irreducible.
+        irreducible.  This is the one product of the package: ``element``,
+        ``multiply``, ``word_product`` and the word differentials all run
+        through it, and ``reduce_raw`` is the reference it is checked
+        against.
 
         The junction step: the letters go in front of p one at a time,
         right to left.  A letter a in front of an irreducible word is
@@ -514,20 +528,35 @@ class Presentation:
         then each right-side term c*r of the rule gives c times r in front
         of the rest of the word.  A lazy r leaves the rest as it is, and a
         letter r joins the letters still to go, so the step repeats only
-        where the next letter meets the word."""
-        arrows = p.arrows
+        where the next letter meets the word.  The word so far is
+        letters[i + 1:] + p, built only once the letters are all in."""
+        meets, field, arrows = self._meets, self.ring.field, p.arrows
+        first = arrows[0] if arrows else None
         for i in range(len(letters) - 1, -1, -1):
-            a = letters[i]
-            rhs = self._meets[a].get(arrows[0]) if arrows else None
+            rhs = meets[letters[i]].get(first)
             if rhs is not None:
-                field, rest = self.ring.field, arrows[1:]
+                rest = letters[i + 2:] + arrows if i + 1 < len(letters) else arrows[1:]
                 for r, e2, s2 in rhs:
                     self._word_times(acc, letters[:i] + r.arrows, joined(rest, r.vertex),
                                      tuple([x + y for x, y in zip(e, e2)]),
                                      field.mul(s, s2))
                 return
-            arrows = (a,) + arrows
-        add_flat_term(acc, (Path(arrows, None) if letters else p, e), s, self.ring.field)
+            first = letters[i]
+        add_flat_term(acc, (Path(letters + arrows, None) if letters else p, e), s, field)
+
+    def _add_times(self, out: dict, coef: Poly, letters: tuple, p: Path) -> None:
+        """Add ``coef`` times the normal form of ``letters`` times the
+        irreducible p to ``out``, a sparse sum of Poly coefficients
+        (``add_term``).  The words are multiplied once, by ``_word_times``
+        from the unit term, and ``coef`` joins each term as a whole Poly:
+        a term the junction left alone takes it as it is."""
+        one, acc = self.ring.field.one, {}
+        self._word_times(acc, letters, p, (0,) * self.ring.nvars, one)
+        for (q, e), s in acc.items():
+            if s == one and not any(e):
+                add_term(out, q, coef)
+            elif s:
+                add_term(out, q, coef * Poly(self.ring, {e: s}))
 
     def word_differential(self, w: Path) -> list:
         """d(w) of an irreducible word as flat terms, in path order, then

@@ -354,9 +354,6 @@ class TwMorphism:
         self.source = source
         self.target = target
         self.degree = degree
-        entries = {
-            k: v for k, v in entries.items() if any(not c.is_zero() for c in v.values())
-        }
         for (row, col), el in entries.items():
             if not (0 <= row < len(target.slots) and 0 <= col < len(source.slots)):
                 raise ValueError(f"entry at ({row},{col}) is outside the slot range")
@@ -375,10 +372,9 @@ class TwMorphism:
                         f"entry {name} at ({row},{col}) has total degree "
                         f"{total}, expected {degree}"
                     )
-        self.entries = {
-            k: {name: c for name, c in el.items() if not c.is_zero()}
-            for k, el in entries.items()
-        }
+        kept = {k: {name: c for name, c in el.items() if not c.is_zero()}
+                for k, el in entries.items()}
+        self.entries = {k: el for k, el in kept.items() if el}
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -460,7 +456,8 @@ def _insertion_sum(
     deltas[0] before mats[0], of deltas[i] between mats[i - 1] and
     mats[i], and of deltas[-1] after the last matrix, with total arity
     1..TOP_ARITY.  Both lists are last-acting first; ``deltas`` has one
-    entry more than ``mats``."""
+    entry more than ``mats``.  A chain holding an empty matrix gives
+    zero, so it is skipped."""
     acc: dict = {}
     for powers in product(range(TOP_ARITY + 1), repeat=len(deltas)):
         if not 1 <= len(mats) + sum(powers) <= TOP_ARITY:
@@ -468,7 +465,8 @@ def _insertion_sum(
         chain = [deltas[0]] * powers[0]
         for mat, delta, power in zip(mats, deltas[1:], powers[1:]):
             chain += [mat] + [delta] * power
-        _matrix_accumulate(acc, matrix_mu(table, chain))
+        if all(chain):
+            _matrix_accumulate(acc, matrix_mu(table, chain))
     return acc
 
 

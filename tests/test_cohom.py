@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from tube_ncr import cohom, exactalg, unitpairs
+from tube_ncr import cohom, exactalg, toric, unitpairs
 from tube_ncr.arcmodel import annulus, disc, generate_presentation
 from tube_ncr.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from tube_ncr.exactalg import (
@@ -46,6 +46,7 @@ from tube_ncr.quivalg import (
     contraction_quiver,
     contraction_vertex,
     drinfeld_localize,
+    joined,
     lazy,
     path_key,
     tube_algebra,
@@ -1398,6 +1399,88 @@ def test_word_differentials_are_kept_per_presentation():
     assert again.word_differential(w) is not first
 
 
+def drawn_element(data, pres, words):
+    """Up to three drawn words with drawn coefficients, reduced by the
+    reference ``reduce_raw``."""
+    ring = pres.ring
+    parts = [ring.one(), *ring.gens()]
+    pairs = []
+    for w in data.draw(st.lists(st.sampled_from(words), max_size=3)):
+        coef = ring.const(data.draw(st.integers(-3, 3)))
+        for _ in range(2):
+            coef = coef * data.draw(st.sampled_from(parts))
+        pairs.append((coef, w))
+    return pres.reduce_raw(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_equal_the_reference_reduction_of_the_concatenation(data):
+    # multiply, reduce, element and word_product run on the junction
+    # routine; reduce_raw rescans whole words and is the reference.
+    pres = drawn_presentation(data)
+    words = [w for v in pres.quiver.vertices for w in pres.irreducible_words(v, None, 4)]
+    x, y = drawn_element(data, pres, words), drawn_element(data, pres, words)
+    concatenations = [
+        (cx * cy, joined(px.arrows + py.arrows, px.vertex))
+        for px, cx in x.terms.items() for py, cy in y.terms.items()
+        if pres.path_source(px) == pres.path_target(py)
+    ]
+    expected = pres.reduce_raw(concatenations)
+    assert pres.multiply(x, y) == expected
+    assert pres.element(concatenations) == expected
+    raw = {}
+    for coef, path in concatenations:
+        exactalg.add_term(raw, path, coef)
+    assert pres.reduce(AlgebraElement(pres, raw)) == expected
+    w2, w1 = data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))
+    product = pres.word_product(w2, w1)
+    assert all(s for _, _, s in product)
+    assert len({(p, e) for p, e, _ in product}) == len(product)
+    if pres.path_source(w2) != pres.path_target(w1):
+        assert product == []
+    else:
+        word = joined(w2.arrows + w1.arrows, w2.vertex)
+        assert pres.element([(Poly(pres.ring, {e: s}), p) for p, e, s in product]) \
+            == pres.reduce_raw([(pres.ring.one(), word)])
+
+
+def test_run_time_products_never_reach_reduce_raw(monkeypatch):
+    # reduce_raw is the reference: past a presentation's construction
+    # checks, toric's products, the H^0 window, its closure check and
+    # its membership answers all run on the junction routine.
+    ring = xy_ring()
+    x, y = ring.gens()
+    h0 = h0_presentation(contraction_quiver(2, ring, (x, x * y, y)), 3)
+    calls, building = [], []
+    honest_reduce, honest_confluence = Presentation.reduce_raw, Presentation.check_confluence
+
+    def counted(self, pairs):
+        if not building:
+            calls.append(pairs)
+        return honest_reduce(self, pairs)
+
+    def confluence(self):
+        building.append(self)
+        try:
+            return honest_confluence(self)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(Presentation, "reduce_raw", counted)
+    monkeypatch.setattr(Presentation, "check_confluence", confluence)
+    assert toric.end_algebra(1, 6).products_checked > 0
+    assert toric.base_change_end(1, (x, y + ring.one()), 6).products_checked > 0
+    assert h0.window
+    assert h0.closure_check(2)["ok"]
+    element = h0.pres.element([(x * y, lazy(contraction_vertex(1)))])
+    assert [r.status for r in h0.contains_all([element], 2)] == ["member"]
+    assert calls == []
+    # The counter sees reduce_raw outside the construction checks.
+    h0.pres.reduce_raw([])
+    assert len(calls) == 1
+
+
 # -- confluence, and a stable rank that is wrong ---------------------------------
 
 
@@ -1471,7 +1554,8 @@ def test_unit_pairs_keep_ranks_and_generator_texts(data):
     # Taking the eps pairs out must not move the window rank, the rerun
     # rank or a generator text.  Its draws pass without rule (ii) of
     # ``UnitPairs``; test_unit_pairs_keep_ranks_on_frozen_cases,
-    # test_unit_pairs_match_the_cells_the_six_int_rules_match and
+    # test_unit_pairs_match_the_cells_the_six_int_rules_match,
+    # test_a_matched_cell_keeps_its_pair_differential_in_its_window and
     # test_image_window_needs_slack_for_collapsing_rules catch that.
     field = data.draw(st.sampled_from(list(FIELD_TEXTS)), label="field")
     ring = xy_ring(field)
@@ -1602,6 +1686,39 @@ def test_unit_pairs_match_the_cells_the_six_int_rules_match(data):
     event(f"words with a t+: {min(len(pairs), 10)}{'+' if len(pairs) >= 10 else ''}")
     for t in pairs:
         assert matching.mask(t) == six_int_rules_mask(matching, pres, t, bounds, hits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_matched_cell_keeps_its_pair_differential_in_its_window(data):
+    # Rule (ii) of ``UnitPairs``, read off the terms of d(t+) one by one:
+    # a matched cell (t, e) inside V's base window, or else inside its
+    # rerun window, has every term (r, e + e') of d(t+) inside that same
+    # window.  Every word of V's rerun window with a t+ is checked.
+    field = data.draw(st.sampled_from(list(FIELD_TEXTS)), label="field")
+    ring = xy_ring(field)
+    n, f = data.draw(localised_scalars(ring))
+    pres = drinfeld_localize(tube_algebra(n, ring, f), tube_vertex(0))
+    m = data.draw(st.integers(0, 2), label="m")
+    length = data.draw(st.integers(1, 6 if n == 1 else 5), label="length")
+    poly_bound = data.draw(st.integers(0, 3), label="poly_bound")
+    v = cohom.Window(length, poly_bound)
+    u = cohom.Window(length + cohom._default_image_slack(pres), poly_bound)
+    for source in pres.quiver.vertices:
+        for target in pres.quiver.vertices:
+            words_u = pres.irreducible_words(source, target, u.rerun.length, -(m + 1))
+            base_u = [w for w in words_u if len(w.arrows) <= u.length]
+            matching = unitpairs.UnitPairs(pres, v, u, base_u)
+            for t in pres.irreducible_words(source, target, v.rerun.length, -m):
+                tp = matching.plus(t)
+                if tp is None:
+                    continue
+                terms = pres.word_differential(tp)
+                for k, matched in enumerate(matching.mask(t)):
+                    window = next((w for w in (v, v.rerun) if k <= w.cap(len(t.arrows))), None)
+                    if matched and window is not None:
+                        assert all(k + sum(e) <= window.cap(len(r.arrows))
+                                   for r, e, _ in terms), (t, k)
 
 
 def test_a_window_refuses_a_negative_bound():

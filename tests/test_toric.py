@@ -322,7 +322,7 @@ def test_base_change_collapsed_to_one_variable():
     assert report.ok
     # the specialised presentation has every backtrack worth t
     tube = tube_algebra(2, S, (t, t, t))
-    nf = tube.normal_form(("b1", "a1"))
+    nf = tube.multiply(tube.arrow_element("b1"), tube.arrow_element("a1"))
     [(path, coef)] = list(nf.terms.items())
     assert coef == t and path.is_lazy
 
@@ -392,13 +392,12 @@ def test_a_section_that_fails_its_certificate_is_an_internal_error(monkeypatch, 
 def test_broken_normal_form_is_an_internal_error(monkeypatch):
     # A product of two tube words normalises to one monomial term with
     # scalar 1; anything else is a rewriting bug, not malformed input.
-    honest = Presentation.normal_form
+    honest = Presentation.word_product
 
-    def doubled(self, word):
-        element = honest(self, word)
-        return element + element
+    def doubled(self, x, y):
+        return [(p, e, 2 * s) for p, e, s in honest(self, x, y)]
 
-    monkeypatch.setattr(Presentation, "normal_form", doubled)
+    monkeypatch.setattr(Presentation, "word_product", doubled)
     with pytest.raises(InternalError, match="not one monic term"):
         end_algebra(1)
 
@@ -429,8 +428,8 @@ def test_bound_two_already_checks_products():
 
 @pytest.mark.parametrize("n, bound", [(0, 4), (1, 5), (2, 6)])
 def test_composable_pairs_are_the_words_within_the_bound(n, bound):
-    # end_algebra and base_change_end normalise w2*w1 as a Path that
-    # nothing re-checks, so each pair must compose within the bound.
+    # end_algebra and base_change_end take the product w2*w1 of each
+    # pair, so each pair must compose within the bound.
     tube = tube_algebra(n, PolyRing(QQ, tuple(f"t{k}" for k in range(n + 1))))
     table = toric._tube_words(tube, n, bound)
     pairs = list(toric._composable_pairs(table, n, bound))

@@ -64,7 +64,7 @@ def presentation_window_table(pres: Presentation, length_bound: int) -> AInfTabl
     for name, path in by_name.items():
         if path.is_lazy:
             continue
-        image = pres.differential_of(pres.normal_form(path))
+        image = pres.differential_of(pres.element([(pres.ring.one(), path)]))
         pairs = []
         for ipath, coef in image.terms.items():
             if len(ipath.arrows) > length_bound:
@@ -80,7 +80,8 @@ def presentation_window_table(pres: Presentation, length_bound: int) -> AInfTabl
                 continue
             if pres.path_source(xp) != pres.path_target(yp):
                 continue
-            product = pres.normal_form(xp.arrows + yp.arrows)
+            product = pres.multiply(pres.element([(pres.ring.one(), xp)]),
+                                    pres.element([(pres.ring.one(), yp)]))
             if all(len(p.arrows) <= length_bound for p in product.terms):
                 mu2[(xn, yn)] = [
                     (coef, name_of[p]) for p, coef in product.terms.items()
@@ -410,6 +411,23 @@ def test_morphism_drops_zero_coefficients_after_checking_them():
         TwMorphism(src, tgt, 0, {(0, 0): {"alpha": one, "nope": zero}})
     with pytest.raises(ValueError, match="does not map slot"):
         TwMorphism(src, tgt, 0, {(0, 0): {"alpha": one, "a0": zero}})
+
+
+def test_an_all_zero_entry_is_checked_before_it_is_dropped():
+    # An entry whose coefficients are all zero still names a slot pair and
+    # morphisms; a bad one is a ValueError, not the zero morphism.
+    table = halftwist_tables(2, "left")
+    zero = table.ring.zero()
+    src = TwComplex(table, [("L0", 0)], {})
+    tgt = TwComplex(table, [("W", 0)], {})
+    with pytest.raises(ValueError, match="outside the slot range"):
+        TwMorphism(src, tgt, 0, {(5, 5): {"nope": zero}})
+    with pytest.raises(ValueError, match="unknown morphism 'nope'"):
+        TwMorphism(src, tgt, 0, {(0, 0): {"nope": zero}})
+    with pytest.raises(ValueError, match="does not map slot"):
+        TwMorphism(src, tgt, 0, {(0, 0): {"a0": zero}})
+    with pytest.raises(ValueError, match="has total degree"):
+        TwMorphism(src, tgt, 1, {(0, 0): {"alpha": zero}})
 
 
 def two_stage_matrix_mu(table: AInfTable, mats) -> dict:
