@@ -53,7 +53,6 @@ from .exactalg import (
     bounded_members,
     data_degree,
     deglex_key,
-    echelon,
     kernel_basis,
     linear_rows,
     membership_bound,
@@ -114,20 +113,31 @@ class Window:
 # ---------------------------------------------------------------------------
 
 
-def _image_counts(groups: Sequence[list], field: Field, n_base: int) -> tuple:
+def _image_groups(u_cols: Sequence[int], cells: CellIndex, group: dict) -> tuple:
+    """The image rows of ``u_cols``, fresh from ``linear_rows``, in the
+    five groups of ``_window_blocks`` that ``group`` gives by row key."""
+    rows: tuple[list, ...] = ([], [], [], [], [])
+    for key, row in linear_rows(u_cols, cells).items():
+        rows[group.get(key, 0)].append(row)
+    return rows
+
+
+def _image_counts(groups: Sequence[list], field: Field, n_base: int, owned: bool) -> tuple:
     """The image side's ``Echelon`` after the three groups of rows of
     ``_window_blocks``, in turn, and its counts: (rank after the first
     group, rank, pivots below ``n_base`` after the second group, and at
-    the end)."""
+    the end).  ``owned`` rows are handed to ``Echelon.take``, the others
+    to ``insert``."""
     ech = Echelon(field)
+    add = ech.take if owned else ech.insert
     for row in groups[0]:
-        ech.insert(row)
+        add(row)
     outside = len(ech.rows)
     for row in groups[1]:
-        ech.insert(row)
+        add(row)
     base_outside = sum(1 for c in ech.pivots if c < n_base)
     for row in groups[2]:
-        ech.insert(row)
+        add(row)
     return ech, (outside, len(ech.rows), base_outside,
                  sum(1 for c in ech.pivots if c < n_base))
 
@@ -163,7 +173,11 @@ def _window_blocks(
     base window, inside the base window.  The pivot count after the first
     group is the outside rank of U; the pivots below the base count after
     the second are the base's outside rank; at the end they count
-    rank(d U_base), and all pivots count rank(d U).
+    rank(d U_base), and all pivots count rank(d U).  Every row of either
+    side is fresh from ``linear_rows``, so when ``cells.integral`` says
+    that every image scalar is an ``int`` each row is handed to
+    ``Echelon.take``, which reduces it in place and may keep it, with no
+    copy and no test of each entry's type; otherwise to ``insert``.
 
     The rows on the cells of the kernel side's pivot columns P are not
     inserted, and no count moves.  Every image is closed: d(d u) = 0,
@@ -188,11 +202,12 @@ def _window_blocks(
     it is drawn mod 2^31 - 1, once; over F_p it is drawn in F_p,
     repeatedly, until p^r >= 2^31 - 1.  On a miss the block is
     eliminated again with every row, in the same groups, and its counts
-    are those.  When a skipped row is independent of the kept ones the
-    images are not closed, and ``InternalError`` is raised; a rank below
-    zero, which only a kernel or image fault gives, is raised first.  A
-    miss with no such row (a lead that the probe's prime divides) just
-    goes on.
+    are those; its image rows are built again by ``linear_rows``, since
+    the first image ``Echelon`` may own the kept ones.  When a skipped
+    row is independent of the kept ones the images are not closed, and
+    ``InternalError`` is raised; a rank below zero, which only a kernel
+    or image fault gives, is raised first.  A miss with no such row (a
+    lead that the probe's prime divides) just goes on.
 
     ``vector_blocks`` maps a grade to the base window's columns and its
     image side's columns, both unreduced when the blocks above are
@@ -205,14 +220,17 @@ def _window_blocks(
     raised.
     """
     rng = Random(_PROBE_SEED)
+    owned = cells.integral
     for g in sorted(set(v_blocks) | set(vector_blocks or ())):
         cols, n_base = v_blocks.get(g, ((), 0))
-        d_rows = list(linear_rows(cols, cells).values())
-        _, pivots = echelon(d_rows, field)
+        kernel_side = Echelon(field)
+        add = kernel_side.take if owned else kernel_side.insert
+        for row in linear_rows(cols, cells).values():
+            add(row)
+        pivots = kernel_side.pivots
         base_pivots = sum(1 for c in pivots if c < n_base)
 
         u_cols, n_u_base = u_blocks.get(g, ((), 0))
-        image = linear_rows(u_cols, cells)
         # A row's group: 0 outside V, 1 inside V only, 2 inside the base
         # window; 3 and 4 are groups 1 and 2 on the cell of a P column.
         own = cells.row_keys(cols)
@@ -220,15 +238,14 @@ def _window_blocks(
         group.update(dict.fromkeys(own[:n_base], 2))
         for c in pivots:
             group[own[c]] += 2
-        rows: tuple[list, ...] = ([], [], [], [], [])
-        for key, row in image.items():
-            rows[group.get(key, 0)].append(row)
-        kept, skipped = rows[:3], rows[3:]
-        ech, counts = _image_counts(kept, field, n_u_base)
+        rows = _image_groups(u_cols, cells, group)
+        ech, counts = _image_counts(rows[:3], field, n_u_base, owned)
         closed = True
-        if not ech.probe(skipped[0] + skipped[1], len(u_cols), rng):
-            every = [kept[0], kept[1] + skipped[0], kept[2] + skipped[1]]
-            full, counts = _image_counts(every, field, n_u_base)
+        if not ech.probe(rows[3] + rows[4], len(u_cols), rng):
+            # ``ech`` may own the kept rows now, so the rows are built again.
+            rows = _image_groups(u_cols, cells, group)
+            every = [rows[0], rows[1] + rows[3], rows[2] + rows[4]]
+            full, counts = _image_counts(every, field, n_u_base, owned)
             closed = len(full.rows) == len(ech.rows)
         outside, total, base_outside, base_all = counts
         base_rank = n_base - base_pivots - (base_all - base_outside)
@@ -748,9 +765,15 @@ class H0Presentation:
         by it are summed in the algebra and must give the element back,
         or ``InternalError`` is raised.  A miss is always
         ``"inconclusive_at_bound"``, since a longer window or higher
-        coefficient degree might still find a representation.
+        coefficient degree might still find a representation.  The
+        elements are reduced first, then asked by ``_members``.
         """
-        elements = [self.pres.reduce(e) for e in elements]
+        return self._members([self.pres.reduce(e) for e in elements], poly_bound)
+
+    def _members(
+        self, elements: Sequence[AlgebraElement], poly_bound: int
+    ) -> list[TruncatedSolveResult]:
+        """``contains_all`` of elements already in normal form."""
         window = self.window
         columns = [u.terms for u in window]
         column_degree = data_degree(columns)
@@ -810,7 +833,8 @@ class H0Presentation:
                 for prod in (self.pres.multiply(a, u), self.pres.multiply(u, a)):
                     if not prod.is_zero():
                         products.append(prod)
-        results = self.contains_all(products, poly_bound)
+        # ``multiply`` returns normal forms, so they are not reduced again.
+        results = self._members(products, poly_bound)
         failures = [prod.to_text() for prod, res in zip(products, results)
                     if res.status != "member"]
         return {"ok": not failures, "checked": len(products), "failures": failures}

@@ -477,18 +477,21 @@ class InternalError(RuntimeError):
     """An invariant of the exact algebra failed: a bug, not bad input."""
 
 
-def _cancel_rational(row: dict, pivot_row: dict, col: int, p: None) -> dict:
-    """row <- a*row - b*pivot_row over integer rows, with a and b coprime
-    and a > 0 and the content of the result divided out, cancelling
-    ``col``; ``p`` is unused and keeps the signature of ``_cancel_prime``.
-    A row and its negative span alike, so a lead of -1 rebuilds nothing."""
+def _cancel_rational(row: dict, pivot_row: dict, col: int, p: None) -> None:
+    """row <- a*row - b*pivot_row over integer rows, in place, with a and b
+    coprime and a > 0 and the content of the result divided out,
+    cancelling ``col``; ``p`` is unused and keeps the signature of
+    ``_cancel_prime``.  The row is scaled and divided entry by entry, so
+    no dict is rebuilt; a row and its negative span alike, so a lead of
+    -1 scales nothing."""
     a, b = pivot_row[col], row[col]
     g = math.gcd(a, b)
     a, b = a // g, b // g
     if a < 0:
         a, b = -a, -b
     if a != 1:
-        row = {c: a * v for c, v in row.items()}
+        for c in row:
+            row[c] *= a
     for c, val in pivot_row.items():
         s = row.get(c, 0) - b * val
         if s:
@@ -497,11 +500,11 @@ def _cancel_rational(row: dict, pivot_row: dict, col: int, p: None) -> dict:
             del row[c]
     content = math.gcd(*row.values())
     if content > 1:
-        row = {c: v // content for c, v in row.items()}
-    return row
+        for c in row:
+            row[c] //= content
 
 
-def _cancel_prime(row: dict, pivot_row: dict, col: int, p: int) -> dict:
+def _cancel_prime(row: dict, pivot_row: dict, col: int, p: int) -> None:
     """row <- row - row[col]*pivot_row mod p, in place, cancelling ``col``
     against a pivot row that leads with 1 there."""
     factor = row[col]
@@ -511,7 +514,6 @@ def _cancel_prime(row: dict, pivot_row: dict, col: int, p: int) -> dict:
             row[c] = s
         else:
             del row[c]
-    return row
 
 
 # The probe's modulus over the rationals: the Mersenne prime 2^31 - 1.
@@ -522,14 +524,21 @@ class Echelon:
     """A row echelon form grown one row at a time; the one elimination
     engine of this module.
 
-    ``rows`` span the rows inserted so far and ``pivots`` maps each pivot
+    ``rows`` span the rows added so far and ``pivots`` maps each pivot
     column, the least column of its row, to the row's index in ``rows``.
     Over F_p each row leads with 1; over the rationals each is an integer
-    row (``int`` entries), eliminated fraction-free.  The pivot columns of
+    row (``int`` entries), eliminated fraction-free: each cancellation
+    divides out the content of the row it leaves.  The pivot columns of
     an echelon form are fixed by the row space: column c is a pivot
-    exactly when it is independent of the columns left of it.  Both
-    ``insert`` and ``back_substitute`` run one cancellation step per
-    field, ``_cancel_rational`` or ``_cancel_prime``.
+    exactly when it is independent of the columns left of it.
+
+    ``take(row)`` is the one reduction: it changes the row it is handed
+    and may keep it as a pivot row, so it asks for a row that no one
+    else reads, with ``int`` entries (in ``range(p)`` over F_p).
+    ``insert(row)`` leaves its argument as it is and clears any
+    ``Fraction``: it builds that fresh int row and takes it.  Both
+    ``take`` and ``back_substitute`` run one in-place cancellation step
+    per field, ``_cancel_rational`` or ``_cancel_prime``.
     """
 
     __slots__ = ("p", "rows", "pivots", "_cancel")
@@ -541,12 +550,10 @@ class Echelon:
         self._cancel = _cancel_rational if field.p is None else _cancel_prime
 
     def insert(self, row: dict) -> bool:
-        """Reduce a copy of ``row`` against the pivot rows and append what
-        is left; True when the row was independent of the rows so far."""
-        p, reduced, pivots, cancel = self.p, self.rows, self.pivots, self._cancel
-        if p is None:
+        """``take`` a fresh int copy of ``row``, which stays as it is."""
+        if self.p is None:
             # Clear denominators; a row and its nonzero multiples span
-            # alike.  An int entry is taken as it is; a Fraction gives up
+            # alike.  An int entry is copied as it is; a Fraction gives up
             # its ratio in one as_integer_ratio() call, since numerator and
             # denominator are Python-level properties of Fraction.
             ints, den = {}, 1
@@ -559,18 +566,27 @@ class Echelon:
             row = ints if den == 1 else {c: int(v * den) for c, v in row.items()}
         else:
             row = dict(row)
+        return self.take(row)
+
+    def take(self, row: dict) -> bool:
+        """Reduce ``row`` itself against the pivot rows and keep it when
+        something is left; True when the row was independent of the rows
+        so far.  The row must be the caller's to give: its entries are
+        ints (in ``range(p)`` over F_p), and it is changed in place."""
+        p, reduced, pivots, cancel = self.p, self.rows, self.pivots, self._cancel
         while row:
             lead = min(row)
             ridx = pivots.get(lead)
             if ridx is None:
                 break
-            row = cancel(row, reduced[ridx], lead, p)
+            cancel(row, reduced[ridx], lead, p)
         if not row:
             return False
         if p is not None:
             inv = pow(row[lead], -1, p)
             if inv != 1:
-                row = {c: v * inv % p for c, v in row.items()}
+                for c in row:
+                    row[c] = row[c] * inv % p
         pivots[lead] = len(reduced)
         reduced.append(row)
         return True
@@ -649,11 +665,9 @@ class Echelon:
         """
         p, reduced, pivots, cancel = self.p, self.rows, self.pivots, self._cancel
         for lead in sorted(pivots, reverse=True):
-            ridx = pivots[lead]
-            row = reduced[ridx]
+            row = reduced[pivots[lead]]
             for col in [c for c in row if c != lead and c in pivots]:
-                row = cancel(row, reduced[pivots[col]], col, p)
-            reduced[ridx] = row
+                cancel(row, reduced[pivots[col]], col, p)
 
 
 def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
@@ -683,20 +697,6 @@ def row_reduce(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
                 reduced[ridx] = {c: v // d if v % d == 0 else Fraction(v, d)
                                  for c, v in row.items()}
     return reduced, pivots
-
-
-def echelon(rows: list[dict], field: Field) -> tuple[list[dict], dict]:
-    """Row echelon form of sparse rows, without back-substitution.
-
-    Same contract and the same pivots as ``row_reduce`` (rows in order,
-    the least column as pivot), at a fraction of the cost when only the
-    rank or the pivot columns are needed.  The rows span the same space
-    but are not reduced; see ``Echelon`` for their form.
-    """
-    ech = Echelon(field)
-    for row in rows:
-        ech.insert(row)
-    return ech.rows, ech.pivots
 
 
 def kernel_basis(rows: list[dict], ncols: int, field: Field) -> list[dict]:
@@ -801,9 +801,12 @@ class CellIndex:
     and goes on with every other sum of an image exponent and a monomial.
     ``read_images`` fixes that list before any row key is made, and its
     length is the stride, so the packing is injective whatever the sizes.
+    It also sets ``integral``: whether every image scalar is an ``int``,
+    so that every row ``linear_rows`` builds from the images is one that
+    ``Echelon.take`` accepts.
     """
 
-    __slots__ = ("mons", "n", "labels", "_ids", "exps", "stride", "images")
+    __slots__ = ("mons", "n", "labels", "_ids", "exps", "stride", "images", "integral")
 
     def __init__(self, mons: Sequence[tuple]):
         self.mons, self.n = list(mons), len(mons)
@@ -812,6 +815,7 @@ class CellIndex:
         self.exps: dict[tuple, int] = {}
         self.stride = 0
         self.images: list = []
+        self.integral = True
 
     def number(self, label) -> int:
         """The number of ``label``, given the first time it is seen."""
@@ -829,18 +833,23 @@ class CellIndex:
         (row word, exponent) at most once.  Each image is kept as
         (row word * stride, sums, scalar) triples, where sums[k] is the
         place of the exponent plus ``mons[k]``: one table row per
-        distinct image exponent.  Scalars are kept as they are: in the
-        normal form of ``Field``, which ``Echelon`` takes as it is.
+        distinct image exponent.  Scalars are kept as they are, in the
+        normal form of ``Field``, and ``integral`` records whether each of
+        them is an ``int``: always over F_p, and over the rationals when no
+        scalar is a ``Fraction``.
         """
         read = [image_of(g) for g in self.labels]
         exps = {e: k for k, e in enumerate(self.mons)}
         sums: dict[tuple, list] = {}
+        integral = True
         for image in read:
-            for _, e, _ in image:
+            for _, e, c in image:
+                if c.__class__ is not int:
+                    integral = False
                 if e not in sums:
                     sums[e] = [exps.setdefault(tuple([a + b for a, b in zip(e, m)]), len(exps))
                                for m in self.mons]
-        self.exps, self.stride = exps, len(exps)
+        self.exps, self.stride, self.integral = exps, len(exps), integral
         number, stride = self.number, len(exps)
         self.images = [[(number(w) * stride, sums[e], c) for w, e, c in image]
                        for image in read]

@@ -262,10 +262,18 @@ class Presentation:
 
     def element(self, pairs: Iterable) -> AlgebraElement:
         """Element from (coef, Path) pairs, normalised: the letters of each
-        word but its last go in front of its last letter (``_add_times``)."""
+        word but its last go in front of its last letter (``_add_times``).
+        Each path is checked first (``make_path``): a word with an unknown
+        name or a junction that does not compose, or a lazy path off the
+        quiver, is a ``ValueError`` that names it."""
         out: dict = {}
         for coef, path in pairs:
             arrows = path.arrows
+            try:
+                self.make_path(arrows, path.vertex)
+            except ValueError as err:
+                word = "*".join(arrows) if arrows else f"e[{path.vertex}]"
+                raise ValueError(f"{word} is not a path of the quiver: {err}") from None
             if arrows:
                 self._add_times(out, coef, arrows[:-1], Path(arrows[-1:], None))
             else:

@@ -476,7 +476,7 @@ def test_no_module_level_cache():
 # Functions that linearise or eliminate, and Poly's term loops, run on the
 # per-field inner loops, never on Field.add/sub/mul/neg/inv/div per entry.
 LOOP_FUNCTIONS = {
-    "exactalg.py": {"Echelon", "echelon", "row_reduce", "_cancel_prime",
+    "exactalg.py": {"Echelon", "row_reduce", "_cancel_prime",
                     "_cancel_rational", "kernel_basis", "CellIndex", "linear_rows",
                     "_read_solutions", "bounded_members", "truncated_solve", "Poly"},
     "cohom.py": {"_window_blocks", "_bounded_ranks"},

@@ -24,7 +24,6 @@ from tube_ncr.exactalg import (
     PolyRing,
     deglex_key,
     kernel_basis,
-    echelon,
     linear_rows,
     monomials_upto,
 )
@@ -56,6 +55,15 @@ from tube_ncr.quivalg import (
 QQ = Field.rationals()
 F2 = Field.prime(2)
 F5 = Field.prime(5)
+
+
+def echelon_of(rows, field):
+    """An ``Echelon`` with every row of ``rows`` inserted, in order."""
+    ech = Echelon(field)
+    for row in rows:
+        ech.insert(row)
+    return ech
+
 
 SPHERE_DIMS = {-2: 0, -1: 0, 0: 1, 1: 0, 2: 0, 3: 1}
 SPHERE_RANKS = {-2: 1, -1: 2, 0: 1, 1: 1, 2: 2, 3: 1}
@@ -225,7 +233,7 @@ def specialised_sphere(field, a, b):
     """The sphere complex at t0 = a, t1 = b: a complex of vector spaces
     over the variable-free ring, whose cohomology needs no truncation.
     Each dimension is also checked against ranks of the evaluated
-    matrices, n_i - rank d_i - rank d_(i-1), taken with ``echelon``."""
+    matrices, n_i - rank d_i - rank d_(i-1), taken with ``Echelon``."""
     sph = sphere_complex(field)
     point = (field.of(a), field.of(b))
     values = {}  # (source, target) -> the entry at the point
@@ -248,7 +256,7 @@ def specialised_sphere(field, a, b):
         index = {name: j for j, name in enumerate(sph.generators.get(i + 1, []))}
         rows = [{index[tgt]: values[src, tgt] for tgt in sph.differential.get(src, {})
                  if values[src, tgt]} for src in sph.generators.get(i, [])]
-        return len(echelon(rows, field)[0])
+        return len(echelon_of(rows, field).rows)
 
     for i, dim in rep.dims.items():
         assert dim == len(sph.generators.get(i, [])) - rank(i) - rank(i - 1)
@@ -486,6 +494,27 @@ def test_closure_check_builds_the_window_once(monkeypatch):
     pres = cusp_contraction()
     assert h0_presentation(pres, length_bound=6).closure_check()["checked"] == 16
     assert len(calls) <= 2 * len(pres.quiver.vertices)
+
+
+def test_closure_products_are_not_reduced_again(monkeypatch):
+    # ``multiply`` returns normal forms, so ``closure_check`` asks its
+    # products without ``reduce``; ``contains_all`` still reduces what it
+    # is given, once per element.
+    calls = []
+    honest = Presentation.reduce
+
+    def counted(self, element):
+        calls.append(element)
+        return honest(self, element)
+
+    monkeypatch.setattr(Presentation, "reduce", counted)
+    pres = cusp_contraction()
+    h0 = h0_presentation(pres, length_bound=6)
+    result = h0.closure_check()
+    assert (result["ok"], result["checked"], calls) == (True, 16, [])
+    target = scalar_times_unit(pres, pres.ring.gen("x") ** 2, contraction_vertex(1))
+    assert [r.status for r in h0.contains_all([target, target])] == ["member"] * 2
+    assert len(calls) == 2
 
 
 def test_membership_witness_verifies():
@@ -951,7 +980,7 @@ def oracle_bounded_rank(pres, source, target, m, length_bound, poly_bound,
             dim_kernel = len(kernel)
         else:
             kernel = []
-            dim_kernel = len(cols) - len(echelon(d_rows, field)[0])
+            dim_kernel = len(cols) - len(echelon_of(d_rows, field).rows)
         u_cols = u_blocks.get(g, [])
         n_u = len(u_cols)
         image = tuple_rows(u_cols, image_of)
@@ -1139,7 +1168,7 @@ def reference_block_ranks(v_blocks, u_blocks, cells, field):
     out = []
     for g in sorted(v_blocks):
         cols, n_base = v_blocks[g]
-        _, pivots = echelon(list(linear_rows(cols, cells).values()), field)
+        pivots = echelon_of(linear_rows(cols, cells).values(), field).pivots
         u_cols, u_base = u_blocks.get(g, ((), 0))
         own = cells.row_keys(cols)
         base, window = set(own[:n_base]), set(own)
@@ -1190,12 +1219,89 @@ def test_skipping_pivot_cell_rows_moves_no_block_rank(data):
         (v_blocks, u_blocks, cells, field_, _), = calls
         got = [(g, b, r) for g, _, b, r, _ in cohom._window_blocks(
             v_blocks, u_blocks, cells, field_)]
+        # Rows handed to ``insert`` instead of ``take`` count alike.
+        mp.setattr(cells, "integral", False)
+        inserted = [(g, b, r) for g, _, b, r, _ in cohom._window_blocks(
+            v_blocks, u_blocks, cells, field_)]
         # A probe that always misses makes every block insert every row.
         mp.setattr(Echelon, "probe", lambda self, rows, ncols, rng: False)
         every_row = truncated_cohomology(pres, source, target, m, length, poly_bound)
-    assert got == reference_block_ranks(v_blocks, u_blocks, cells, field_)
+    assert got == inserted == reference_block_ranks(v_blocks, u_blocks, cells, field_)
     assert report.to_json() == every_row.to_json()
     event("rows skipped" if sum(skipped) else "no row skipped")
+
+
+def test_the_probe_miss_fallback_hands_no_row_to_two_echelons():
+    # ``take`` keeps the rows it is handed, so the exact pass after a
+    # probe miss must build its rows again rather than hand the first
+    # image echelon's rows to a second one.  Each (echelon, row) pair
+    # recorded holds the row, so no id is reused.
+    ring = xy_ring()
+    x, y = ring.gens()
+    pres = drinfeld_localize(tube_algebra(1, ring, (x, y)), tube_vertex(0))
+    v = tube_vertex(1)
+    handed = []
+    honest_take, honest_insert = Echelon.take, Echelon.insert
+
+    def take(self, row):
+        handed.append((self, row))
+        return honest_take(self, row)
+
+    def insert(self, row):
+        handed.append((self, row))
+        return honest_insert(self, row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Echelon, "probe", lambda self, rows, ncols, rng: False)
+        mp.setattr(Echelon, "take", take)
+        mp.setattr(Echelon, "insert", insert)
+        report = truncated_cohomology(pres, v, v, 2, 4, 2, with_generators=False)
+    owners: dict = {}
+    for ech, row in handed:
+        owners.setdefault(id(row), set()).add(id(ech))
+    assert report == truncated_cohomology(pres, v, v, 2, 4, 2, with_generators=False)
+    assert len(owners) > 0
+    assert all(len(echs) == 1 for echs in owners.values())
+
+
+def test_the_loc_q_blocks_insert_no_row(monkeypatch):
+    # The argv of the loc-q benchmark workload at seed 1: every image
+    # scalar is an int, so ``_window_blocks`` hands each row it builds to
+    # ``take`` and none to ``insert``.
+    counts = Counter()
+    inside = []
+    honest_blocks, honest_take, honest_insert = (
+        cohom._window_blocks, Echelon.take, Echelon.insert)
+
+    def blocks(*args):
+        inner = honest_blocks(*args)
+        while True:
+            inside.append(True)
+            try:
+                item = next(inner)
+            except StopIteration:
+                return
+            finally:
+                inside.pop()
+            yield item
+
+    def take(self, row):
+        counts["take"] += bool(inside)
+        return honest_take(self, row)
+
+    def insert(self, row):
+        counts["insert"] += bool(inside)
+        return honest_insert(self, row)
+
+    monkeypatch.setattr(cohom, "_window_blocks", blocks)
+    monkeypatch.setattr(Echelon, "take", take)
+    monkeypatch.setattr(Echelon, "insert", insert)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["cohom", "localization", "--max-degree", "3", "--len", "3",
+                     "--polydeg", "4", "--f", "3*x", "2*y"])
+    assert code == EXIT_OK
+    assert counts["insert"] == 0
+    assert counts["take"] > 0
 
 
 def test_healthy_runs_never_insert_a_skipped_row(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for exact fields, polynomials, elimination, and truncated solving."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -20,7 +21,6 @@ from tube_ncr.exactalg import (
     bounded_members,
     data_degree,
     deglex_key,
-    echelon,
     kernel_basis,
     linear_rows,
     membership_bound,
@@ -35,6 +35,14 @@ QQ = Field.rationals()
 
 def ring_qq(*names):
     return PolyRing(QQ, names)
+
+
+def echelon_of(rows, field):
+    """An ``Echelon`` with every row of ``rows`` inserted, in order."""
+    ech = Echelon(field)
+    for row in rows:
+        ech.insert(row)
+    return ech
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +398,9 @@ def test_kernel_grows_consistently_with_bound():
         return row
 
     big_rows = [flatten(v) for v in big]
-    base_rank = len(echelon(big_rows, QQ)[0])
+    base_rank = len(echelon_of(big_rows, QQ).rows)
     for v in small:
-        assert len(echelon(big_rows + [flatten(v)], QQ)[0]) == base_rank
+        assert len(echelon_of(big_rows + [flatten(v)], QQ).rows) == base_rank
 
 
 def test_bound_is_raised_to_the_data_degree():
@@ -695,7 +703,8 @@ def oracle_solution(rows, rhs, field):
 
 def check_echelon_against_rref(rows, ncols, field):
     reduced, rref_pivots = rref_oracle(rows, field)
-    ech_rows, ech_pivots = echelon(rows, field)
+    ech = echelon_of(rows, field)
+    ech_rows, ech_pivots = ech.rows, ech.pivots
     assert len(ech_rows) == len(reduced)
     assert list(ech_pivots.items()) == list(rref_pivots.items())
     for col, ridx in ech_pivots.items():
@@ -814,7 +823,7 @@ def test_echelon_rank_matches_sympy_over_rationals(data):
     dense = sympy.Matrix(
         [[sympy.Rational(row.get(c, 0)) for c in range(ncols)] for row in rows]
     ) if rows else sympy.zeros(0, ncols)
-    assert len(echelon(rows, QQ)[0]) == dense.rank()
+    assert len(echelon_of(rows, QQ).rows) == dense.rank()
 
 
 @settings(max_examples=150, deadline=None)
@@ -826,8 +835,17 @@ def test_echelon_matches_rref_over_prime_fields(case):
     check_echelon_against_rref(rows, ncols, Field.prime(p))
 
 
+def int_copy(row, field):
+    """A fresh int row that spans as ``row`` does: over the rationals its
+    entries times the least common denominator, over F_p a plain copy."""
+    if field.p is not None:
+        return dict(row)
+    den = math.lcm(*(Fraction(v).denominator for v in row.values()))
+    return {c: int(v * den) for c, v in row.items()}
+
+
 def check_echelon_inserts_against_oracle(rows, field):
-    ech = Echelon(field)
+    ech, owner = Echelon(field), Echelon(field)
     reduced, pivots = [], {}
     for row in rows:
         before = dict(row)
@@ -835,7 +853,15 @@ def check_echelon_inserts_against_oracle(rows, field):
         assert ech.insert(row) is grew
         assert row == before
         assert len(ech.rows) == len(reduced)
+        # ``take`` on a fresh int copy gives what ``insert`` gave, and
+        # keeps the very row it was handed.
+        copy = int_copy(row, field)
+        assert owner.take(copy) is grew
+        if grew:
+            assert owner.rows[-1] is copy
     assert list(ech.pivots.items()) == list(pivots.items())
+    assert owner.rows == ech.rows
+    assert list(owner.pivots.items()) == list(ech.pivots.items())
 
 
 @settings(max_examples=200, deadline=None)

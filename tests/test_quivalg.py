@@ -426,6 +426,25 @@ def test_an_unknown_arrow_name_is_a_value_error():
         tube.multiply(tube.arrow_element("zz"), tube.one())
 
 
+def test_a_word_that_does_not_compose_is_refused_by_name():
+    # Each word is checked once, before the junction routine multiplies it.
+    pres, ring = tube(2)
+    one = ring.one()
+    cases = [
+        (lambda: pres.element([(one, Path(("a1", "a1")))]), "a1*a1", "non-composable"),
+        (lambda: pres.reduce(AlgebraElement(pres, {Path(("a0", "b1")): one})),
+         "a0*b1", "non-composable"),
+        (lambda: pres.element([(one, Path(("zz",)))]), "zz", "unknown arrow 'zz'"),
+        (lambda: pres.element([(one, Path(("zz", "a0")))]), "zz*a0", "unknown arrow 'zz'"),
+    ]
+    for build, word, why in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(word)} is not a path of the "
+                                             f"quiver: .*{why}"):
+            build()
+    assert pres.element([(one, Path(("a0", "b0")))]) == pres.element(
+        [(ring.gen("t0"), lazy("L1"))])
+
+
 def test_localize_adds_free_loop():
     pres, ring = tube(1)
     loc = drinfeld_localize(pres, "L0")
