@@ -19,10 +19,9 @@ respectively (up to renaming vertices; see the round-trip tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exactalg import Field, PolyRing
+from .exactalg import Field, PolyRing, Record, Value
 from .quivalg import Arrow, Presentation, Quiver, lazy
 
 
@@ -30,10 +29,12 @@ def _is_arc_end(symbol: str) -> bool:
     return len(symbol) > 1 and symbol[-1] in "+-"
 
 
-@dataclass(frozen=True)
-class Face:
-    cycle: tuple
-    mark: Optional[int] = None
+class Face(Value):
+    __slots__ = ("cycle", "mark")
+
+    def __init__(self, cycle: tuple, mark: Optional[int] = None):
+        self.cycle = cycle
+        self.mark = mark
 
     def sides(self) -> int:
         return len(self.cycle)
@@ -134,9 +135,11 @@ class MarkedSurface:
         return {"boundaries": [list(b) for b in self.boundaries], "faces": faces}
 
 
-@dataclass
-class GeneratedPresentation:
-    presentation: Presentation
+class GeneratedPresentation(Record):
+    __slots__ = ("presentation",)
+
+    def __init__(self, presentation: Presentation):
+        self.presentation = presentation
 
 
 def annulus(n: int) -> MarkedSurface:

@@ -38,7 +38,6 @@ of the degree -1 arrows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from random import Random
 from typing import Optional, Sequence
 
@@ -49,7 +48,9 @@ from .exactalg import (
     InternalError,
     Poly,
     PolyRing,
+    Record,
     TruncatedSolveResult,
+    Value,
     bounded_members,
     data_degree,
     deglex_key,
@@ -80,8 +81,7 @@ STABILITY_STEP = 2
 _PROBE_SEED = 1
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Value):
     """A truncation box: the cells (w, e) of a word of at most ``length``
     letters and a coefficient monomial of degree at most ``degree``.
 
@@ -90,11 +90,12 @@ class Window:
     since an empty window would read every rank as 0, conclusively.
     """
 
-    length: int
-    degree: int
+    __slots__ = ("length", "degree")
 
-    def __post_init__(self):
-        if self.length < 0 or self.degree < 0:
+    def __init__(self, length: int, degree: int):
+        self.length = length
+        self.degree = degree
+        if length < 0 or degree < 0:
             raise ValueError(f"window bounds must be >= 0, got {self}")
 
     @property
@@ -423,12 +424,14 @@ class FreeComplex:
         return FreeComplexReport(ranks, dims, poly_bound, status)
 
 
-@dataclass
-class FreeComplexReport:
-    ranks: dict            # degree -> number of free generators
-    dims: dict             # degree -> cohomology dimension below the bound
-    poly_bound: int
-    status: str            # "stable" | "inconclusive_at_bound"
+class FreeComplexReport(Record):
+    __slots__ = ("ranks", "dims", "poly_bound", "status")
+
+    def __init__(self, ranks: dict, dims: dict, poly_bound: int, status: str):
+        self.ranks = ranks            # degree -> number of free generators
+        self.dims = dims              # degree -> cohomology dimension below the bound
+        self.poly_bound = poly_bound
+        self.status = status          # "stable" | "inconclusive_at_bound"
 
     def euler_ranks(self) -> int:
         return sum((1 if d % 2 == 0 else -1) * r for d, r in self.ranks.items())
@@ -485,16 +488,24 @@ def sphere_complex(field: Optional[Field] = None) -> FreeComplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CohomologyReport:
-    source: str
-    target: str
-    degree: int            # homological degree reported (usually <= 0)
-    rank: int
-    generators: list       # texts of independent closed elements
-    length_bound: int
-    poly_bound: int
-    status: str            # "stable" | "inconclusive_at_bound"
+class CohomologyReport(Record):
+    __slots__ = (
+        "source", "target", "degree", "rank", "generators",
+        "length_bound", "poly_bound", "status",
+    )
+
+    def __init__(
+        self, source: str, target: str, degree: int, rank: int, generators: list,
+        length_bound: int, poly_bound: int, status: str,
+    ):
+        self.source = source
+        self.target = target
+        self.degree = degree          # homological degree reported (usually <= 0)
+        self.rank = rank
+        self.generators = generators  # texts of independent closed elements
+        self.length_bound = length_bound
+        self.poly_bound = poly_bound
+        self.status = status          # "stable" | "inconclusive_at_bound"
 
     def to_json(self) -> dict:
         return {
@@ -704,8 +715,7 @@ def truncated_cohomology(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class H0Presentation:
+class H0Presentation(Value):
     """H^0 of a presentation whose arrows sit in degrees 0 and -1.
 
     Nothing has degree +1, so every degree-0 element is closed and H^0 is
@@ -719,10 +729,15 @@ class H0Presentation:
     with each element as a right-hand side.
     """
 
-    pres: Presentation
-    generators: list       # degree-0 arrow names
-    relations: list        # AlgebraElements generating the ideal
-    length_bound: int
+    __slots__ = ("pres", "generators", "relations", "length_bound")
+
+    def __init__(
+        self, pres: Presentation, generators: list, relations: list, length_bound: int
+    ):
+        self.pres = pres
+        self.generators = generators  # degree-0 arrow names
+        self.relations = relations    # AlgebraElements generating the ideal
+        self.length_bound = length_bound
 
     @property
     def window(self) -> list:
@@ -825,7 +840,9 @@ class H0Presentation:
                 f"length bound {self.length_bound} leaves no window to close "
                 f"(need at least 1)"
             )
-        inner = replace(self, length_bound=self.length_bound - 1).window
+        inner = H0Presentation(
+            self.pres, self.generators, self.relations, self.length_bound - 1
+        ).window
         products = []
         for u in inner:
             for name in self.generators:
@@ -888,12 +905,14 @@ def pagoda_quiver(n: int, field: Optional[Field] = None) -> Presentation:
     return contraction_quiver(1, ring, (y + x ** n, y - x ** n))
 
 
-@dataclass
-class PagodaCharReport:
-    n: int
-    char0: dict
-    char2: dict
-    distinguishes: bool
+class PagodaCharReport(Record):
+    __slots__ = ("n", "char0", "char2", "distinguishes")
+
+    def __init__(self, n: int, char0: dict, char2: dict, distinguishes: bool):
+        self.n = n
+        self.char0 = char0
+        self.char2 = char2
+        self.distinguishes = distinguishes
 
     def to_json(self) -> dict:
         return {
@@ -945,12 +964,14 @@ def char2_pagoda_check(n: int) -> PagodaCharReport:
     return PagodaCharReport(n, sides["char0"], sides["char2"], distinguishes)
 
 
-@dataclass
-class LocalizationReport:
-    f: list                # coefficient texts
-    bounds: dict
-    rows: list             # one dict per homological degree
-    ok: bool
+class LocalizationReport(Record):
+    __slots__ = ("f", "bounds", "rows", "ok")
+
+    def __init__(self, f: list, bounds: dict, rows: list, ok: bool):
+        self.f = f          # coefficient texts
+        self.bounds = bounds
+        self.rows = rows    # one dict per homological degree
+        self.ok = ok
 
     def to_json(self) -> dict:
         return {

@@ -27,10 +27,41 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
+
+
+class Record:
+    """A plain record whose fields are its ``__slots__``, in order.
+
+    It equals a record of the same class with equal fields and prints as
+    ``Name(field=value, ...)``, as a dataclass does, but creating the
+    class generates no code.  Like a mutable dataclass it has no hash.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Value(Record):
+    """A record that is not changed once built, so it hashes by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def _is_prime(p: int) -> bool:
@@ -895,11 +926,13 @@ def linear_rows(columns: Sequence[int], cells: CellIndex) -> dict:
     return rows
 
 
-@dataclass
-class TruncatedSolveResult:
-    bound: int                     # the degree bound actually used
-    status: str                    # "member" | "inconclusive_at_bound"
-    witness: Optional[list] = None  # a member's Poly coefficient per column
+class TruncatedSolveResult(Record):
+    __slots__ = ("bound", "status", "witness")
+
+    def __init__(self, bound: int, status: str, witness: Optional[list] = None):
+        self.bound = bound      # the degree bound actually used
+        self.status = status    # "member" | "inconclusive_at_bound"
+        self.witness = witness  # a member's Poly coefficient per column
 
 
 def data_degree(vectors: Iterable[dict]) -> int:

@@ -26,20 +26,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exactalg import Field, Poly, PolyRing, add_term, deglex_key, kernel_basis
+from .exactalg import (
+    Field, Poly, PolyRing, Record, Value, add_term, deglex_key, kernel_basis,
+)
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    src: str
-    tgt: str
-    deg: int = 0
+class Arrow(Value):
+    __slots__ = ("name", "src", "tgt", "deg")
+
+    def __init__(self, name: str, src: str, tgt: str, deg: int = 0):
+        self.name = name
+        self.src = src
+        self.tgt = tgt
+        self.deg = deg
 
 
 class Quiver:
@@ -162,11 +165,13 @@ class AlgebraElement:
         return f"<AlgebraElement {self.to_text()}>"
 
 
-@dataclass
-class ConfluenceReport:
-    confluent: bool
-    critical_pairs_checked: int
-    unresolved: list  # list of (overlap word, normal form 1, normal form 2)
+class ConfluenceReport(Record):
+    __slots__ = ("confluent", "critical_pairs_checked", "unresolved")
+
+    def __init__(self, confluent: bool, critical_pairs_checked: int, unresolved: list):
+        self.confluent = confluent
+        self.critical_pairs_checked = critical_pairs_checked
+        self.unresolved = unresolved  # (overlap word, normal form 1, normal form 2)
 
 
 class Presentation:

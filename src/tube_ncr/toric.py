@@ -37,23 +37,27 @@ base change forms each product of f-powers once per t-exponent.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from math import comb
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .exactalg import Field, InternalError, Poly, PolyRing, monomials_upto
+from .exactalg import Field, InternalError, Poly, PolyRing, Record, Value, monomials_upto
 from .quivalg import Presentation, tube_algebra, tube_vertex
 
 
-@dataclass(frozen=True)
-class WeightMonomial:
+class WeightMonomial(Value):
     """Monomial in x0..xn, y0..yn with nonnegative exponents."""
 
-    c: tuple  # x-exponents
-    d: tuple  # y-exponents
+    __slots__ = ("c", "d")
+
+    def __init__(self, c: tuple, d: tuple):
+        self.c = c  # x-exponents
+        self.d = d  # y-exponents
+        self.__post_init__()
 
     def __post_init__(self):
+        """The check that every construction runs, kept apart so that
+        constructions can be counted."""
         if len(self.c) != len(self.d):
             raise ValueError("x- and y-exponent vectors differ in length")
         if any(e < 0 for e in self.c) or any(e < 0 for e in self.d):
@@ -238,17 +242,26 @@ def monomials_of_weight(n: int, target: tuple, degree_bound: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SectionBasis:
-    index: int
-    n: int
-    degree_bound: int
-    character: tuple
-    sigma: WeightMonomial
-    tau: WeightMonomial
-    monomials: list
-    certificates: list
-    relations: list
+class SectionBasis(Record):
+    __slots__ = (
+        "index", "n", "degree_bound", "character", "sigma", "tau",
+        "monomials", "certificates", "relations",
+    )
+
+    def __init__(
+        self, index: int, n: int, degree_bound: int, character: tuple,
+        sigma: WeightMonomial, tau: WeightMonomial, monomials: list,
+        certificates: list, relations: list,
+    ):
+        self.index = index
+        self.n = n
+        self.degree_bound = degree_bound
+        self.character = character
+        self.sigma = sigma
+        self.tau = tau
+        self.monomials = monomials
+        self.certificates = certificates
+        self.relations = relations
 
     def to_json(self) -> dict:
         return {
@@ -396,16 +409,26 @@ def word_image(word, n: int) -> WeightMonomial:
     return WeightMonomial(tuple(counts["a"]), tuple(counts["b"]))
 
 
-@dataclass
-class EndComparisonReport:
-    n: int
-    degree_bound: int
-    ok: bool
-    rank_table: dict = dc_field(default_factory=dict)
-    generator_images: dict = dc_field(default_factory=dict)
-    mismatches: list = dc_field(default_factory=list)
-    basis_pairs_checked: int = 0
-    products_checked: int = 0
+class EndComparisonReport(Record):
+    __slots__ = (
+        "n", "degree_bound", "ok", "rank_table", "generator_images",
+        "mismatches", "basis_pairs_checked", "products_checked",
+    )
+
+    def __init__(
+        self, n: int, degree_bound: int, ok: bool,
+        rank_table: Optional[dict] = None, generator_images: Optional[dict] = None,
+        mismatches: Optional[list] = None, basis_pairs_checked: int = 0,
+        products_checked: int = 0,
+    ):
+        self.n = n
+        self.degree_bound = degree_bound
+        self.ok = ok
+        self.rank_table = {} if rank_table is None else rank_table
+        self.generator_images = {} if generator_images is None else generator_images
+        self.mismatches = [] if mismatches is None else mismatches
+        self.basis_pairs_checked = basis_pairs_checked
+        self.products_checked = products_checked
 
     def to_json(self) -> dict:
         return {
@@ -575,14 +598,21 @@ def end_algebra(n: int, length_bound: Optional[int] = None) -> EndComparisonRepo
     return report
 
 
-@dataclass
-class BaseChangeReport:
-    n: int
-    degree_bound: int
-    ok: bool
-    substitution: list = dc_field(default_factory=list)
-    products_checked: int = 0
-    mismatches: list = dc_field(default_factory=list)
+class BaseChangeReport(Record):
+    __slots__ = (
+        "n", "degree_bound", "ok", "substitution", "products_checked", "mismatches",
+    )
+
+    def __init__(
+        self, n: int, degree_bound: int, ok: bool, substitution: Optional[list] = None,
+        products_checked: int = 0, mismatches: Optional[list] = None,
+    ):
+        self.n = n
+        self.degree_bound = degree_bound
+        self.ok = ok
+        self.substitution = [] if substitution is None else substitution
+        self.products_checked = products_checked
+        self.mismatches = [] if mismatches is None else mismatches
 
     def to_json(self) -> dict:
         return {

@@ -53,24 +53,25 @@ closed degree-0 morphism of complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from itertools import product
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import Field, Poly, PolyRing, add_term
+from .exactalg import Field, Poly, PolyRing, Record, Value, add_term
 
 # The tables carry mu1, mu2 and mu3; every higher product is zero.
 TOP_ARITY = 3
 
 
-@dataclass(frozen=True)
-class BasisMorphism:
-    name: str
-    source: str
-    target: str
-    degree: int
+class BasisMorphism(Value):
+    __slots__ = ("name", "source", "target", "degree")
+
+    def __init__(self, name: str, source: str, target: str, degree: int):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.degree = degree
 
 
 class MissingProduct(KeyError):
@@ -204,12 +205,14 @@ class AInfTable:
             raise MissingProduct(chain) from None
 
 
-@dataclass
-class AInfReport:
-    ok: bool
-    checked: dict
-    skipped: int
-    violations: list  # (arity, arg names, residual element as text)
+class AInfReport(Record):
+    __slots__ = ("ok", "checked", "skipped", "violations")
+
+    def __init__(self, ok: bool, checked: dict, skipped: int, violations: list):
+        self.ok = ok
+        self.checked = checked
+        self.skipped = skipped
+        self.violations = violations  # (arity, arg names, residual element as text)
 
     def to_json(self) -> dict:
         return {
@@ -692,11 +695,13 @@ def halftwist_complexes(table: AInfTable):
     return w_cx, two_term, q1, q2
 
 
-@dataclass
-class HalfTwistReport:
-    n: int
-    ok: bool
-    wrappings: dict = dc_field(default_factory=dict)
+class HalfTwistReport(Record):
+    __slots__ = ("n", "ok", "wrappings")
+
+    def __init__(self, n: int, ok: bool, wrappings: Optional[dict] = None):
+        self.n = n
+        self.ok = ok
+        self.wrappings = {} if wrappings is None else wrappings
 
     def to_json(self) -> dict:
         return {"n": self.n, "ok": self.ok, "wrappings": self.wrappings}

@@ -6,6 +6,7 @@ import ast
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -708,7 +709,7 @@ SIDE_CHECK_MODULES = {"tube_ncr.arcmodel", "tube_ncr.toric", "tube_ncr.twcat"}
 
 # Runs main(argv) for each argv of sys.argv[1] in this interpreter, with
 # the usage and help output swallowed, then prints the exit codes and the
-# package modules loaded.
+# modules loaded.
 LOADED_MODULES_SCRIPT = """
 import contextlib, io, json, sys
 from tube_ncr.cli import main
@@ -719,13 +720,19 @@ for argv in json.loads(sys.argv[1]):
             codes.append(main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("tube_ncr."))]))
+print(json.dumps([codes, sorted(sys.modules)]))
 """
+
+# The benchmark's four workload argv lists at seed 1.
+WORKLOAD_RUNS = [
+    runpy.run_path(str(REPO / "perfbench" / "workloads.py"))["argv_for"](name, 1)
+    for name in ("loc-q", "loc-nonmono", "h0-fp", "manifest")
+]
 
 
 def _codes_and_modules(argvs):
     """Exit codes of ``argvs`` run in one fresh interpreter, and the
-    package modules it has loaded afterwards."""
+    modules it has loaded afterwards."""
     run = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES_SCRIPT, json.dumps(argvs)],
         capture_output=True, text=True, env=_src_env(), check=False,
@@ -756,3 +763,15 @@ def test_verify_all_loads_side_check_modules(tmp_path):
     assert codes == [EXIT_OK]
     assert out.read_bytes() == (GOLDEN / "verify_all_n2.json").read_bytes()
     assert SIDE_CHECK_MODULES <= modules
+
+
+def test_no_run_loads_the_dataclass_machinery():
+    # Records are plain classes, so neither the import nor any command
+    # pays for ``dataclasses`` and the ``inspect`` it imports.
+    runs = [argv for argv, _, _ in GOLDEN_RUNS] + WORKLOAD_RUNS + SIDE_CHECK_RUNS
+    codes, modules = _codes_and_modules(runs)
+    assert codes == [code for _, _, code in GOLDEN_RUNS] + [EXIT_OK] * (
+        len(WORKLOAD_RUNS) + len(SIDE_CHECK_RUNS)
+    )
+    assert "tube_ncr.toric" in modules
+    assert not modules & {"dataclasses", "inspect"}
